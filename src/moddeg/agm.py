@@ -206,13 +206,13 @@ def lemma1_constants() -> AreaBoundConstants:
     return AreaBoundConstants(k1=k1, k2=k2)
 
 
-def lemma1_check(inv: Invariants) -> Lemma1Check:
-    """Check 1/Omega >= D^(1/6)/14.045 for the given model."""
-    data = period_data(inv)
+def lemma1_check(inv: Invariants, period: PeriodData) -> Lemma1Check:
+    """Check 1/Omega >= D^(1/6)/14.045 for the model with these invariants
+    and period data."""
     rhs = inv.abs_disc ** (1.0 / 6.0) / AREA_BOUND_DENOMINATOR
     return Lemma1Check(
-        inv_omega=data.inv_omega,
+        inv_omega=period.inv_omega,
         rhs=rhs,
-        ok=data.inv_omega >= rhs,
-        margin=data.inv_omega - rhs,
+        ok=period.inv_omega >= rhs,
+        margin=period.inv_omega - rhs,
     )

@@ -20,9 +20,8 @@ from typing import Any
 from . import __version__
 from .agm import lemma1_constants
 from .bounds import crossover_check
-from .curves import SingularCurveError
 from .lvalue import lemma4_certify
-from .report import build_report, dumps_report, invariants_document, parse_record
+from .report import build_report, dumps_report, invariants_document, parse_record, round_reals
 from .zerofree import (
     certify_cm_qi,
     certify_cm_zeta3,
@@ -46,10 +45,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     try:
         a = _parse_a_list(args.a)
         doc = invariants_document(a)
-    except SingularCurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # SingularCurveError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     print(dumps_report(doc))
@@ -92,74 +88,30 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return EXIT_CERTIFICATION_FAILURE if any_inconsistent else EXIT_OK
 
 
+def _row(name: str, value: float, op: str, bound, passed: bool) -> dict[str, Any]:
+    """One verify-lemmas row; a tuple bound becomes a JSON list."""
+    if isinstance(bound, tuple):
+        bound = list(bound)
+    return {"name": name, "value": value, "op": op, "bound": bound, "pass": passed}
+
+
 def _verification_rows(n2: int) -> list[dict[str, Any]]:
-    rows: list[dict[str, Any]] = []
-
     constants = lemma1_constants()
+    rows = [
+        _row("lemma1.case_pos_constant", constants.k1, "<=", 14.045, constants.k1 <= 14.045),
+        _row("lemma1.case_neg_constant", constants.k2, "<=", 14.045, constants.k2 <= 14.045),
+    ]
+    chains = [(c.case_tag, c.waypoints) for c in (certify_noncm(n2), certify_cm_qi(n2), certify_cm_zeta3(n2))]
+    chains.append(("lvalue", lemma4_certify(n2).waypoints))
+    for tag, waypoints in chains:
+        rows.extend(_row(f"{tag}.{wp.name}", wp.value, wp.op, wp.bound, wp.passed) for wp in waypoints)
+
+    beta_star = quintic_beta_optimum().beta_star
     rows.append(
-        {
-            "name": "lemma1.case_pos_constant",
-            "value": constants.k1,
-            "op": "<=",
-            "bound": 14.045,
-            "pass": constants.k1 <= 14.045,
-        }
+        _row("zeta3.beta_star", beta_star, "abs_diff<=", [2.629152166, 1e-8], abs(beta_star - 2.629152166) <= 1e-8)
     )
-    rows.append(
-        {
-            "name": "lemma1.case_neg_constant",
-            "value": constants.k2,
-            "op": "<=",
-            "bound": 14.045,
-            "pass": constants.k2 <= 14.045,
-        }
-    )
-
-    for cert in (certify_noncm(n2), certify_cm_qi(n2), certify_cm_zeta3(n2)):
-        for wp in cert.waypoints:
-            rows.append(
-                {
-                    "name": f"{cert.case_tag}.{wp.name}",
-                    "value": wp.value,
-                    "op": wp.op,
-                    "bound": list(wp.bound) if isinstance(wp.bound, tuple) else wp.bound,
-                    "pass": wp.passed,
-                }
-            )
-
-    cert4 = lemma4_certify(n2)
-    for wp in cert4.waypoints:
-        rows.append(
-            {
-                "name": f"lvalue.{wp.name}",
-                "value": wp.value,
-                "op": wp.op,
-                "bound": list(wp.bound) if isinstance(wp.bound, tuple) else wp.bound,
-                "pass": wp.passed,
-            }
-        )
-
-    quintic = quintic_beta_optimum()
-    rows.append(
-        {
-            "name": "zeta3.beta_star",
-            "value": quintic.beta_star,
-            "op": "abs_diff<=",
-            "bound": [2.629152166, 1e-8],
-            "pass": abs(quintic.beta_star - 2.629152166) <= 1e-8,
-        }
-    )
-
     log_n_star = crossover_check()
-    rows.append(
-        {
-            "name": "theorem2.crossover_log_n",
-            "value": log_n_star,
-            "op": "in",
-            "bound": [86.0, 87.5],
-            "pass": 86.0 <= log_n_star <= 87.5,
-        }
-    )
+    rows.append(_row("theorem2.crossover_log_n", log_n_star, "in", [86.0, 87.5], 86.0 <= log_n_star <= 87.5))
     return rows
 
 
@@ -176,7 +128,7 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     all_pass = all(row["pass"] for row in rows)
     if args.json:
         doc = {"n2": args.n2, "waypoints": rows, "pass": all_pass}
-        print(json.dumps(_rounded(doc)))
+        print(json.dumps(round_reals(doc)))
     else:
         width = max(len(row["name"]) for row in rows)
         for row in rows:
@@ -188,16 +140,6 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
             print(f"{status}  {row['name']:<{width}}  {row['value']:+.10g}  {row['op']} {bound_text}")
         print(f"{'PASS' if all_pass else 'FAIL'}  overall ({len(rows)} waypoints, n2 = {args.n2})")
     return EXIT_OK if all_pass else EXIT_CERTIFICATION_FAILURE
-
-
-def _rounded(value: Any) -> Any:
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, dict):
-        return {k: _rounded(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_rounded(v) for v in value]
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

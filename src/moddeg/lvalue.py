@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .curves import CurveModel, derive_invariants, trace_of_frobenius, POINT_COUNT_CUTOFF
 from .specfun import ZETA_3_HALVES, lemma4_error_integral
-from .zerofree import MIN_CERTIFIED_N2, SymPowerConductors, Waypoint, _wp
+from .zerofree import SymPowerConductors, Waypoint, _n2_value, _wp
 
 __all__ = [
     "Lemma4Cert",
@@ -29,13 +29,6 @@ __all__ = [
     "lemma4_certify",
     "symsq_value_estimate",
 ]
-
-
-def _n2_value(n2: int | SymPowerConductors) -> int:
-    value = n2.n2 if isinstance(n2, SymPowerConductors) else int(n2)
-    if value < MIN_CERTIFIED_N2:
-        raise ValueError(f"n2 = {value} is below the certified minimum {MIN_CERTIFIED_N2}")
-    return value
 
 
 def symsq_lower_bound(n2: int | SymPowerConductors) -> float:

@@ -5,7 +5,10 @@ Input wire format (JSONL, one record per line):
     {"label": "37a1", "a": [0,0,1,-1,0], "conductor": 37,
      "n2": null, "semistable": true, "twist_minimal": true, "deg_phi": 2}
 
-Only "a" and "conductor" are required.  Reports are emitted one JSON
+Only "a" and "conductor" are required.  "a" holds five JSON integers;
+"conductor" (>= 3), "n2" (>= 2) and "deg_phi" (>= 1) are integers or
+decimal strings, never booleans; "twist_minimal" is a boolean (default
+true) and "semistable" a boolean or null.  Reports are emitted one JSON
 object per input line, input order preserved; reals carry 12 significant
 digits and integers above 2^53 are serialized as decimal strings.
 """
@@ -25,7 +28,7 @@ from .bounds import (
     theorem1,
     theorem2,
 )
-from .curves import CurveModel, derive_invariants, is_cm, two_torsion_roots
+from .curves import CurveModel, derive_invariants, is_cm, is_prime, two_torsion_roots
 from .fudge import fudge_factor_for
 from .zerofree import MIN_CERTIFIED_N2, sym_power_conductors
 
@@ -35,7 +38,6 @@ __all__ = [
     "build_report",
     "invariants_document",
     "round_reals",
-    "json_default",
     "dumps_report",
     "factorize",
     "squared_primes",
@@ -70,34 +72,52 @@ class CurveRecord:
         )
 
 
-def parse_record(obj: dict[str, Any]) -> CurveRecord:
+def _int_field(obj: dict[str, Any], name: str, minimum: int) -> int | None:
+    """obj[name] as an integer >= minimum, or None when absent or null.
+
+    A JSON integer or a decimal string is accepted; a boolean is not.
+    """
+    value = obj.get(name)
+    if value is None:
+        return None
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f'"{name}" must be an integer >= {minimum}, got {json.dumps(value)}')
+    return value
+
+
+def parse_record(obj: Any) -> CurveRecord:
+    """Validate one input record; every error names the offending field."""
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
-    try:
-        a = obj["a"]
-        conductor = obj["conductor"]
-    except KeyError as exc:
-        raise ValueError(f"record is missing required field {exc.args[0]!r}") from None
-    if not (isinstance(a, list) and len(a) == 5 and all(isinstance(x, int) for x in a)):
+    a = obj.get("a")
+    if not (
+        isinstance(a, list)
+        and len(a) == 5
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in a)
+    ):
         raise ValueError('"a" must be a list of 5 exact integers')
-    if isinstance(conductor, str):
-        conductor = int(conductor)
-    if not isinstance(conductor, int) or conductor < 1:
-        raise ValueError("conductor must be a positive integer")
-    n2 = obj.get("n2")
-    if isinstance(n2, str):
-        n2 = int(n2)
-    deg = obj.get("deg_phi")
-    if deg is not None and (not isinstance(deg, int) or deg < 1):
-        raise ValueError("deg_phi must be a positive integer")
+    conductor = _int_field(obj, "conductor", 3)
+    if conductor is None:
+        raise ValueError('record is missing required field "conductor"')
+    semistable = obj.get("semistable")
+    if semistable is not None and not isinstance(semistable, bool):
+        raise ValueError(f'"semistable" must be true, false or null, got {json.dumps(semistable)}')
+    twist_minimal = obj.get("twist_minimal", True)
+    if not isinstance(twist_minimal, bool):
+        raise ValueError(f'"twist_minimal" must be true or false, got {json.dumps(twist_minimal)}')
     return CurveRecord(
         label=obj.get("label"),
         a=tuple(a),
         conductor=conductor,
-        n2=n2,
-        semistable=obj.get("semistable"),
-        twist_minimal=obj.get("twist_minimal", True),
-        deg_phi=deg,
+        n2=_int_field(obj, "n2", 2),
+        semistable=semistable,
+        twist_minimal=twist_minimal,
+        deg_phi=_int_field(obj, "deg_phi", 1),
     )
 
 
@@ -141,10 +161,6 @@ def round_reals(value: Any) -> Any:
     return value
 
 
-def json_default(value: Any) -> Any:
-    raise TypeError(f"not JSON serializable: {value!r}")
-
-
 def _encode_ints(value: Any) -> Any:
     if isinstance(value, bool):
         return value
@@ -158,7 +174,7 @@ def _encode_ints(value: Any) -> Any:
 
 
 def dumps_report(report: dict[str, Any]) -> str:
-    return json.dumps(_encode_ints(round_reals(report)), default=json_default)
+    return json.dumps(_encode_ints(round_reals(report)))
 
 
 def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, Any]:
@@ -169,7 +185,7 @@ def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, Any]:
     inv = derive_invariants(curve)
     roots = two_torsion_roots(inv)
     period = period_data(inv, roots)
-    check = lemma1_check(inv)
+    check = lemma1_check(inv, period)
     doc: dict[str, Any] = {
         "a": list(a),
         "b2": inv.b2,
@@ -213,7 +229,7 @@ def build_report(
     inv = derive_invariants(curve)
     roots = two_torsion_roots(inv)
     period = period_data(inv, roots)
-    check = lemma1_check(inv)
+    check = lemma1_check(inv, period)
     n = record.conductor
 
     conductors = sym_power_conductors(
@@ -255,7 +271,7 @@ def build_report(
     good_p = 2
     while inv.disc % good_p == 0 or n % good_p == 0:
         good_p += 1
-        while not _is_small_prime(good_p):
+        while not is_prime(good_p):
             good_p += 1
     lin = linear_bounds(n, p=good_p)
 
@@ -315,13 +331,3 @@ def build_report(
         "warnings": warnings,
     }
 
-
-def _is_small_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True

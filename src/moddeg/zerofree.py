@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .specfun import digamma
 
 __all__ = [
@@ -399,11 +397,8 @@ def cos_poly_value(coeffs, theta: float) -> float:
 
 def cos_poly_min_on_grid(coeffs, n_points: int = 10_000) -> float:
     """Minimum of the cosine polynomial over an n-point grid on [0, pi]."""
-    theta = np.linspace(0.0, math.pi, n_points)
-    values = np.zeros_like(theta)
-    for k, c in enumerate(coeffs):
-        values += float(c) * np.cos(k * theta)
-    return float(values.min())
+    step = math.pi / max(n_points - 1, 1)
+    return min(cos_poly_value(coeffs, i * step) for i in range(n_points))
 
 
 _QUINTIC = (1.0, -25.0, -4.0, 30.0, 19.0, 3.0)

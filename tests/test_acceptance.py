@@ -47,7 +47,8 @@ def test_criterion_1_area_bound_constants_and_random_curves():
     )
     failures = 0
     for curve in random_curves(10_000, seed=11):
-        if not lemma1_check(derive_invariants(curve)).ok:
+        inv = derive_invariants(curve)
+        if not lemma1_check(inv, period_data(inv)).ok:
             failures += 1
     ok = ok and failures == 0
     _report(

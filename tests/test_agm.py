@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.special import ellipk
 
 from moddeg import (
-    agm,
     area_neg_disc,
     area_pos_disc,
     derive_invariants,
@@ -17,7 +17,7 @@ from moddeg import (
     two_torsion_roots,
     CurveModel,
 )
-from moddeg.agm import AREA_BOUND_DENOMINATOR
+from moddeg.agm import AREA_BOUND_DENOMINATOR, agm
 
 from conftest import random_curves, real_period_by_integration
 
@@ -25,6 +25,12 @@ from conftest import random_curves, real_period_by_integration
 AGM_1_INVSQRT2 = 0.84721308479397908661
 K1_EXPECTED = 13.750371636040745655
 K2_EXPECTED = 14.044556133045613852
+
+
+def test_package_does_not_shadow_the_agm_module():
+    import moddeg
+
+    assert inspect.ismodule(moddeg.agm)
 
 
 class TestAgm:
@@ -164,14 +170,15 @@ class TestLemma1:
 
     def test_check_examples(self):
         for a, expect_ok in [((0, 0, 1, -1, 0), True), ((0, 0, 0, -1, 1), True)]:
-            check = lemma1_check(derive_invariants(CurveModel(*a)))
+            inv = derive_invariants(CurveModel(*a))
+            check = lemma1_check(inv, period_data(inv))
             assert check.ok is expect_ok
             assert check.inv_omega >= check.rhs
 
     def test_holds_on_random_curves(self):
         for curve in random_curves(10_000, seed=6):
             inv = derive_invariants(curve)
-            check = lemma1_check(inv)
+            check = lemma1_check(inv, period_data(inv))
             assert check.ok, f"area bound failed for {curve.a_invariants}"
 
 

@@ -2,6 +2,8 @@ import json
 import math
 import subprocess
 import sys
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,10 @@ from moddeg.report import (
     parse_record,
     squared_primes,
 )
+
+
+GOLDEN = Path(__file__).parent / "data"
+DATASET = resources.files("moddeg").joinpath("data/curves.jsonl")
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -55,6 +61,31 @@ class TestParseRecord:
     def test_invalid(self, obj):
         with pytest.raises(ValueError):
             parse_record(obj)
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"a": [True, 0, 1, -1, 0]}, "a"),
+            ({"conductor": True}, "conductor"),
+            ({"conductor": 1}, "conductor"),
+            ({"twist_minimal": "no"}, "twist_minimal"),
+            ({"semistable": "yes"}, "semistable"),
+            ({"n2": 1}, "n2"),
+            ({"n2": 2.5}, "n2"),
+            ({"n2": True}, "n2"),
+            ({"deg_phi": True}, "deg_phi"),
+        ],
+    )
+    def test_strict_contract_names_field(self, tmp_path, override, field):
+        obj = {"a": [0, 0, 1, -1, 0], "conductor": 37, **override}
+        with pytest.raises(ValueError, match=f'"{field}"'):
+            parse_record(obj)
+        src = tmp_path / "in.jsonl"
+        dst = tmp_path / "out.jsonl"
+        src.write_text(json.dumps(obj) + "\n")
+        assert main(["bound", "--input", str(src), "--output", str(dst)]) == 0
+        line = json.loads(dst.read_text())
+        assert line["line"] == 1 and f'"{field}"' in line["error"]
 
     def test_big_int_strings(self):
         record = parse_record(
@@ -143,6 +174,26 @@ class TestBuildReport:
                     walk(v)
 
         walk(doc)
+
+
+class TestGolden:
+    """Output bytes pinned against files written by an earlier release."""
+
+    def test_bound_on_dataset(self, tmp_path):
+        dst = tmp_path / "out.jsonl"
+        assert main(["bound", "--input", str(DATASET), "--output", str(dst)]) == 0
+        assert dst.read_bytes() == (GOLDEN / "bound_curves.golden.jsonl").read_bytes()
+
+    def test_verify_lemmas_json(self, capsys):
+        assert main(["verify-lemmas", "--json"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "verify_lemmas.golden.json").read_text()
+
+
+def test_cli_import_loads_no_numpy_or_scipy():
+    code = "import moddeg.cli, sys; print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCliInvariants:

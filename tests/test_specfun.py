@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -19,6 +20,25 @@ from moddeg.specfun import (
 
 # mpmath at 30 digits, frozen.
 ERROR_INTEGRAL_EXPECTED = 16.182221888601056
+
+
+@functools.lru_cache(maxsize=None)
+def mpmath_error_integral() -> mp.mpf:
+    """The smoothing-error integral by mpmath quadrature at 30 digits."""
+    with mp.workdps(30):
+        pref = mp.zeta(1.5) ** 4 / (4 * mp.pi**2)
+
+        def f(t):
+            return (
+                (mp.mpf(25) / 4 + t * t) ** mp.mpf("0.75")
+                * mp.sqrt(mp.mpf(9) / 4 + t * t)
+                * 2
+                * (1 + t * t) ** (mp.mpf(1) / 200)
+                / mp.sqrt(1 + 4 * t * t)
+                * mp.sqrt(mp.pi * mp.sech(mp.pi * t))
+            )
+
+        return +(pref * mp.quad(f, [0, 1, 5, 40]))
 
 
 class TestDigamma:
@@ -105,21 +125,7 @@ class TestErrorIntegral:
         assert result.truncation_point == 40.0
 
     def test_against_mpmath(self):
-        mp.mp.dps = 30
-        pref = float(mp.zeta(1.5)) ** 4 / (4.0 * math.pi**2)
-
-        def f(t):
-            return (
-                (mp.mpf(25) / 4 + t * t) ** mp.mpf("0.75")
-                * mp.sqrt(mp.mpf(9) / 4 + t * t)
-                * 2
-                * (1 + t * t) ** (mp.mpf(1) / 200)
-                / mp.sqrt(1 + 4 * t * t)
-                * mp.sqrt(mp.pi * mp.sech(mp.pi * t))
-            )
-
-        oracle = pref * float(mp.quad(f, [0, 1, 5, 40]))
-        assert lemma4_error_integral().value == pytest.approx(oracle, rel=1e-9)
+        assert lemma4_error_integral().value == pytest.approx(float(mpmath_error_integral()), rel=1e-9)
 
     def test_integrand_at_zero(self):
         pref = ZETA_3_HALVES**4 / (4.0 * math.pi**2)
@@ -131,7 +137,6 @@ class TestErrorIntegral:
         # the bound really does dominate the integrand at the cut
         assert error_integrand(40.0) < error_integral_tail_bound(40.0)
 
-    def test_stable_under_tolerance_halving(self):
-        coarse = lemma4_error_integral().value
-        fine = lemma4_error_integral(epsabs=5e-11, epsrel=5e-13).value
-        assert abs(coarse - fine) < 1e-7
+    def test_error_estimate_bounds_oracle_distance(self):
+        result = lemma4_error_integral()
+        assert abs(result.value - mpmath_error_integral()) <= result.abs_error_estimate

@@ -217,6 +217,12 @@ class TestTrigPoly:
         ):
             assert cos_poly_min_on_grid(coeffs, 10_000) >= -1e-12
 
+    def test_grid_minimum_matches_numpy(self):
+        theta = np.linspace(0.0, math.pi, 1001)
+        for coeffs in (QI_COS_COEFFS, trig_poly_expand(Fraction(5, 2)), (0.5, -1.0, 0.25)):
+            oracle = sum(float(c) * np.cos(k * theta) for k, c in enumerate(coeffs)).min()
+            assert cos_poly_min_on_grid(coeffs, 1001) == pytest.approx(float(oracle), abs=1e-12)
+
     def test_value_matches_product(self):
         coeffs = trig_poly_expand(Fraction(5, 2))
         for theta in np.linspace(0.0, math.pi, 64):
