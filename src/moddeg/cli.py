@@ -13,7 +13,10 @@ Exit codes: 0 success, 1 certification or consistency failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
+import os
 import sys
 from typing import Any
 
@@ -21,7 +24,7 @@ from . import __version__
 from .agm import lemma1_constants
 from .bounds import crossover_check
 from .lvalue import lemma4_certify
-from .report import build_report, dumps_report, invariants_document, parse_record, round_reals
+from .report import build_report, dumps_report, int_field, invariants_document, parse_record
 from .zerofree import (
     certify_cm_qi,
     certify_cm_zeta3,
@@ -53,39 +56,44 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
-    out_lines: list[str] = []
+    """Write one report or error object per input line, as soon as it is made."""
     any_inconsistent = False
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = parse_record(json.loads(line))
-            report = build_report(record, n2_override=args.n2, assume_cm=args.assume_cm)
-        except (ValueError, ArithmeticError) as exc:
-            out_lines.append(json.dumps({"line": line_no, "error": str(exc)}))
-            continue
-        if report["consistency_ok"] is False:
-            any_inconsistent = True
-        out_lines.append(dumps_report(report))
-
-    text = "\n".join(out_lines) + ("\n" if out_lines else "")
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+    try:
+        with contextlib.ExitStack() as stack:
+            source = stack.enter_context(open(args.input, "rb"))
+            sink = sys.stdout
+            if args.output != "-":
+                if os.path.exists(args.output) and os.path.samefile(args.input, args.output):
+                    print(f"error: --output {args.output} is the input file", file=sys.stderr)
+                    return EXIT_INPUT_ERROR
+                sink = stack.enter_context(open(args.output, "w", encoding="utf-8"))
+            for line_no, raw in enumerate(source, start=1):
+                try:
+                    line = raw.decode("utf-8")
+                    if not line.strip():
+                        continue
+                    record = parse_record(json.loads(line))
+                    if args.n2 is not None:
+                        record = dataclasses.replace(record, n2=args.n2)
+                    report = build_report(record, assume_cm=args.assume_cm)
+                except (ValueError, ArithmeticError) as exc:  # UnicodeDecodeError included
+                    sink.write(json.dumps({"line": line_no, "error": str(exc)}) + "\n")
+                    continue
+                any_inconsistent |= report["consistency_ok"] is False
+                sink.write(dumps_report(report) + "\n")
+            sink.flush()  # a closed stdout fails here, inside the try, not at exit
+    except OSError as exc:  # opening, reading or writing, also part-way through
+        print(f"error: cannot stream {args.input} to {args.output}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     return EXIT_CERTIFICATION_FAILURE if any_inconsistent else EXIT_OK
+
+
+def _n2_flag(text: str) -> int:
+    """bound --n2, under the record's rule for "n2"."""
+    try:
+        return int_field("n2", text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _row(name: str, value: float, op: str, bound, passed: bool) -> dict[str, Any]:
@@ -128,7 +136,7 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     all_pass = all(row["pass"] for row in rows)
     if args.json:
         doc = {"n2": args.n2, "waypoints": rows, "pass": all_pass}
-        print(json.dumps(round_reals(doc)))
+        print(dumps_report(doc))
     else:
         width = max(len(row["name"]) for row in rows)
         for row in rows:
@@ -156,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="degree-bound reports for a JSONL dataset")
     p_bound.add_argument("--input", required=True, help="input JSONL path")
-    p_bound.add_argument("--output", required=True, help="output JSONL path, or - for stdout")
-    p_bound.add_argument("--n2", type=int, default=None, help="override the symmetric-square conductor")
+    p_bound.add_argument("--output", required=True, help="output JSONL path (not the input), or - for stdout")
+    p_bound.add_argument("--n2", type=_n2_flag, default=None, help="n2 for every record (integer >= 2)")
     p_bound.add_argument(
         "--assume-cm", choices=("auto", "cm", "noncm"), default="auto", dest="assume_cm"
     )

@@ -62,9 +62,10 @@ POINT_COUNT_CUTOFF = 10**6
 class CurveModel:
     """Integral Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
-    The conductor is optional so that purely model-level quantities
-    (invariants, periods) can be computed without one; every report-level
-    operation requires it.
+    Only model-level data lives here.  The conductor is optional so that
+    invariants and periods can be computed without one; the Euler-product
+    estimator reads it when given.  Dataset records (label, n2, known
+    degree) and their contract belong to ``moddeg.report.parse_record``.
     """
 
     a1: int
@@ -73,9 +74,6 @@ class CurveModel:
     a4: int
     a6: int
     conductor: int | None = None
-    label: str | None = None
-    known_degree: int | None = None
-    n2: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "a3", "a4", "a6"):
@@ -84,10 +82,6 @@ class CurveModel:
                 raise ValueError(f"{name} must be an exact integer, got {v!r}")
         if self.conductor is not None and self.conductor < 1:
             raise ValueError("conductor must be a positive integer")
-        if self.known_degree is not None and self.known_degree < 1:
-            raise ValueError("known_degree must be a positive integer")
-        if self.n2 is not None and self.n2 < 1:
-            raise ValueError("n2 must be a positive integer")
 
     @property
     def a_invariants(self) -> tuple[int, int, int, int, int]:

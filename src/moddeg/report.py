@@ -1,6 +1,7 @@
 """Dataset records and per-curve degree-bound reports.
 
-Input wire format (JSONL, one record per line):
+Input wire format: UTF-8 JSON, one record per ``\n``-terminated line
+(CRLF is accepted):
 
     {"label": "37a1", "a": [0,0,1,-1,0], "conductor": 37,
      "n2": null, "semistable": true, "twist_minimal": true, "deg_phi": 2}
@@ -8,9 +9,14 @@ Input wire format (JSONL, one record per line):
 Only "a" and "conductor" are required.  "a" holds five JSON integers;
 "conductor" (>= 3), "n2" (>= 2) and "deg_phi" (>= 1) are integers or
 decimal strings, never booleans; "twist_minimal" is a boolean (default
-true) and "semistable" a boolean or null.  Reports are emitted one JSON
-object per input line, input order preserved; reals carry 12 significant
-digits and integers above 2^53 are serialized as decimal strings.
+true) and "semistable" a boolean or null.  ``parse_record`` is the one
+place that holds this contract; the ``bound`` command's ``--n2`` flag
+follows the same rule for "n2".
+
+``bound`` writes one JSON object per input line, in input order, as soon
+as it is made: a report, or ``{"line": k, "error": ...}`` for a line that
+cannot be decoded, parsed or reported.  ``dumps_report`` gives reals 12
+significant digits and writes integers above 2^53 as decimal strings.
 """
 
 from __future__ import annotations
@@ -35,9 +41,9 @@ from .zerofree import MIN_CERTIFIED_N2, sym_power_conductors
 __all__ = [
     "CurveRecord",
     "parse_record",
+    "int_field",
     "build_report",
     "invariants_document",
-    "round_reals",
     "dumps_report",
     "factorize",
     "squared_primes",
@@ -57,27 +63,17 @@ class CurveRecord:
     twist_minimal: bool = True
     deg_phi: int | None = None
 
-    def to_model(self) -> CurveModel:
-        a1, a2, a3, a4, a6 = self.a
-        return CurveModel(
-            a1,
-            a2,
-            a3,
-            a4,
-            a6,
-            conductor=self.conductor,
-            label=self.label,
-            known_degree=self.deg_phi,
-            n2=self.n2,
-        )
+
+# The least value of each integer scalar of a record.
+_INT_MINIMUM = {"conductor": 3, "n2": 2, "deg_phi": 1}
 
 
-def _int_field(obj: dict[str, Any], name: str, minimum: int) -> int | None:
-    """obj[name] as an integer >= minimum, or None when absent or null.
+def int_field(name: str, value: Any) -> int | None:
+    """value as the record field name: an integer >= the field's minimum,
+    or None for null.
 
     A JSON integer or a decimal string is accepted; a boolean is not.
     """
-    value = obj.get(name)
     if value is None:
         return None
     if isinstance(value, str):
@@ -85,6 +81,7 @@ def _int_field(obj: dict[str, Any], name: str, minimum: int) -> int | None:
             value = int(value)
         except ValueError:
             pass
+    minimum = _INT_MINIMUM[name]
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValueError(f'"{name}" must be an integer >= {minimum}, got {json.dumps(value)}')
     return value
@@ -101,7 +98,7 @@ def parse_record(obj: Any) -> CurveRecord:
         and all(isinstance(x, int) and not isinstance(x, bool) for x in a)
     ):
         raise ValueError('"a" must be a list of 5 exact integers')
-    conductor = _int_field(obj, "conductor", 3)
+    conductor = int_field("conductor", obj.get("conductor"))
     if conductor is None:
         raise ValueError('record is missing required field "conductor"')
     semistable = obj.get("semistable")
@@ -114,10 +111,10 @@ def parse_record(obj: Any) -> CurveRecord:
         label=obj.get("label"),
         a=tuple(a),
         conductor=conductor,
-        n2=_int_field(obj, "n2", 2),
+        n2=int_field("n2", obj.get("n2")),
         semistable=semistable,
         twist_minimal=twist_minimal,
-        deg_phi=_int_field(obj, "deg_phi", 1),
+        deg_phi=int_field("deg_phi", obj.get("deg_phi")),
     )
 
 
@@ -150,31 +147,24 @@ def is_squarefree(n: int) -> bool:
     return not squared_primes(n)
 
 
-def round_reals(value: Any) -> Any:
-    """Round floats to 12 significant digits, recursively."""
+def _wire(value: Any) -> Any:
+    """value with reals rounded to 12 significant digits and integers
+    above 2^53 turned into decimal strings, in one recursive walk."""
     if isinstance(value, float):
         return float(f"{value:.12g}")
-    if isinstance(value, dict):
-        return {k: round_reals(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [round_reals(v) for v in value]
-    return value
-
-
-def _encode_ints(value: Any) -> Any:
     if isinstance(value, bool):
         return value
-    if isinstance(value, int) and abs(value) > _MAX_EXACT_JSON_INT:
-        return str(value)
+    if isinstance(value, int):
+        return str(value) if abs(value) > _MAX_EXACT_JSON_INT else value
     if isinstance(value, dict):
-        return {k: _encode_ints(v) for k, v in value.items()}
+        return {k: _wire(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_encode_ints(v) for v in value]
+        return [_wire(v) for v in value]
     return value
 
 
 def dumps_report(report: dict[str, Any]) -> str:
-    return json.dumps(_encode_ints(round_reals(report)))
+    return json.dumps(_wire(report))
 
 
 def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, Any]:
@@ -221,20 +211,15 @@ def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, Any]:
     return doc
 
 
-def build_report(
-    record: CurveRecord, n2_override: int | None = None, assume_cm: str = "auto"
-) -> dict[str, Any]:
+def build_report(record: CurveRecord, assume_cm: str = "auto") -> dict[str, Any]:
     """Full degree-bound report for one record."""
-    curve = record.to_model()
-    inv = derive_invariants(curve)
+    inv = derive_invariants(CurveModel(*record.a))
     roots = two_torsion_roots(inv)
     period = period_data(inv, roots)
     check = lemma1_check(inv, period)
     n = record.conductor
 
-    conductors = sym_power_conductors(
-        n2=n2_override if n2_override is not None else record.n2, conductor=n
-    )
+    conductors = sym_power_conductors(n2=record.n2, conductor=n)
     n2 = conductors.n2
 
     warnings: list[str] = []

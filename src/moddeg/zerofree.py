@@ -73,7 +73,6 @@ class SymPowerConductors:
     n2: int
     n4_bound: int
     source: str  # "supplied" | "fallback_N_squared"
-    n6_info: dict | None = None
 
     def __post_init__(self) -> None:
         if self.n2 < 1:

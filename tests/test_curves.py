@@ -18,7 +18,7 @@ from moddeg.curves import Invariants, is_prime
 
 from conftest import random_curves
 
-C37A1 = CurveModel(0, 0, 1, -1, 0, conductor=37, label="37a1")
+C37A1 = CurveModel(0, 0, 1, -1, 0, conductor=37)  # 37a1
 
 
 class TestInvariants:
@@ -163,7 +163,7 @@ class TestIsCm:
         assert CM_J_INVARIANTS[-163] == -262537412640768000
 
     def test_j_zero(self):
-        inv = derive_invariants(CurveModel(0, 0, 1, 0, -7, label="27a1"))
+        inv = derive_invariants(CurveModel(0, 0, 1, 0, -7))  # 27a1
         assert inv.j_num == 0 and is_cm(inv)
 
     def test_j_1728(self):
@@ -171,7 +171,7 @@ class TestIsCm:
         assert inv.j_num // inv.j_den == 1728 and is_cm(inv)
 
     def test_j_minus_3375(self):
-        inv = derive_invariants(CurveModel(1, -1, 0, -2, -1, label="49a1"))
+        inv = derive_invariants(CurveModel(1, -1, 0, -2, -1))  # 49a1
         assert inv.j_num == -3375 and inv.j_den == 1 and is_cm(inv)
 
     def test_37a1_not_cm(self):
