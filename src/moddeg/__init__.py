@@ -56,7 +56,6 @@ from .fudge import (
     u_p_special,
 )
 from .lvalue import (
-    Lemma4Cert,
     LineBounds,
     lemma4_certify,
     rademacher_line_bounds,
@@ -75,7 +74,6 @@ from .zerofree import (
     CertReport,
     QuinticOptimum,
     RegionConstants,
-    SymPowerConductors,
     Waypoint,
     certify_cm_qi,
     certify_cm_zeta3,
@@ -86,7 +84,6 @@ from .zerofree import (
     region_cm_qi,
     region_cm_zeta3,
     region_noncm,
-    sym_power_conductors,
     trig_poly_expand,
 )
 

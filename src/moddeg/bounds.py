@@ -98,7 +98,6 @@ def theorem2(
     n2: int,
     omega: float,
     fudge_factors: Iterable[FudgeFactor] = (),
-    prime_multiplier: float | None = None,
 ) -> Theorem2Bounds:
     """General chain.
 
@@ -110,7 +109,6 @@ def theorem2(
     if conductor < 3 or n2 < 2 or omega <= 0.0:
         raise ValueError("need conductor >= 3, n2 >= 2 and omega > 0")
     factors = list(fudge_factors)
-    log_n = math.log(conductor)
     log_n2 = math.log(n2)
     analytic = conductor / omega * 0.033 / log_n2
     for f in factors:
@@ -121,11 +119,6 @@ def theorem2(
             worst *= 1.0 - 1.0 / f.p
     intermediate = conductor ** (7.0 / 6.0) / (7150.0 * log_n2) * worst
     closed = theorem2_closed_form(conductor)
-    if prime_multiplier is not None:
-        # Identity: closed form = N^(7/6)/(2*5150 log N) * multiplier/e^0.33.
-        alt = conductor ** (7.0 / 6.0) / (10300.0 * log_n) * prime_multiplier / math.exp(0.33)
-        if abs(alt - closed) > 1e-9 * closed:
-            raise ArithmeticError("prime multiplier inconsistent with the closed form")
     eps = 1e-12
     chain_ok = analytic + eps >= intermediate and intermediate + eps >= closed
     return Theorem2Bounds(

@@ -7,7 +7,7 @@ Subcommands:
     verify-lemmas [--json] [--n2 K]      the full constant-certification suite
 
 Exit codes: 0 success, 1 certification or consistency failure,
-2 input error.
+2 input error or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
 from .agm import lemma1_constants
@@ -26,6 +26,8 @@ from .bounds import crossover_check
 from .lvalue import lemma4_certify
 from .report import build_report, dumps_report, int_field, invariants_document, parse_record
 from .zerofree import (
+    MIN_CERTIFIED_N2,
+    _wp,
     certify_cm_qi,
     certify_cm_zeta3,
     certify_noncm,
@@ -51,8 +53,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     except ValueError as exc:  # SingularCurveError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    print(dumps_report(doc))
-    return EXIT_OK
+    return EXIT_OK if _print_or_fail(dumps_report(doc)) else EXIT_INPUT_ERROR
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -84,69 +85,80 @@ def cmd_bound(args: argparse.Namespace) -> int:
             sink.flush()  # a closed stdout fails here, inside the try, not at exit
     except OSError as exc:  # opening, reading or writing, also part-way through
         print(f"error: cannot stream {args.input} to {args.output}: {exc}", file=sys.stderr)
+        _release_stdout()
         return EXIT_INPUT_ERROR
     return EXIT_CERTIFICATION_FAILURE if any_inconsistent else EXIT_OK
 
 
-def _n2_flag(text: str) -> int:
-    """bound --n2, under the record's rule for "n2"."""
+def _n2_flag(minimum: int | None = None) -> Callable[[str], int]:
+    """An argparse type for --n2: the record's rule for "n2", with minimum
+    in place of the record's own when given."""
+
+    def parse(text: str) -> int:
+        try:
+            return int_field("n2", text, minimum)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _release_stdout() -> None:
+    """Flush stdout after a stream error, or, when stdout itself cannot be
+    written, point it at the null device: the flush at exit must not fail
+    a second time after the error was reported."""
     try:
-        return int_field("n2", text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
-def _row(name: str, value: float, op: str, bound, passed: bool) -> dict[str, Any]:
-    """One verify-lemmas row; a tuple bound becomes a JSON list."""
-    if isinstance(bound, tuple):
-        bound = list(bound)
-    return {"name": name, "value": value, "op": op, "bound": bound, "pass": passed}
+def _print_or_fail(text: str) -> bool:
+    """Print text; False after one error line when stdout cannot take it."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # a reader that closed the pipe included
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        _release_stdout()
+        return False
+    return True
 
 
 def _verification_rows(n2: int) -> list[dict[str, Any]]:
+    """Every verify-lemmas row: a Waypoint, judged by _wp, as a dict."""
     constants = lemma1_constants()
-    rows = [
-        _row("lemma1.case_pos_constant", constants.k1, "<=", 14.045, constants.k1 <= 14.045),
-        _row("lemma1.case_neg_constant", constants.k2, "<=", 14.045, constants.k2 <= 14.045),
+    waypoints = [
+        _wp("lemma1.case_pos_constant", constants.k1, "<=", 14.045),
+        _wp("lemma1.case_neg_constant", constants.k2, "<=", 14.045),
     ]
-    chains = [(c.case_tag, c.waypoints) for c in (certify_noncm(n2), certify_cm_qi(n2), certify_cm_zeta3(n2))]
-    chains.append(("lvalue", lemma4_certify(n2).waypoints))
-    for tag, waypoints in chains:
-        rows.extend(_row(f"{tag}.{wp.name}", wp.value, wp.op, wp.bound, wp.passed) for wp in waypoints)
-
-    beta_star = quintic_beta_optimum().beta_star
-    rows.append(
-        _row("zeta3.beta_star", beta_star, "abs_diff<=", [2.629152166, 1e-8], abs(beta_star - 2.629152166) <= 1e-8)
-    )
-    log_n_star = crossover_check()
-    rows.append(_row("theorem2.crossover_log_n", log_n_star, "in", [86.0, 87.5], 86.0 <= log_n_star <= 87.5))
-    return rows
+    for cert in (certify_noncm(n2), certify_cm_qi(n2), certify_cm_zeta3(n2), lemma4_certify(n2)):
+        waypoints.extend(dataclasses.replace(wp, name=f"{cert.case_tag}.{wp.name}") for wp in cert.waypoints)
+    waypoints.append(_wp("zeta3.beta_star", quintic_beta_optimum().beta_star, "abs_diff<=", (2.629152166, 1e-8)))
+    waypoints.append(_wp("theorem2.crossover_log_n", crossover_check(), "in", (86.0, 87.5)))
+    return [{"name": w.name, "value": w.value, "op": w.op, "bound": w.bound, "pass": w.passed} for w in waypoints]
 
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
-    try:
-        rows = _verification_rows(args.n2)
-    except ValueError as exc:
-        if args.json:
-            print(json.dumps({"error": str(exc), "pass": False}))
-        else:
-            print(f"FAIL  precondition: {exc}")
-        return EXIT_CERTIFICATION_FAILURE
-
+    rows = _verification_rows(args.n2)
     all_pass = all(row["pass"] for row in rows)
     if args.json:
-        doc = {"n2": args.n2, "waypoints": rows, "pass": all_pass}
-        print(dumps_report(doc))
+        text = dumps_report({"n2": args.n2, "waypoints": rows, "pass": all_pass})
     else:
         width = max(len(row["name"]) for row in rows)
+        lines = []
         for row in rows:
             status = "PASS" if row["pass"] else "FAIL"
             bound = row["bound"]
             bound_text = (
-                f"[{bound[0]:.6g}, {bound[1]:.6g}]" if isinstance(bound, list) else f"{bound:.6g}"
+                f"[{bound[0]:.6g}, {bound[1]:.6g}]" if isinstance(bound, tuple) else f"{bound:.6g}"
             )
-            print(f"{status}  {row['name']:<{width}}  {row['value']:+.10g}  {row['op']} {bound_text}")
-        print(f"{'PASS' if all_pass else 'FAIL'}  overall ({len(rows)} waypoints, n2 = {args.n2})")
+            lines.append(f"{status}  {row['name']:<{width}}  {row['value']:+.10g}  {row['op']} {bound_text}")
+        lines.append(f"{'PASS' if all_pass else 'FAIL'}  overall ({len(rows)} waypoints, n2 = {args.n2})")
+        text = "\n".join(lines)
+    if not _print_or_fail(text):
+        return EXIT_INPUT_ERROR
     return EXIT_OK if all_pass else EXIT_CERTIFICATION_FAILURE
 
 
@@ -165,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="degree-bound reports for a JSONL dataset")
     p_bound.add_argument("--input", required=True, help="input JSONL path")
     p_bound.add_argument("--output", required=True, help="output JSONL path (not the input), or - for stdout")
-    p_bound.add_argument("--n2", type=_n2_flag, default=None, help="n2 for every record (integer >= 2)")
+    p_bound.add_argument("--n2", type=_n2_flag(), default=None, help="n2 for every record (integer >= 2)")
     p_bound.add_argument(
         "--assume-cm", choices=("auto", "cm", "noncm"), default="auto", dest="assume_cm"
     )
@@ -173,7 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-lemmas", help="run the constant-certification suite")
     p_verify.add_argument("--json", action="store_true", help="machine-readable output")
-    p_verify.add_argument("--n2", type=int, default=142, help="symmetric-square conductor (>= 142)")
+    p_verify.add_argument(
+        "--n2",
+        type=_n2_flag(MIN_CERTIFIED_N2),
+        default=MIN_CERTIFIED_N2,
+        help=f"symmetric-square conductor (integer >= {MIN_CERTIFIED_N2})",
+    )
     p_verify.set_defaults(func=cmd_verify_lemmas)
     return parser
 

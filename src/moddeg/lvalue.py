@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 from .curves import CurveModel, derive_invariants, trace_of_frobenius, POINT_COUNT_CUTOFF
 from .specfun import ZETA_3_HALVES, lemma4_error_integral
-from .zerofree import SymPowerConductors, Waypoint, _n2_value, _wp
+from .zerofree import CertReport, _n2_value, _wp
 
 __all__ = [
-    "Lemma4Cert",
     "LineBounds",
     "symsq_lower_bound",
     "rademacher_line_bounds",
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 
-def symsq_lower_bound(n2: int | SymPowerConductors) -> float:
+def symsq_lower_bound(n2: int) -> float:
     """The certified lower bound 0.033/log(n2), n2 >= 142."""
     return 0.033 / math.log(_n2_value(n2))
 
@@ -55,24 +54,7 @@ def rademacher_line_bounds(t: float, n2: int) -> LineBounds:
     return LineBounds(symsq_halfline=symsq, zeta_halfline=zeta)
 
 
-@dataclass(frozen=True)
-class Lemma4Cert:
-    n2: int
-    b: float
-    log_x: float
-    x_power: float  # X^(1-b)
-    gamma_1mb: float  # Gamma(1-b), computed
-    gamma_bound: float  # 25 log n2
-    error_integral: float
-    e_const: float  # error constant (20) the integral must support
-    lower_bound: float  # 0.033/log n2
-    chain_value: float  # reconstructed lower bound for L(Sym^2, 1)
-    waypoints: tuple[Waypoint, ...]
-    overall_pass: bool
-    notes: tuple[str, ...]
-
-
-def lemma4_certify(n2: int | SymPowerConductors) -> Lemma4Cert:
+def lemma4_certify(n2: int) -> CertReport:
     """Certify every explicit constant in the L-value chain.
 
     With b = 1 - 1/(25 log n2) and X = (4000000 n2)^(50/49):
@@ -91,7 +73,6 @@ def lemma4_certify(n2: int | SymPowerConductors) -> Lemma4Cert:
     log_x = (50.0 / 49.0) * math.log(4_000_000.0 * n2v)
     x_power = math.exp(log_x * (1.0 - b))
     gamma_1mb = math.gamma(2.0 - b) / (1.0 - b)
-    gamma_bound = 25.0 * log_n2
     integral = lemma4_error_integral()
     lower = 0.033 / log_n2
     # e^(-1/X) >= e^(-1e-6) since X >= 1e6, and 20 sqrt(n2)/X^0.49 = 0.01
@@ -102,25 +83,15 @@ def lemma4_certify(n2: int | SymPowerConductors) -> Lemma4Cert:
         _wp("b_lower", b, ">=", 0.99),
         _wp("log_x", log_x, "<=", 4.2 * log_n2),
         _wp("x_power", x_power, "<=", 1.19),
-        _wp("gamma_one_minus_b", gamma_1mb, "<=", gamma_bound),
+        _wp("gamma_one_minus_b", gamma_1mb, "<=", 25.0 * log_n2),
         _wp("error_integral", integral.value, "<", 62.0),
         _wp("error_integral_quad_error", integral.abs_error_estimate, "<=", 1e-6),
         _wp("error_constant", integral.value / math.pi, "<=", 20.0),
         _wp("chain_slack", chain_value - lower, ">=", 0.0),
     )
-    return Lemma4Cert(
-        n2=n2v,
-        b=b,
-        log_x=log_x,
-        x_power=x_power,
-        gamma_1mb=gamma_1mb,
-        gamma_bound=gamma_bound,
-        error_integral=integral.value,
-        e_const=20.0,
-        lower_bound=lower,
-        chain_value=chain_value,
+    return CertReport(
+        case_tag="lvalue",
         waypoints=waypoints,
-        overall_pass=all(w.passed for w in waypoints),
         notes=(
             "nonpositivity of the ordinary part is applied at the smoothing "
             "exponent b itself (the product L-function has no zeros in [b, 1))",

@@ -36,7 +36,7 @@ from .bounds import (
 )
 from .curves import CurveModel, derive_invariants, is_cm, is_prime, two_torsion_roots
 from .fudge import fudge_factor_for
-from .zerofree import MIN_CERTIFIED_N2, sym_power_conductors
+from .zerofree import MIN_CERTIFIED_N2
 
 __all__ = [
     "CurveRecord",
@@ -68,9 +68,9 @@ class CurveRecord:
 _INT_MINIMUM = {"conductor": 3, "n2": 2, "deg_phi": 1}
 
 
-def int_field(name: str, value: Any) -> int | None:
-    """value as the record field name: an integer >= the field's minimum,
-    or None for null.
+def int_field(name: str, value: Any, minimum: int | None = None) -> int | None:
+    """value as the record field name: an integer >= minimum (by default
+    the field's own), or None for null.
 
     A JSON integer or a decimal string is accepted; a boolean is not.
     """
@@ -81,7 +81,8 @@ def int_field(name: str, value: Any) -> int | None:
             value = int(value)
         except ValueError:
             pass
-    minimum = _INT_MINIMUM[name]
+    if minimum is None:
+        minimum = _INT_MINIMUM[name]
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValueError(f'"{name}" must be an integer >= {minimum}, got {json.dumps(value)}')
     return value
@@ -219,8 +220,7 @@ def build_report(record: CurveRecord, assume_cm: str = "auto") -> dict[str, Any]
     check = lemma1_check(inv, period)
     n = record.conductor
 
-    conductors = sym_power_conductors(n2=record.n2, conductor=n)
-    n2 = conductors.n2
+    n2, n2_source = (n * n, "fallback_N_squared") if record.n2 is None else (record.n2, "supplied")
 
     warnings: list[str] = []
     if n < CONDUCTOR_THRESHOLD:
@@ -250,8 +250,7 @@ def build_report(record: CurveRecord, assume_cm: str = "auto") -> dict[str, Any]
     l_lower = 0.033 / math.log(n2)
     formula = degree_formula_bound(n, period.omega, l_lower, [f.u_inverse_at_1 for f in fudge])
     th1 = theorem1(n, period.omega)
-    multiplier = math.exp(0.33) / math.sqrt(0.02 + math.log(math.log(n))) if n >= 3 else None
-    th2 = theorem2(n, n2, period.omega, fudge, prime_multiplier=multiplier)
+    th2 = theorem2(n, n2, period.omega, fudge)
 
     good_p = 2
     while inv.disc % good_p == 0 or n % good_p == 0:
@@ -271,7 +270,7 @@ def build_report(record: CurveRecord, assume_cm: str = "auto") -> dict[str, Any]
     return {
         "label": record.label,
         "conductor": n,
-        "n2": {"value": n2, "source": conductors.source},
+        "n2": {"value": n2, "source": n2_source},
         "conductor_provenance": "supplied",
         "semistable": {"declared": record.semistable, "squarefree": squarefree},
         "twist_minimal": record.twist_minimal,

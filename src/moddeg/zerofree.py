@@ -30,13 +30,9 @@ from .specfun import digamma
 
 __all__ = [
     "MIN_CERTIFIED_N2",
-    "SymPowerConductors",
     "RegionConstants",
     "Waypoint",
     "CertReport",
-    "sym_power_conductors",
-    "qi_sym4_conductor",
-    "zeta3_sym_conductors",
     "eta_smaller_root",
     "region_noncm",
     "region_cm_qi",
@@ -62,82 +58,32 @@ QI_COS_COEFFS = (2.0, 2.0 * SQRT2, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
-class SymPowerConductors:
-    """Symmetric-power conductor data.
-
-    n2 is the symmetric-square conductor (exact when supplied, else the
-    always-valid fallback N^2); n4_bound <= n2^2 bounds the fourth
-    symmetric power.
-    """
-
-    n2: int
-    n4_bound: int
-    source: str  # "supplied" | "fallback_N_squared"
-
-    def __post_init__(self) -> None:
-        if self.n2 < 1:
-            raise ValueError("n2 must be a positive integer")
-        if self.n4_bound > self.n2 * self.n2:
-            raise ValueError("n4_bound must not exceed n2^2")
-
-
-def sym_power_conductors(
-    n2: int | None = None, conductor: int | None = None, n4_bound: int | None = None
-) -> SymPowerConductors:
-    """Build conductor data, falling back to n2 = N^2 when not supplied."""
-    if n2 is not None:
-        source = "supplied"
-    else:
-        if conductor is None:
-            raise ValueError("need either n2 or the conductor for the N^2 fallback")
-        n2 = conductor * conductor
-        source = "fallback_N_squared"
-    if n4_bound is None:
-        n4_bound = n2 * n2
-    return SymPowerConductors(n2=n2, n4_bound=n4_bound, source=source)
-
-
-def qi_sym4_conductor(n2: int) -> int:
-    """Q(i) case: the fourth symmetric power has the same conductor as the
-    square (all relevant inertia groups are C2, C4 or Q8)."""
-    return n2
-
-
-def zeta3_sym_conductors(n2: int, three_cubed_exactly: bool = False) -> tuple[int, int]:
-    """Q(zeta_3) case: (n4, n6) with n6 = n4 = n2^2, except when 3^3
-    exactly divides the conductor, where n6 = 9 n4 = n2^2."""
-    n6 = n2 * n2
-    if three_cubed_exactly:
-        if n6 % 9 != 0:
-            raise ValueError("n2^2 must be divisible by 9 in the 3^3-exact case")
-        return n6 // 9, n6
-    return n6, n6
-
-
-@dataclass(frozen=True)
 class Waypoint:
     """One certified inequality of a contradiction chain."""
 
     name: str
     value: float
-    op: str  # "<=", "<", ">=", "abs<=", "in"
-    bound: float | tuple[float, float]
+    op: str  # "<=", "<", ">=", "abs<=", "in", "abs_diff<="
+    bound: float | tuple[float, float]  # (lo, hi) for "in", (target, tol) for "abs_diff<="
     passed: bool
 
 
 def _wp(name: str, value: float, op: str, bound) -> Waypoint:
-    eps = 1e-12
+    """The one pass rule of every certified inequality; it allows no slack."""
     if op == "<=":
-        ok = value <= bound + eps
+        ok = value <= bound
     elif op == "<":
         ok = value < bound
     elif op == ">=":
-        ok = value >= bound - eps
+        ok = value >= bound
     elif op == "abs<=":
         ok = abs(value) <= bound
     elif op == "in":
         lo, hi = bound
         ok = lo <= value <= hi
+    elif op == "abs_diff<=":
+        target, tol = bound
+        ok = abs(value - target) <= tol
     else:
         raise ValueError(f"unknown waypoint op {op!r}")
     return Waypoint(name=name, value=value, op=op, bound=bound, passed=ok)
@@ -145,10 +91,13 @@ def _wp(name: str, value: float, op: str, bound) -> Waypoint:
 
 @dataclass(frozen=True)
 class CertReport:
-    case_tag: str  # "noncm" | "cm_qi" | "cm_zeta3"
+    case_tag: str  # "noncm" | "cm_qi" | "cm_zeta3" | "lvalue"
     waypoints: tuple[Waypoint, ...]
-    overall_pass: bool
     notes: tuple[str, ...] = field(default=())
+
+    @property
+    def overall_pass(self) -> bool:
+        return all(w.passed for w in self.waypoints)
 
 
 @dataclass(frozen=True)
@@ -234,11 +183,10 @@ def region_cm_zeta3() -> RegionConstants:
     )
 
 
-def _n2_value(n2: int | SymPowerConductors) -> int:
-    value = n2.n2 if isinstance(n2, SymPowerConductors) else int(n2)
-    if value < MIN_CERTIFIED_N2:
-        raise ValueError(f"n2 = {value} is below the certified minimum {MIN_CERTIFIED_N2}")
-    return value
+def _n2_value(n2: int) -> int:
+    if n2 < MIN_CERTIFIED_N2:
+        raise ValueError(f"n2 = {n2} is below the certified minimum {MIN_CERTIFIED_N2}")
+    return n2
 
 
 def _extremal_points(region: RegionConstants, n2: int) -> tuple[float, float]:
@@ -258,7 +206,7 @@ def _quadratic_disc_rel(region: RegionConstants) -> float:
     return abs(disc) / max(a1 * a1, abs(4.0 * a2 * a0))
 
 
-def certify_noncm(n2: int | SymPowerConductors) -> CertReport:
+def certify_noncm(n2: int) -> CertReport:
     """Certify the non-CM contradiction chain at the extremal point.
 
     The Gamma-product here is Gamma(s/2)^3 Gamma(s+1)^4 Gamma((s+1)/2)^3
@@ -292,15 +240,16 @@ def certify_noncm(n2: int | SymPowerConductors) -> CertReport:
     return CertReport(
         case_tag="noncm",
         waypoints=waypoints,
-        overall_pass=all(w.passed for w in waypoints),
     )
 
 
-def certify_cm_qi(n2: int | SymPowerConductors) -> CertReport:
+def certify_cm_qi(n2: int) -> CertReport:
     """Certify the Q(i) chain (cosine polynomial (1 + sqrt(2) cos t)^2).
 
     Gamma-product: Gamma(s/2)^2 weighted into psi(s/2) after the chain
-    factor, plus 2 sqrt(2) psi(s+1) + psi(s+2).
+    factor, plus 2 sqrt(2) psi(s+1) + psi(s+2).  The fourth symmetric
+    power has the same conductor as the square, n4 = n2, since all the
+    relevant inertia groups are C2, C4 or Q8.
     """
     n2v = _n2_value(n2)
     region = region_cm_qi()
@@ -325,7 +274,6 @@ def certify_cm_qi(n2: int | SymPowerConductors) -> CertReport:
     return CertReport(
         case_tag="cm_qi",
         waypoints=waypoints,
-        overall_pass=all(w.passed for w in waypoints),
         notes=(
             "region statement takes C=64 for all CM cases; the Q(i) chain is "
             "certified with its own C=100, which yields the weaker stated region",
@@ -333,9 +281,13 @@ def certify_cm_qi(n2: int | SymPowerConductors) -> CertReport:
     )
 
 
-def certify_cm_zeta3(n2: int | SymPowerConductors) -> CertReport:
+def certify_cm_zeta3(n2: int) -> CertReport:
     """Certify the Q(zeta_3) chain (polynomial (1+cos t)(1+(5/2)cos t)^2,
-    scaled by 16 to the integer weights 106, 171, 90, 25)."""
+    scaled by 16 to the integer weights 106, 171, 90, 25).
+
+    The fourth and sixth symmetric powers have conductors n4 = n6 = n2^2,
+    except when 3^3 exactly divides the conductor, where n6 = 9 n4 = n2^2.
+    """
     n2v = _n2_value(n2)
     region = region_cm_zeta3()
     sigma, sigma_shift = _extremal_points(region, n2v)
@@ -371,7 +323,6 @@ def certify_cm_zeta3(n2: int | SymPowerConductors) -> CertReport:
     return CertReport(
         case_tag="cm_zeta3",
         waypoints=waypoints,
-        overall_pass=all(w.passed for w in waypoints),
     )
 
 

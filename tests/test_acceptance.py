@@ -150,22 +150,25 @@ def test_criterion_5_zeta3_certification():
 def test_criterion_6_lvalue_chain():
     integral = lemma4_error_integral()
     cert = lemma4_certify(142)
+    wp = {w.name: w.value for w in cert.waypoints}
     lower = symsq_lower_bound(142)
     ok = (
         integral.value < 62.0
         and integral.abs_error_estimate <= 1e-6
-        and cert.b >= 0.99
-        and cert.log_x <= 4.2 * math.log(142)
-        and cert.x_power <= 1.19
-        and abs(cert.x_power - 1.1806) <= 1e-3
+        and wp["b_lower"] >= 0.99
+        and wp["log_x"] <= 4.2 * math.log(142)
+        and wp["x_power"] <= 1.19
+        and abs(wp["x_power"] - 1.1806) <= 1e-3
+        and wp["gamma_one_minus_b"] <= 25.0 * math.log(142)
+        and wp["chain_slack"] >= 0.0
         and abs(lower - 0.0066590) <= 1e-6
         and cert.overall_pass
     )
     _report(
         "criterion 6 (L-value chain at n2=142)",
         ok,
-        f"integral={integral.value:.6f}, b={cert.b:.7f}, X^(1-b)={cert.x_power:.5f}, "
-        f"lower={lower:.7f}",
+        f"integral={integral.value:.6f}, b={wp['b_lower']:.7f}, X^(1-b)={wp['x_power']:.5f}, "
+        f"lower={lower:.7f}, slack={wp['chain_slack']:.2e}",
     )
 
 

@@ -94,14 +94,6 @@ class TestTheorem2:
             result = theorem2(n, n * n, omega)
             assert result.chain_ok
 
-    def test_prime_multiplier_consistency(self):
-        n = 20000
-        multiplier = math.exp(0.33) / math.sqrt(0.02 + math.log(math.log(n)))
-        result = theorem2(n, n * n, 1.0, prime_multiplier=multiplier)
-        assert result.closed_form > 0
-        with pytest.raises(ArithmeticError):
-            theorem2(n, n * n, 1.0, prime_multiplier=2.0 * multiplier)
-
 
 class TestChainComparisons:
     def test_general_closed_form_weaker_than_semistable(self):

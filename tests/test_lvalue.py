@@ -55,37 +55,43 @@ class TestRademacherLineBounds:
         assert lo == hi
 
 
+def _values(n2: int) -> dict[str, float]:
+    return {w.name: w.value for w in lemma4_certify(n2).waypoints}
+
+
 class TestLemma4Certify:
     def test_at_142(self):
         cert = lemma4_certify(142)
+        assert cert.case_tag == "lvalue"
         assert cert.overall_pass
-        assert cert.b == pytest.approx(1.0 - 1.0 / (25.0 * math.log(142)), rel=1e-15)
-        assert cert.b == pytest.approx(0.9919287, abs=1e-7)
-        assert cert.b >= 0.99
-        assert cert.log_x == pytest.approx(20.569, abs=1e-3)
-        assert cert.log_x <= 4.2 * math.log(142)
-        assert cert.x_power == pytest.approx(1.1806, abs=1e-3)
-        assert cert.x_power <= 1.19
-        assert cert.gamma_1mb <= cert.gamma_bound
-        assert cert.error_integral < 62.0
-        assert cert.chain_value >= cert.lower_bound
+        v = _values(142)
+        assert v["b_lower"] == pytest.approx(1.0 - 1.0 / (25.0 * math.log(142)), rel=1e-15)
+        assert v["b_lower"] == pytest.approx(0.9919287, abs=1e-7)
+        assert v["b_lower"] >= 0.99
+        assert v["log_x"] == pytest.approx(20.569, abs=1e-3)
+        assert v["log_x"] <= 4.2 * math.log(142)
+        assert v["x_power"] == pytest.approx(1.1806, abs=1e-3)
+        assert v["x_power"] <= 1.19
+        assert v["gamma_one_minus_b"] <= 25.0 * math.log(142)
+        assert v["error_integral"] < 62.0
+        assert v["chain_slack"] >= 0.0
 
     def test_x_power_identity(self):
         for n2 in N2_LADDER:
-            cert = lemma4_certify(n2)
-            identity = math.exp(cert.log_x / (25.0 * math.log(n2)))
-            assert cert.x_power == pytest.approx(identity, rel=1e-12)
-            assert cert.x_power <= math.exp(4.2 / 25.0) <= 1.19
+            v = _values(n2)
+            identity = math.exp(v["log_x"] / (25.0 * math.log(n2)))
+            assert v["x_power"] == pytest.approx(identity, rel=1e-12)
+            assert v["x_power"] <= math.exp(4.2 / 25.0) <= 1.19
 
     def test_ladder_passes(self):
         for n2 in N2_LADDER:
             assert lemma4_certify(n2).overall_pass
 
     def test_margins_grow(self):
-        small = lemma4_certify(142)
-        large = lemma4_certify(10**9)
-        assert large.x_power < small.x_power
-        assert 4.2 * math.log(10**9) - large.log_x > 4.2 * math.log(142) - small.log_x
+        small = _values(142)
+        large = _values(10**9)
+        assert large["x_power"] < small["x_power"]
+        assert 4.2 * math.log(10**9) - large["log_x"] > 4.2 * math.log(142) - small["log_x"]
 
     def test_precondition(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -21,11 +22,21 @@ from moddeg.report import (
 
 GOLDEN = Path(__file__).parent / "data"
 DATASET = resources.files("moddeg").joinpath("data/curves.jsonl")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """The environment of a child interpreter, with this checkout's src
+    first on PYTHONPATH: pytest's pythonpath setting reaches only the test
+    process itself."""
+    env = {**os.environ, **overrides}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return env
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "moddeg", *args], capture_output=True, text=True
+        [sys.executable, "-m", "moddeg", *args], capture_output=True, text=True, env=child_env()
     )
 
 
@@ -202,9 +213,35 @@ class TestGolden:
 
 def test_cli_import_loads_no_numpy_or_scipy():
     code = "import moddeg.cli, sys; print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command", ["invariants", "verify-lemmas", "bound"])
+def test_closed_stdout_is_an_output_error(tmp_path, command, unbuffered):
+    one = tmp_path / "one.jsonl"
+    one.write_text('{"a": [0,0,1,-1,0], "conductor": 37}\n')
+    args = {
+        "invariants": ["invariants", "--a", "0,0,1,-1,0"],
+        "verify-lemmas": ["verify-lemmas", "--json"],
+        "bound": ["bound", "--input", str(one), "--output", "-"],
+    }[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the child's stdout fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "moddeg", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 class TestCliInvariants:
@@ -368,10 +405,14 @@ class TestCliVerifyLemmas:
         assert "theorem2.crossover_log_n" in names
         assert all(row["pass"] for row in doc["waypoints"])
 
-    def test_low_n2_fails(self):
-        proc = run_cli("verify-lemmas", "--n2", "100")
-        assert proc.returncode == 1
-        assert "precondition" in proc.stdout
+    def test_low_n2_fails(self, capsys):
+        for value in ("0", "-5", "100", "141", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify-lemmas", "--n2", value])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "argument --n2" in captured.err and ">= 142" in captured.err
+            assert not captured.out
 
     def test_json_big_n2_is_decimal_string(self, capsys):
         n2 = 2**53 + 1

@@ -9,20 +9,19 @@ from moddeg.specfun import digamma
 from moddeg.zerofree import (
     MIN_CERTIFIED_N2,
     QI_COS_COEFFS,
+    CertReport,
+    _wp,
     certify_cm_qi,
     certify_cm_zeta3,
     certify_noncm,
     cos_poly_min_on_grid,
     cos_poly_value,
     eta_smaller_root,
-    qi_sym4_conductor,
     quintic_beta_optimum,
     region_cm_qi,
     region_cm_zeta3,
     region_noncm,
-    sym_power_conductors,
     trig_poly_expand,
-    zeta3_sym_conductors,
 )
 
 N2_LADDER = [142, 143, 1000, 10**6, 10**12]
@@ -91,6 +90,26 @@ class TestRegionConstants:
             products = [d * region.eta(d) for d in deltas]
             assert all(b > a for a, b in zip(products, products[1:]))
             assert products[-1] == pytest.approx(region.eta_delta_max, rel=1e-7)
+
+
+class TestPassRule:
+    def test_no_slack(self):
+        assert _wp("x", 1.0, "<=", 1.0).passed
+        assert not _wp("x", 1.0 + 1e-13, "<=", 1.0).passed
+        assert _wp("x", 1.0, ">=", 1.0).passed
+        assert not _wp("x", 1.0 - 1e-13, ">=", 1.0).passed
+
+    def test_abs_diff(self):
+        for value in (2.5 - 1e-9, 2.5 + 1e-9):
+            assert _wp("x", value, "abs_diff<=", (2.5, 1e-8)).passed
+        for value in (2.5 - 2e-8, 2.5 + 2e-8):
+            assert not _wp("x", value, "abs_diff<=", (2.5, 1e-8)).passed
+
+    def test_overall_pass_follows_waypoints(self):
+        good = _wp("good", 0.0, "<=", 1.0)
+        bad = _wp("bad", 2.0, "<=", 1.0)
+        assert CertReport("noncm", (good,)).overall_pass
+        assert not CertReport("noncm", (good, bad)).overall_pass
 
 
 class TestCertifications:
@@ -254,28 +273,3 @@ class TestQuintic:
         # two positive real roots; the relevant one is the smaller
         assert len(positive) == 2
         assert quintic_beta_optimum().root == pytest.approx(positive[0], rel=1e-12)
-
-
-class TestSymPowerConductors:
-    def test_fallback(self):
-        data = sym_power_conductors(conductor=389)
-        assert data.n2 == 389**2
-        assert data.source == "fallback_N_squared"
-        assert data.n4_bound == data.n2**2
-
-    def test_supplied(self):
-        data = sym_power_conductors(n2=151321)
-        assert data.source == "supplied"
-
-    def test_n4_cap(self):
-        with pytest.raises(ValueError):
-            sym_power_conductors(n2=10, n4_bound=101)
-
-    def test_case_relations(self):
-        assert qi_sym4_conductor(142) == 142
-        assert zeta3_sym_conductors(12) == (144, 144)
-        assert zeta3_sym_conductors(12, three_cubed_exactly=True) == (16, 144)
-
-    def test_certify_accepts_dataclass(self):
-        data = sym_power_conductors(n2=142)
-        assert certify_noncm(data).overall_pass
