@@ -46,14 +46,9 @@ from .curves import (
 )
 from .fudge import (
     FudgeFactor,
-    PrimeProductBound,
     TwistGrowth,
-    epsilon_p,
     fudge_factor_for,
-    prime_product_bound,
-    sixth_power_credit,
     twist_growth_check,
-    u_p_special,
 )
 from .lvalue import (
     LineBounds,

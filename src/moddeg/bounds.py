@@ -62,20 +62,17 @@ def degree_formula_bound(
 class Theorem1Bounds:
     analytic: float  # (N/Omega) * 0.033/(2 log N)
     closed_form: float  # N^(7/6) / (5350 log N)
-    below_threshold: bool
 
 
 def theorem1(conductor: int, omega: float) -> Theorem1Bounds:
-    """Semistable chain; below N = 20000 the values are still computed and
-    flagged (the tables cover that range)."""
+    """Semistable chain; below N = 20000 the values are still computed (the
+    tables cover that range)."""
     if conductor < 2 or omega <= 0.0:
         raise ValueError("need conductor >= 2 and omega > 0")
     log_n = math.log(conductor)
     analytic = conductor / omega * 0.033 / (2.0 * log_n)
     closed = conductor ** (7.0 / 6.0) / (5350.0 * log_n)
-    return Theorem1Bounds(
-        analytic=analytic, closed_form=closed, below_threshold=conductor < CONDUCTOR_THRESHOLD
-    )
+    return Theorem1Bounds(analytic=analytic, closed_form=closed)
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,6 @@ class Theorem2Bounds:
     intermediate: float
     closed_form: float
     chain_ok: bool
-    below_threshold: bool
 
 
 def theorem2_closed_form(conductor: float) -> float:
@@ -104,7 +100,8 @@ def theorem2(
     analytic uses the actual fudge lower bounds; intermediate uses the
     worst-case product of (1 - 1/p) over the 1-mod-3 primes among them
     (the other residue classes are absorbed by the 7150 constant and the
-    sixth-power credits); closed_form is the fully explicit display.
+    sixth-power credits p^(1/6) (1 - 1/p) >= 1, p >= 5); closed_form is
+    the fully explicit display.
     """
     if conductor < 3 or n2 < 2 or omega <= 0.0:
         raise ValueError("need conductor >= 3, n2 >= 2 and omega > 0")
@@ -119,14 +116,11 @@ def theorem2(
             worst *= 1.0 - 1.0 / f.p
     intermediate = conductor ** (7.0 / 6.0) / (7150.0 * log_n2) * worst
     closed = theorem2_closed_form(conductor)
-    eps = 1e-12
-    chain_ok = analytic + eps >= intermediate and intermediate + eps >= closed
     return Theorem2Bounds(
         analytic=analytic,
         intermediate=intermediate,
         closed_form=closed,
-        chain_ok=chain_ok,
-        below_threshold=conductor < CONDUCTOR_THRESHOLD,
+        chain_ok=analytic >= intermediate >= closed,
     )
 
 
@@ -134,33 +128,29 @@ def theorem2(
 class LinearBounds:
     abramovich: float  # 7N/1600, unconditional
     abramovich_selberg: float  # N/192, under the Selberg eigenvalue conjecture
-    ogg_estimate: float | None  # p N / (12 (p+1)^2), asymptotic heuristic only
-    ogg_prime: int | None
+    ogg_estimate: float  # p N / (12 (p+1)^2), asymptotic heuristic only
 
 
-def linear_bounds(conductor: int, p: int | None = None) -> LinearBounds:
-    """Linear comparison bounds; the supersingular-count estimate is a
-    heuristic (its constant is asymptotic) and is excluded from
-    consistency checking."""
+def linear_bounds(conductor: int, p: int) -> LinearBounds:
+    """Linear comparison bounds at a good prime p; the supersingular-count
+    estimate is a heuristic (its constant is asymptotic) and is excluded
+    from consistency checking."""
     if conductor < 1:
         raise ValueError("conductor must be positive")
-    ogg = None
-    if p is not None:
-        ogg = p * conductor / (12.0 * (p + 1) ** 2)
     return LinearBounds(
         abramovich=7.0 * conductor / 1600.0,
         abramovich_selberg=conductor / 192.0,
-        ogg_estimate=ogg,
-        ogg_prime=p,
+        ogg_estimate=p * conductor / (12.0 * (p + 1) ** 2),
     )
 
 
-def crossover_check(lo: float = 60.0, hi: float = 120.0) -> float:
+def crossover_check() -> float:
     """log of the smallest N where Theorem 2's closed form reaches N.
 
     Works with g(L) = log(closed_form(e^L)) - L = L/6 - log(10300)
-    - log L - 0.5 log(0.02 + log L), strictly increasing on the bracket;
-    returns the bisected root (about 86.7).
+    - log L - 0.5 log(0.02 + log L), strictly increasing on the bracket
+    [60, 120], where it changes sign; returns the bisected root (about
+    86.7).
     """
 
     def g(log_n: float) -> float:
@@ -171,8 +161,7 @@ def crossover_check(lo: float = 60.0, hi: float = 120.0) -> float:
             - 0.5 * math.log(0.02 + math.log(log_n))
         )
 
-    if not (g(lo) < 0.0 < g(hi)):
-        raise ValueError("bracket does not straddle the crossover")
+    lo, hi = 60.0, 120.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if g(mid) < 0.0:

@@ -76,8 +76,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
                     record = parse_record(json.loads(line))
                     if args.n2 is not None:
                         record = dataclasses.replace(record, n2=args.n2)
-                    report = build_report(record, assume_cm=args.assume_cm)
-                except (ValueError, ArithmeticError) as exc:  # UnicodeDecodeError included
+                    report = build_report(record)
+                # UnicodeDecodeError included; json raises RecursionError on deep nesting
+                except (ValueError, ArithmeticError, RecursionError) as exc:
                     sink.write(json.dumps({"line": line_no, "error": str(exc)}) + "\n")
                     continue
                 any_inconsistent |= report["consistency_ok"] is False
@@ -178,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--input", required=True, help="input JSONL path")
     p_bound.add_argument("--output", required=True, help="output JSONL path (not the input), or - for stdout")
     p_bound.add_argument("--n2", type=_n2_flag(), default=None, help="n2 for every record (integer >= 2)")
-    p_bound.add_argument(
-        "--assume-cm", choices=("auto", "cm", "noncm"), default="auto", dest="assume_cm"
-    )
     p_bound.set_defaults(func=cmd_bound)
 
     p_verify = sub.add_parser("verify-lemmas", help="run the constant-certification suite")

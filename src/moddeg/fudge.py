@@ -10,15 +10,14 @@ eps_p in {-1, 0, +1} decided by congruence and divisibility rules:
 
 Undetermined cases fall back to eps = +1 (the smallest U_p(1)^(-1),
 hence the worst case for a lower bound) and are flagged.  p = 2 and
-p = 3 get dedicated lower bounds.  The module also checks the
-twist-growth comparators (the degree gains more than the bound's right
-side under twisting by any odd prime) and the prime-product estimate
-used to clear the product of (1 - 1/p) from the final bound.
+p = 3 get dedicated lower bounds.  ``fudge_factor_for`` is the one entry
+point for every p.  The module also checks the twist-growth comparators
+(the degree gains more than the bound's right side under twisting by any
+odd prime).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .curves import Invariants, is_prime
@@ -26,13 +25,8 @@ from .curves import Invariants, is_prime
 __all__ = [
     "FudgeFactor",
     "TwistGrowth",
-    "PrimeProductBound",
-    "epsilon_p",
-    "u_p_special",
     "fudge_factor_for",
     "twist_growth_check",
-    "prime_product_bound",
-    "sixth_power_credit",
 ]
 
 
@@ -41,8 +35,9 @@ class FudgeFactor:
     """One local factor.
 
     epsilon is None when only a lower bound for U_p(1)^(-1) is known (the
-    p = 2 branch without 2^8 || N); otherwise u_inverse_at_1 = 1 - eps/p.
-    determined is False whenever the rules above do not pin eps down.
+    p = 2 branch without 2^8 || N, and a declared non-minimal twist);
+    otherwise u_inverse_at_1 = 1 - eps/p.  determined is False whenever
+    the rules above do not pin eps down.
     """
 
     p: int
@@ -51,66 +46,40 @@ class FudgeFactor:
     determined: bool
 
 
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+# (eps, determined) by p mod 12: the first pair when p || c4 and p^2 | c6,
+# the second otherwise.  p = 2 (with 2^8 || N) and p = 3 take eps = +1.
+_EPSILON = {
+    1: ((1, True), (1, True)),
+    5: ((1, True), (1, False)),
+    7: ((-1, True), (1, False)),
+    11: ((-1, True), (-1, True)),
+    2: ((1, False), (1, False)),
+    3: ((1, False), (1, False)),
+}
 
 
-def epsilon_p(inv: Invariants, p: int, conductor: int, twist_minimal: bool = True) -> FudgeFactor:
-    """eps_p for an odd prime p >= 5 with p^2 | conductor."""
-    if p in (2, 3):
-        raise ValueError("p = 2, 3 have dedicated rules; use u_p_special")
-    if not is_prime(p) or p < 5:
-        raise ValueError(f"p = {p} must be a prime >= 5")
-    if conductor % (p * p) != 0:
-        raise ValueError(f"U_p only enters at primes with p^2 | N; got p = {p}")
-    if not twist_minimal:
-        # Rules assume a global minimal twist; keep the worst-case bound.
-        return FudgeFactor(p=p, epsilon=None, u_inverse_at_1=1.0 - 1.0 / p, determined=False)
-    r = p % 12
-    if r == 1:
-        return FudgeFactor(p=p, epsilon=1, u_inverse_at_1=1.0 - 1.0 / p, determined=True)
-    if r == 11:
-        return FudgeFactor(p=p, epsilon=-1, u_inverse_at_1=1.0 + 1.0 / p, determined=True)
-    divisibility = _valuation(inv.c4, p) == 1 if inv.c4 != 0 else False
-    divisibility = divisibility and inv.c6 % (p * p) == 0
-    if r == 5:
-        if divisibility:
-            return FudgeFactor(p=p, epsilon=1, u_inverse_at_1=1.0 - 1.0 / p, determined=True)
-        return FudgeFactor(p=p, epsilon=1, u_inverse_at_1=1.0 - 1.0 / p, determined=False)
-    # r == 7
-    if divisibility:
-        return FudgeFactor(p=p, epsilon=-1, u_inverse_at_1=1.0 + 1.0 / p, determined=True)
-    return FudgeFactor(p=p, epsilon=1, u_inverse_at_1=1.0 - 1.0 / p, determined=False)
-
-
-def u_p_special(p: int, inv: Invariants, conductor: int) -> FudgeFactor:
-    """Lower bounds at p = 2 and p = 3.
+def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: bool = True) -> FudgeFactor:
+    """U_p(1)^(-1), or its certified lower bound, at a prime p with p^2 | N.
 
     p = 3: U_3(1)^(-1) >= 1 - 1/3 = 2/3.
     p = 2: eps = +1 (factor 1/2) is possible only when 2^8 || N; any other
     2-adic valuation takes the non-minimal-at-2 bound
     (2-1)(2+1-2)(2+1+2)/2^3 = 5/8.
     """
-    if p not in (2, 3):
-        raise ValueError("u_p_special handles only p = 2 and p = 3")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} must be prime")
     if conductor % (p * p) != 0:
         raise ValueError(f"U_p only enters at primes with p^2 | N; got p = {p}")
-    if p == 3:
-        return FudgeFactor(p=3, epsilon=1, u_inverse_at_1=1.0 - 1.0 / 3.0, determined=False)
-    if _valuation(conductor, 2) == 8:
-        return FudgeFactor(p=2, epsilon=1, u_inverse_at_1=0.5, determined=False)
-    return FudgeFactor(p=2, epsilon=None, u_inverse_at_1=5.0 / 8.0, determined=False)
-
-
-def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: bool = True) -> FudgeFactor:
-    """Dispatch between the special p = 2, 3 rules and the odd-prime rules."""
-    if p in (2, 3):
-        return u_p_special(p, inv, conductor)
-    return epsilon_p(inv, p, conductor, twist_minimal=twist_minimal)
+    if p == 2 and not (conductor % 2**8 == 0 and conductor % 2**9 != 0):
+        eps, determined, u = None, False, 5.0 / 8.0
+    elif p > 3 and not twist_minimal:
+        # The rules assume a global minimal twist; keep the worst case.
+        eps, determined, u = None, False, 1.0 - 1.0 / p
+    else:
+        divisibility = inv.c4 % p == 0 and inv.c4 % (p * p) != 0 and inv.c6 % (p * p) == 0
+        eps, determined = _EPSILON[p % 12][not divisibility]
+        u = 1.0 - eps / p
+    return FudgeFactor(p=p, epsilon=eps, u_inverse_at_1=u, determined=determined)
 
 
 @dataclass(frozen=True)
@@ -142,46 +111,3 @@ def twist_growth_check(p: int, a_p: int, reduction: str) -> TwistGrowth:
     else:
         raise ValueError(f"unknown reduction type {reduction!r}")
     return TwistGrowth(lhs_factor=lhs, rhs_factor=rhs, ok=lhs >= rhs)
-
-
-@dataclass(frozen=True)
-class PrimeProductBound:
-    actual_log_sum: float  # sum of 1/p over the supplied primes, plus 0.02
-    closed_form: float  # 0.5 log log(1.02 log N) - 0.33
-    multiplier: float  # e^0.33 / sqrt(0.02 + log log N)
-    hypothesis_ok: bool  # all supplied primes <= 1.02 log N
-    bound_ok: bool  # actual_log_sum <= closed_form
-
-
-def prime_product_bound(conductor: int, primes: list[int]) -> PrimeProductBound:
-    """Prime-number-theory estimate for -log prod (1 - 1/p) over primes
-    p = 1 mod 3 with p^2 | N, for N >= 20000.
-
-    The closed form presumes every contributing prime is at most
-    1.02 log N; lists outside that hypothesis are flagged, and the
-    comparison outcome is reported as computed either way.
-    """
-    if conductor < 20000:
-        raise ValueError("prime_product_bound requires N >= 20000")
-    for p in primes:
-        if not is_prime(p) or p % 3 != 1:
-            raise ValueError(f"{p} is not a prime congruent to 1 mod 3")
-    log_n = math.log(conductor)
-    actual = sum(1.0 / p for p in primes) + 0.02
-    closed = 0.5 * math.log(math.log(1.02 * log_n)) - 0.33
-    multiplier = math.exp(0.33) / math.sqrt(0.02 + math.log(log_n))
-    hypothesis = all(p <= 1.02 * log_n for p in primes)
-    return PrimeProductBound(
-        actual_log_sum=actual,
-        closed_form=closed,
-        multiplier=multiplier,
-        hypothesis_ok=hypothesis,
-        bound_ok=actual <= closed,
-    )
-
-
-def sixth_power_credit(p: int) -> float:
-    """p^(1/6) (1 - 1/p), the credit that absorbs 5-mod-12 primes with
-    eps = +1 into the N^(7/6) bound (p^3 | D while p^2 || N there); at
-    least 1 for every p >= 5."""
-    return p ** (1.0 / 6.0) * (1.0 - 1.0 / p)

@@ -8,8 +8,8 @@ Input wire format: UTF-8 JSON, one record per ``\n``-terminated line
 
 Only "a" and "conductor" are required.  "a" holds five JSON integers;
 "conductor" (>= 3), "n2" (>= 2) and "deg_phi" (>= 1) are integers or
-decimal strings, never booleans; "twist_minimal" is a boolean (default
-true) and "semistable" a boolean or null.  ``parse_record`` is the one
+strings of ASCII digits, never booleans; "twist_minimal" is a boolean
+(default true) and "semistable" a boolean or null.  ``parse_record`` is the one
 place that holds this contract; the ``bound`` command's ``--n2`` flag
 follows the same rule for "n2".
 
@@ -72,14 +72,15 @@ def int_field(name: str, value: Any, minimum: int | None = None) -> int | None:
     """value as the record field name: an integer >= minimum (by default
     the field's own), or None for null.
 
-    A JSON integer or a decimal string is accepted; a boolean is not.
+    A JSON integer or a string of ASCII digits is accepted; a boolean,
+    a sign, a space, an underscore or a non-ASCII digit is not.
     """
     if value is None:
         return None
-    if isinstance(value, str):
+    if isinstance(value, str) and value.isascii() and value.isdigit():
         try:
             value = int(value)
-        except ValueError:
+        except ValueError:  # more digits than int() converts; named below
             pass
     if minimum is None:
         minimum = _INT_MINIMUM[name]
@@ -212,7 +213,7 @@ def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, Any]:
     return doc
 
 
-def build_report(record: CurveRecord, assume_cm: str = "auto") -> dict[str, Any]:
+def build_report(record: CurveRecord) -> dict[str, Any]:
     """Full degree-bound report for one record."""
     inv = derive_invariants(CurveModel(*record.a))
     roots = two_torsion_roots(inv)
@@ -237,13 +238,6 @@ def build_report(record: CurveRecord, assume_cm: str = "auto") -> dict[str, Any]
     if not record.twist_minimal:
         warnings.append("declared non-twist-minimal; worst-case local factors used")
 
-    if assume_cm == "auto":
-        cm_flag = is_cm(inv)
-    elif assume_cm in ("cm", "noncm"):
-        cm_flag = assume_cm == "cm"
-    else:
-        raise ValueError("assume_cm must be one of auto, cm, noncm")
-
     fudge = [
         fudge_factor_for(inv, p, n, twist_minimal=record.twist_minimal) for p in square_ps
     ]
@@ -257,7 +251,7 @@ def build_report(record: CurveRecord, assume_cm: str = "auto") -> dict[str, Any]
         good_p += 1
         while not is_prime(good_p):
             good_p += 1
-    lin = linear_bounds(n, p=good_p)
+    lin = linear_bounds(n, good_p)
 
     certified = [formula, th2.analytic, th2.intermediate, th2.closed_form]
     if squarefree:
@@ -265,7 +259,7 @@ def build_report(record: CurveRecord, assume_cm: str = "auto") -> dict[str, Any]
     certified.extend([lin.abramovich, lin.abramovich_selberg])
     consistency_ok = None
     if record.deg_phi is not None:
-        consistency_ok = all(b <= record.deg_phi + 1e-9 for b in certified)
+        consistency_ok = all(b <= record.deg_phi for b in certified)
 
     return {
         "label": record.label,
@@ -274,7 +268,7 @@ def build_report(record: CurveRecord, assume_cm: str = "auto") -> dict[str, Any]
         "conductor_provenance": "supplied",
         "semistable": {"declared": record.semistable, "squarefree": squarefree},
         "twist_minimal": record.twist_minimal,
-        "cm": cm_flag,
+        "cm": is_cm(inv),
         "disc": inv.disc,
         "abs_disc": inv.abs_disc,
         "omega": period.omega,
@@ -307,7 +301,7 @@ def build_report(record: CurveRecord, assume_cm: str = "auto") -> dict[str, Any]
             "abramovich": lin.abramovich,
             "abramovich_selberg": lin.abramovich_selberg,
             "ogg_estimate": lin.ogg_estimate,
-            "ogg_prime": lin.ogg_prime,
+            "ogg_prime": good_p,
             "ogg_heuristic": True,
         },
         "known_degree": record.deg_phi,

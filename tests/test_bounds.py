@@ -44,16 +44,11 @@ class TestTheorem1:
     def test_at_20000(self):
         result = theorem1(20000, 1.0)
         assert result.closed_form == pytest.approx(1.9666, abs=5e-3)
-        assert not result.below_threshold
 
     def test_at_million(self):
         result = theorem1(10**6, 1.0)
         assert result.closed_form == pytest.approx(10**7 / (5350.0 * math.log(10**6)), rel=1e-15)
         assert result.closed_form == pytest.approx(135.29, abs=0.05)
-
-    def test_below_threshold_flag(self):
-        assert theorem1(10**4, 1.0).below_threshold
-        assert theorem1(37, 1.0).below_threshold
 
     def test_analytic_form(self):
         n, omega = 50000, 0.37
@@ -105,16 +100,15 @@ class TestChainComparisons:
 
 class TestLinearBounds:
     def test_abramovich_exact(self):
-        assert linear_bounds(1600).abramovich == 7.0
+        assert linear_bounds(1600, 3).abramovich == 7.0
 
     def test_selberg_exact(self):
-        assert linear_bounds(192 * 11).abramovich_selberg == 11.0
+        assert linear_bounds(192 * 11, 5).abramovich_selberg == 11.0
 
     def test_ogg(self):
-        result = linear_bounds(10**6, p=5)
+        result = linear_bounds(10**6, 5)
         assert result.ogg_estimate == pytest.approx(5 * 10**6 / (12.0 * 36.0), rel=1e-15)
         assert result.ogg_estimate == pytest.approx(11574.07, abs=0.01)
-        assert linear_bounds(10).ogg_estimate is None
 
 
 class TestCrossover:
@@ -135,7 +129,3 @@ class TestCrossover:
         # closed_form(N)/N strictly increasing well past e^10
         ratios = [theorem2_closed_form(math.exp(l)) / math.exp(l) for l in (40, 60, 80, 100)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
-
-    def test_bad_bracket(self):
-        with pytest.raises(ValueError):
-            crossover_check(100.0, 120.0)

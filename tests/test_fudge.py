@@ -3,14 +3,7 @@ import math
 import pytest
 
 from moddeg.curves import Invariants, is_prime
-from moddeg.fudge import (
-    epsilon_p,
-    fudge_factor_for,
-    prime_product_bound,
-    sixth_power_credit,
-    twist_growth_check,
-    u_p_special,
-)
+from moddeg.fudge import fudge_factor_for, twist_growth_check
 
 
 def _inv(c4: int, c6: int) -> Invariants:
@@ -23,67 +16,69 @@ def _inv(c4: int, c6: int) -> Invariants:
 
 class TestEpsilonP:
     def test_one_mod_twelve(self):
-        f = epsilon_p(_inv(1, 1), 13, 13**2)
+        f = fudge_factor_for(_inv(1, 1), 13, 13**2)
         assert (f.epsilon, f.determined) == (1, True)
         assert f.u_inverse_at_1 == pytest.approx(1 - 1 / 13)
 
     def test_eleven_mod_twelve(self):
-        f = epsilon_p(_inv(1, 1), 11, 11**2)
+        f = fudge_factor_for(_inv(1, 1), 11, 11**2)
         assert (f.epsilon, f.determined) == (-1, True)
         assert f.u_inverse_at_1 == pytest.approx(1 + 1 / 11)
 
     def test_five_mod_twelve_determined(self):
         # p || c4 and p^2 | c6
-        f = epsilon_p(_inv(5, 25), 5, 25 * 3)
+        f = fudge_factor_for(_inv(5, 25), 5, 25 * 3)
         assert (f.epsilon, f.determined) == (1, True)
 
     def test_five_mod_twelve_fallback(self):
-        f = epsilon_p(_inv(25, 25), 5, 25 * 3)  # p^2 | c4, condition fails
+        f = fudge_factor_for(_inv(25, 25), 5, 25 * 3)  # p^2 | c4, condition fails
         assert (f.epsilon, f.determined) == (1, False)
         assert f.u_inverse_at_1 == pytest.approx(0.8)
 
     def test_seven_mod_twelve_determined(self):
-        f = epsilon_p(_inv(7, 49), 7, 49)
+        f = fudge_factor_for(_inv(7, 49), 7, 49)
         assert (f.epsilon, f.determined) == (-1, True)
         assert f.u_inverse_at_1 == pytest.approx(1 + 1 / 7)
 
     def test_seven_mod_twelve_fallback(self):
-        f = epsilon_p(_inv(3, 49), 7, 49)  # p does not divide c4
+        f = fudge_factor_for(_inv(3, 49), 7, 49)  # p does not divide c4
         assert (f.epsilon, f.determined) == (1, False)
 
     def test_non_twist_minimal(self):
-        f = epsilon_p(_inv(5, 25), 5, 25, twist_minimal=False)
+        f = fudge_factor_for(_inv(5, 25), 5, 25, twist_minimal=False)
         assert f.determined is False
         assert f.u_inverse_at_1 == pytest.approx(0.8)
 
     def test_requires_square_divisor(self):
         with pytest.raises(ValueError, match="p\\^2"):
-            epsilon_p(_inv(1, 1), 5, 5)
+            fudge_factor_for(_inv(1, 1), 5, 5)
 
-    def test_rejects_small_primes(self):
-        with pytest.raises(ValueError):
-            epsilon_p(_inv(1, 1), 3, 9)
+    def test_rejects_non_primes(self):
+        for p in (1, 4, 9, 25):
+            with pytest.raises(ValueError, match="prime"):
+                fudge_factor_for(_inv(1, 1), p, p * p * 7)
 
 
 class TestUPSpecial:
     def test_three(self):
-        f = u_p_special(3, _inv(1, 1), 9)
+        f = fudge_factor_for(_inv(1, 1), 3, 9)
         assert f.u_inverse_at_1 == pytest.approx(2.0 / 3.0)
         assert f.epsilon == 1 and not f.determined
 
     def test_two_with_exact_eighth_power(self):
-        f = u_p_special(2, _inv(1, 1), 2**8 * 3)
+        f = fudge_factor_for(_inv(1, 1), 2, 2**8 * 3)
         assert f.u_inverse_at_1 == pytest.approx(0.5)
         assert f.epsilon == 1
 
     def test_two_other_valuations(self):
-        f = u_p_special(2, _inv(1, 1), 2**4 * 3)
+        f = fudge_factor_for(_inv(1, 1), 2, 2**4 * 3)
         assert f.u_inverse_at_1 == pytest.approx(5.0 / 8.0)
         assert f.epsilon is None and not f.determined
 
-    def test_wrong_prime(self):
-        with pytest.raises(ValueError):
-            u_p_special(5, _inv(1, 1), 25)
+    def test_requires_square_divisor(self):
+        for p in (2, 3):
+            with pytest.raises(ValueError, match="p\\^2"):
+                fudge_factor_for(_inv(1, 1), p, p * 7)
 
     def test_dispatch(self):
         assert fudge_factor_for(_inv(1, 1), 2, 48).u_inverse_at_1 == pytest.approx(5.0 / 8.0)
@@ -91,11 +86,11 @@ class TestUPSpecial:
 
     def test_u_inverse_within_band(self):
         cases = [
-            u_p_special(2, _inv(1, 1), 48),
-            u_p_special(2, _inv(1, 1), 2**8),
-            u_p_special(3, _inv(1, 1), 9),
-            epsilon_p(_inv(1, 1), 13, 13**2),
-            epsilon_p(_inv(1, 1), 11, 11**2),
+            fudge_factor_for(_inv(1, 1), 2, 48),
+            fudge_factor_for(_inv(1, 1), 2, 2**8),
+            fudge_factor_for(_inv(1, 1), 3, 9),
+            fudge_factor_for(_inv(1, 1), 13, 13**2),
+            fudge_factor_for(_inv(1, 1), 11, 11**2),
         ]
         for f in cases:
             assert 1 - 1 / f.p <= f.u_inverse_at_1 <= 1 + 1 / f.p
@@ -143,65 +138,11 @@ class TestTwistGrowth:
             twist_growth_check(5, 0, "weird")
 
 
-class TestPrimeProductBound:
-    def test_empty_list_at_20000(self):
-        result = prime_product_bound(20000, [])
-        log_n = math.log(20000)
-        assert result.actual_log_sum == pytest.approx(0.02)
-        assert result.closed_form == pytest.approx(0.5 * math.log(math.log(1.02 * log_n)) - 0.33, rel=1e-12)
-        assert result.closed_form == pytest.approx(0.089205, abs=1e-5)
-        assert result.multiplier == pytest.approx(0.9146186, abs=5e-6)
-        assert result.hypothesis_ok
-        assert result.bound_ok  # 0.02 <= 0.0892
-
-    def test_small_prime_list_reported_honestly(self):
-        # {7} satisfies the p <= 1.02 log N hypothesis at N = 20000 yet
-        # overshoots the closed form; the comparison is reported as-is.
-        result = prime_product_bound(20000, [7])
-        assert result.hypothesis_ok
-        assert result.actual_log_sum == pytest.approx(1.0 / 7.0 + 0.02)
-        assert not result.bound_ok
-
-    def test_hypothesis_flagging(self):
-        result = prime_product_bound(20000, [13])
-        assert not result.hypothesis_ok
-
-    def test_large_n_bound_holds(self):
-        # at huge N the closed form clears the greedy admissible list
-        n = 10**400
-        admissible = [p for p in range(7, int(1.02 * math.log(n)) + 1) if is_prime(p) and p % 3 == 1]
-        result = prime_product_bound(n, admissible)
-        assert result.hypothesis_ok
-        assert result.bound_ok
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            prime_product_bound(10**4, [])
-        with pytest.raises(ValueError):
-            prime_product_bound(20000, [5])  # 5 = 2 mod 3
-
-    def test_multiplier_strictly_decreasing(self):
-        ns = [20000, 10**5, 10**7, 10**11]
-        values = [prime_product_bound(n, []).multiplier for n in ns]
-        assert all(b < a for a, b in zip(values, values[1:]))
-
-
 class TestFallbackConservatism:
     def test_fallback_never_exceeds_determined(self):
         # when the divisibility rules decide eps, the decided factor is at
         # least the worst-case fallback 1 - 1/p
         for p, c4, c6 in [(5, 5, 25), (7, 7, 49), (13, 1, 1), (11, 1, 1)]:
-            determined = epsilon_p(_inv(c4, c6), p, p * p)
+            determined = fudge_factor_for(_inv(c4, c6), p, p * p)
             fallback = 1.0 - 1.0 / p
             assert determined.u_inverse_at_1 >= fallback - 1e-15
-
-
-class TestSixthPowerCredit:
-    def test_at_five(self):
-        assert sixth_power_credit(5) == pytest.approx(5 ** (1 / 6) * 0.8, rel=1e-15)
-        assert sixth_power_credit(5) >= 1.0
-
-    def test_all_small_primes(self):
-        for p in range(5, 1001):
-            if is_prime(p):
-                assert sixth_power_credit(p) >= 1.0

@@ -85,6 +85,10 @@ class TestParseRecord:
             ({"n2": 2.5}, "n2"),
             ({"n2": True}, "n2"),
             ({"deg_phi": True}, "deg_phi"),
+            ({"conductor": "3_7"}, "conductor"),
+            ({"conductor": " 37 "}, "conductor"),
+            ({"conductor": "\u0663\u0667"}, "conductor"),
+            ({"conductor": "1" * 5000}, "conductor"),
         ],
     )
     def test_strict_contract_names_field(self, tmp_path, override, field):
@@ -139,13 +143,6 @@ class TestBuildReport:
         record = parse_record({"a": [0, 0, 1, -1, 0], "conductor": 36, "semistable": True})
         with pytest.raises(ValueError, match="semistable"):
             build_report(record)
-
-    def test_assume_cm_override(self):
-        record = parse_record({"a": [0, 0, 1, -1, 0], "conductor": 37})
-        assert build_report(record, assume_cm="cm")["cm"] is True
-        assert build_report(record, assume_cm="auto")["cm"] is False
-        with pytest.raises(ValueError):
-            build_report(record, assume_cm="maybe")
 
     def test_big_conductor_serialization(self):
         record = parse_record(
@@ -293,6 +290,28 @@ class TestCliBound:
                 assert lines[1] == {"line": 2, "error": lines[1]["error"]}
                 assert lines[2]["label"] == "11a1"
 
+    def test_deeply_nested_line_continues(self, tmp_path):
+        src = tmp_path / "in.jsonl"
+        dst = tmp_path / "out.jsonl"
+        src.write_text(
+            '{"label": "37a1", "a": [0,0,1,-1,0], "conductor": 37}\n'
+            + "[" * 200000 + "\n"
+            + '{"label": "11a1", "a": [0,-1,1,-10,-20], "conductor": 11}\n'
+        )
+        assert main(["bound", "--input", str(src), "--output", str(dst)]) == 0
+        lines = [json.loads(line) for line in dst.read_text().splitlines()]
+        assert len(lines) == 3
+        assert [lines[0]["label"], lines[2]["label"]] == ["37a1", "11a1"]
+        assert lines[1] == {"line": 2, "error": lines[1]["error"]}
+
+    def test_assume_cm_flag_is_gone(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"a": [0,0,1,-1,0], "conductor": 37}\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--input", str(src), "--output", "-", "--assume-cm", "cm"])
+        assert exc.value.code == 2
+        assert "--assume-cm" in capsys.readouterr().err
+
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
     def test_unicode_line_separator_stays_in_record(self, tmp_path, separator):
         src = tmp_path / "in.jsonl"
@@ -340,7 +359,7 @@ class TestCliBound:
             main(["bound", "--input", str(src), "--output", str(dst)])
         assert [json.loads(line)["label"] for line in dst.read_text().splitlines()] == ["37a1"]
 
-    @pytest.mark.parametrize("value", ["1", "0", "x"])
+    @pytest.mark.parametrize("value", ["1", "0", "x", "3_7", " 37 ", "\u0663\u0667"])
     def test_n2_flag_follows_record_rule(self, tmp_path, capsys, value):
         src = tmp_path / "in.jsonl"
         dst = tmp_path / "out.jsonl"
