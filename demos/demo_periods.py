@@ -34,15 +34,16 @@ for name, a in CURVES:
     print(f"{name:>20}: disc = {inv.disc:>8}, case {data.case_tag}")
     print(f"{'':>22}real period {data.real_period:.10f}, imag part {data.imag_part:.10f}")
     print(
-        f"{'':>22}1/Omega = {data.inv_omega:.8f} >= D^(1/6)/14.045 = {check.rhs:.8f}"
-        f"  (margin {check.margin:.2e})"
+        f"{'':>22}1/Omega = {check.value:.8f} >= D^(1/6)/14.045 = {check.bound:.8f}"
+        f"  (margin {check.value - check.bound:.2e})"
     )
 
 constants = lemma1_constants()
+k1, k2 = (w.value for w in constants.waypoints)
 print()
-print(f"extremal constants: k1 = {constants.k1:.7f} (three real roots, at t = 1/2)")
-print(f"                    k2 = {constants.k2:.7f} (one real root, at c = +-sqrt(4/3))")
-print(f"certified denominator 14.045 covers both: {max(constants.k1, constants.k2) <= 14.045}")
+print(f"extremal constants: k1 = {k1:.7f} (three real roots, at t = 1/2)")
+print(f"                    k2 = {k2:.7f} (one real root, at c = +-sqrt(4/3))")
+print(f"certified denominator 14.045 covers both: {constants.overall_pass}")
 
 # the local constant along the shape parameter t of the positive case
 ts = [0.05 + 0.1 * i for i in range(10)]

@@ -13,8 +13,6 @@ __version__ = "0.1.0"
 # Nothing is re-exported under a submodule's name: moddeg.agm is the module,
 # and the function is moddeg.agm.agm.
 from .agm import (
-    AreaBoundConstants,
-    Lemma1Check,
     PeriodData,
     area_neg_disc,
     area_pos_disc,

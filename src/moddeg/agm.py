@@ -23,6 +23,11 @@ together with the two extremal constants behind it:
       M(x) = agm(1, x),   m+-(c) = sqrt(1/2 +- 3c / sqrt(16 + 36 c^2)),
 
   minimised at c = +-sqrt(4/3).
+
+The one-real-root geometry (r_tilde, Z, B^2) and its one refusal come
+from ``curves.two_torsion_roots``.  Lemma 1 uses the certification
+layer's types: ``lemma1_check`` returns a ``Waypoint`` and
+``lemma1_constants`` a ``CertReport`` tagged "lemma1".
 """
 
 from __future__ import annotations
@@ -31,14 +36,13 @@ import math
 from dataclasses import dataclass
 
 from .curves import Invariants, RootData, two_torsion_roots
+from .zerofree import CertReport, Waypoint, _wp
 
 __all__ = [
     "AGM_TOL",
     "AGM_MAX_ITER",
     "AREA_BOUND_DENOMINATOR",
     "PeriodData",
-    "AreaBoundConstants",
-    "Lemma1Check",
     "agm",
     "area_pos_disc",
     "area_neg_disc",
@@ -69,22 +73,6 @@ class PeriodData:
     inv_omega: float
     case_tag: str  # "pos_disc" | "neg_disc"
     t_or_c: float
-
-
-@dataclass(frozen=True)
-class AreaBoundConstants:
-    """Worst-case constants pi^2 / (extremal AGM product) for the two cases."""
-
-    k1: float  # positive discriminant, at t = 1/2
-    k2: float  # negative discriminant, at c = sqrt(4/3)
-
-
-@dataclass(frozen=True)
-class Lemma1Check:
-    inv_omega: float
-    rhs: float
-    ok: bool
-    margin: float
 
 
 def agm(x: float, y: float) -> float:
@@ -132,22 +120,14 @@ def area_pos_disc(e1: float, e2: float, e3: float) -> PeriodData:
     )
 
 
-def area_neg_disc(r: float, b2: int, b4: int) -> PeriodData:
-    """Period data from the real root r of a one-real-root 2-torsion cubic.
+def area_neg_disc(r_tilde: float, z: float, b_sq: float) -> PeriodData:
+    """Period data from the one-real-root geometry of ``two_torsion_roots``:
+    r_tilde, the imaginary part z > 0 of the complex pair, and B^2.
 
-    Uses A = 3r + b2/4 and B = sqrt(3r^2 + b2 r/2 + b4/2); the real period
-    is 2 pi / agm(2 sqrt(B), sqrt(2B+A)) and the imaginary part is
+    With A = 3 r_tilde (so that 4B^2 - A^2 = 4z^2) the real period is
+    2 pi / agm(2 sqrt(B), sqrt(2B+A)) and the imaginary part is
     pi / agm(2 sqrt(B), sqrt(2B-A)).
     """
-    b_sq = 3.0 * r * r + b2 * r / 2.0 + b4 / 2.0
-    if b_sq <= 0.0:
-        raise ValueError("B^2 <= 0: not a one-real-root 2-torsion cubic")
-    r_tilde = r + b2 / 12.0
-    z_sq = b_sq - (1.5 * r_tilde) ** 2
-    # 4B^2 - A^2 = 4Z^2, so 2B > |A| is exactly Z^2 > 0
-    if z_sq <= 0.0:
-        raise ValueError("2B <= |A|: not a one-real-root 2-torsion cubic")
-    z = math.sqrt(z_sq)
     c = r_tilde / z
     # (2B +- A)/(4B) = 1/2 +- 3c/sqrt(16+36c^2); the branch that vanishes
     # as |c| grows is rationalized, and both periods are scaled out of the
@@ -192,27 +172,30 @@ def period_data(inv: Invariants, roots: RootData | None = None) -> PeriodData:
         roots = two_torsion_roots(inv)
     if roots.kind == "three_real":
         return area_pos_disc(roots.e1, roots.e2, roots.e3)
-    return area_neg_disc(roots.r, inv.b2, inv.b4)
+    return area_neg_disc(roots.r_tilde, roots.z, roots.b_sq)
 
 
-def lemma1_constants() -> AreaBoundConstants:
-    """The two extremal constants; max(k1, k2) <= 14.045."""
+def lemma1_constants() -> CertReport:
+    """The two extremal constants pi^2 / (extremal AGM product), each
+    certified below 14.045: k1 for three real roots (at t = 1/2), k2 for
+    one real root (at c = sqrt(4/3))."""
     k1 = math.pi**2 / agm(1.0, 1.0 / math.sqrt(2.0)) ** 2
     k2 = math.pi**2 / (
         4.0 ** (1.0 / 6.0)
         * agm(1.0, math.sqrt(0.5 + math.sqrt(3.0) / 4.0))
         * agm(1.0, math.sqrt(0.5 - math.sqrt(3.0) / 4.0))
     )
-    return AreaBoundConstants(k1=k1, k2=k2)
-
-
-def lemma1_check(inv: Invariants, period: PeriodData) -> Lemma1Check:
-    """Check 1/Omega >= D^(1/6)/14.045 for the model with these invariants
-    and period data."""
-    rhs = inv.abs_disc ** (1.0 / 6.0) / AREA_BOUND_DENOMINATOR
-    return Lemma1Check(
-        inv_omega=period.inv_omega,
-        rhs=rhs,
-        ok=period.inv_omega >= rhs,
-        margin=period.inv_omega - rhs,
+    return CertReport(
+        case_tag="lemma1",
+        waypoints=(
+            _wp("case_pos_constant", k1, "<=", AREA_BOUND_DENOMINATOR),
+            _wp("case_neg_constant", k2, "<=", AREA_BOUND_DENOMINATOR),
+        ),
     )
+
+
+def lemma1_check(inv: Invariants, period: PeriodData) -> Waypoint:
+    """The waypoint 1/Omega >= D^(1/6)/14.045 for the model with these
+    invariants and period data."""
+    rhs = inv.abs_disc ** (1.0 / 6.0) / AREA_BOUND_DENOMINATOR
+    return _wp("lemma1", period.inv_omega, ">=", rhs)

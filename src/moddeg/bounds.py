@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .fudge import FudgeFactor
+from .lvalue import L_VALUE_BOUND_NUMERATOR
 
 __all__ = [
     "Theorem1Bounds",
@@ -70,7 +71,7 @@ def theorem1(conductor: int, omega: float) -> Theorem1Bounds:
     if conductor < 2 or omega <= 0.0:
         raise ValueError("need conductor >= 2 and omega > 0")
     log_n = math.log(conductor)
-    analytic = conductor / omega * 0.033 / (2.0 * log_n)
+    analytic = conductor / omega * L_VALUE_BOUND_NUMERATOR / (2.0 * log_n)
     closed = conductor ** (7.0 / 6.0) / (5350.0 * log_n)
     return Theorem1Bounds(analytic=analytic, closed_form=closed)
 
@@ -107,7 +108,7 @@ def theorem2(
         raise ValueError("need conductor >= 3, n2 >= 2 and omega > 0")
     factors = list(fudge_factors)
     log_n2 = math.log(n2)
-    analytic = conductor / omega * 0.033 / log_n2
+    analytic = conductor / omega * L_VALUE_BOUND_NUMERATOR / log_n2
     for f in factors:
         analytic *= f.u_inverse_at_1
     worst = 1.0

@@ -24,7 +24,7 @@ from . import __version__
 from .agm import lemma1_constants
 from .bounds import crossover_check
 from .lvalue import lemma4_certify
-from .report import build_report, dumps_report, int_field, invariants_document, parse_record
+from .report import a_field, build_report, dumps_report, int_field, invariants_document, parse_record
 from .zerofree import (
     MIN_CERTIFIED_N2,
     _wp,
@@ -39,17 +39,9 @@ EXIT_CERTIFICATION_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _parse_a_list(text: str) -> tuple[int, int, int, int, int]:
-    parts = [part.strip() for part in text.split(",")]
-    if len(parts) != 5:
-        raise ValueError("--a expects 5 comma-separated integers a1,a2,a3,a4,a6")
-    return tuple(int(part) for part in parts)
-
-
 def cmd_invariants(args: argparse.Namespace) -> int:
     try:
-        a = _parse_a_list(args.a)
-        doc = invariants_document(a)
+        doc = invariants_document(args.a)
     except ValueError as exc:  # SingularCurveError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -91,6 +83,17 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return EXIT_CERTIFICATION_FAILURE if any_inconsistent else EXIT_OK
 
 
+def _a_flag(text: str) -> tuple[int, int, int, int, int]:
+    """An argparse type for --a: the record's rule for "a", applied to the
+    text read as the body of a JSON array."""
+    try:
+        return a_field(json.loads(f"[{text}]"))
+    except (ValueError, RecursionError):  # json.JSONDecodeError is a ValueError
+        raise argparse.ArgumentTypeError(
+            f"expects 5 comma-separated JSON integers a1,a2,a3,a4,a6, got {text!r}"
+        ) from None
+
+
 def _n2_flag(minimum: int | None = None) -> Callable[[str], int]:
     """An argparse type for --n2: the record's rule for "n2", with minimum
     in place of the record's own when given."""
@@ -129,12 +132,8 @@ def _print_or_fail(text: str) -> bool:
 
 def _verification_rows(n2: int) -> list[dict[str, Any]]:
     """Every verify-lemmas row: a Waypoint, judged by _wp, as a dict."""
-    constants = lemma1_constants()
-    waypoints = [
-        _wp("lemma1.case_pos_constant", constants.k1, "<=", 14.045),
-        _wp("lemma1.case_neg_constant", constants.k2, "<=", 14.045),
-    ]
-    for cert in (certify_noncm(n2), certify_cm_qi(n2), certify_cm_zeta3(n2), lemma4_certify(n2)):
+    waypoints = []
+    for cert in (lemma1_constants(), certify_noncm(n2), certify_cm_qi(n2), certify_cm_zeta3(n2), lemma4_certify(n2)):
         waypoints.extend(dataclasses.replace(wp, name=f"{cert.case_tag}.{wp.name}") for wp in cert.waypoints)
     waypoints.append(_wp("zeta3.beta_star", quintic_beta_optimum().beta_star, "abs_diff<=", (2.629152166, 1e-8)))
     waypoints.append(_wp("theorem2.crossover_log_n", crossover_check(), "in", (86.0, 87.5)))
@@ -172,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_inv = sub.add_parser("invariants", help="model invariants, 2-torsion roots, periods")
-    p_inv.add_argument("--a", required=True, help="a-invariants a1,a2,a3,a4,a6")
+    p_inv.add_argument("--a", type=_a_flag, required=True, help="a-invariants a1,a2,a3,a4,a6 (integers)")
     p_inv.set_defaults(func=cmd_invariants)
 
     p_bound = sub.add_parser("bound", help="degree-bound reports for a JSONL dataset")

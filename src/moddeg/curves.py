@@ -2,8 +2,9 @@
 
 Integer b/c-invariants and the discriminant, roots of the 2-torsion
 polynomial ``4x^3 + b2 x^2 + 2 b4 x + b6`` (the polynomial appearing on
-the right side of ``y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6``), naive point
-counts over small prime fields, and CM detection by rational j-invariant.
+the right side of ``y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6``), trial-division
+factorization and primality, naive point counts over small prime fields,
+and CM detection by rational j-invariant.
 
 The conductor is always an input, never computed; reports downstream
 carry a "conductor: supplied" provenance.  Models are used exactly as
@@ -28,6 +29,7 @@ __all__ = [
     "two_torsion_roots",
     "trace_of_frobenius",
     "is_cm",
+    "factorize",
     "is_prime",
 ]
 
@@ -114,7 +116,8 @@ class RootData:
 
     kind == "three_real": e1 > e2 > e3 (positive discriminant).
     kind == "one_real":   real root r, complex pair with imaginary part z > 0,
-    and r_tilde = r + b2/12 (the real root of the depressed cubic).
+    r_tilde = r + b2/12 (the real root of the depressed cubic), and
+    b_sq = B^2 = 3r^2 + b2 r/2 + b4/2 = (3 r_tilde/2)^2 + z^2.
     """
 
     kind: str
@@ -124,6 +127,7 @@ class RootData:
     r: float | None = None
     z: float | None = None
     r_tilde: float | None = None
+    b_sq: float | None = None
 
 
 def derive_invariants(curve: CurveModel) -> Invariants:
@@ -178,6 +182,11 @@ def two_torsion_roots(inv: Invariants) -> RootData:
     followed by a Newton polish against the exact integer coefficients;
     the roots of nondegenerate 2-torsion cubics are well separated so this
     is robust in double precision.
+
+    With one real root r, A = 3 r_tilde and B^2 = 3r^2 + b2 r/2 + b4/2
+    satisfy 4B^2 - A^2 = 4z^2.  A model whose z^2 = B^2 - (3 r_tilde/2)^2
+    does not come out positive in double precision (a complex pair too
+    close to the real axis) is refused with ValueError.
     """
     # Depressed form: with y = x + b2/12 the cubic is y^3 - (c4/48) y - c6/864.
     p = -inv.c4 / 48.0
@@ -199,24 +208,38 @@ def two_torsion_roots(inv: Invariants) -> RootData:
         abs(-half_q - rad) ** (1.0 / 3.0), -half_q - rad
     )
     r = _newton_polish(inv, y - shift, steps=3)
-    # Quadratic cofactor of (x - r): x^2 + ux + v.
-    u = (inv.b2 + 4.0 * r) / 4.0
-    v = (2.0 * inv.b4 + r * (inv.b2 + 4.0 * r)) / 4.0
-    z = math.sqrt(v - u * u / 4.0)
-    return RootData(kind="one_real", r=r, z=z, r_tilde=r + inv.b2 / 12.0)
+    r_tilde = r + shift
+    b_sq = 3.0 * r * r + inv.b2 * r / 2.0 + inv.b4 / 2.0
+    z_sq = b_sq - (1.5 * r_tilde) ** 2
+    # z^2 <= B^2, so this also refuses B^2 <= 0
+    if z_sq <= 0.0:
+        raise ValueError("2B <= |A|: not a one-real-root 2-torsion cubic")
+    return RootData(kind="one_real", r=r, z=math.sqrt(z_sq), r_tilde=r_tilde, b_sq=b_sq)
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Trial-division factorization; desk scale (n up to ~1e12)."""
+    if n < 1:
+        raise ValueError("can only factor positive integers")
+    factors: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    f = 5
+    while f * f <= n:
+        for p in (f, f + 2):
+            while n % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                n //= p
+        f += 6
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def trace_of_frobenius(curve: CurveModel, p: int) -> int:

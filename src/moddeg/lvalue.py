@@ -22,6 +22,7 @@ from .specfun import ZETA_3_HALVES, lemma4_error_integral
 from .zerofree import CertReport, _n2_value, _wp
 
 __all__ = [
+    "L_VALUE_BOUND_NUMERATOR",
     "LineBounds",
     "symsq_lower_bound",
     "rademacher_line_bounds",
@@ -30,9 +31,13 @@ __all__ = [
 ]
 
 
+# The numerator of Lemma 4's bound L(Sym^2, 1) >= 0.033/log(n2).
+L_VALUE_BOUND_NUMERATOR = 0.033
+
+
 def symsq_lower_bound(n2: int) -> float:
     """The certified lower bound 0.033/log(n2), n2 >= 142."""
-    return 0.033 / math.log(_n2_value(n2))
+    return L_VALUE_BOUND_NUMERATOR / math.log(_n2_value(n2))
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,7 @@ def lemma4_certify(n2: int) -> CertReport:
     x_power = math.exp(log_x * (1.0 - b))
     gamma_1mb = math.gamma(2.0 - b) / (1.0 - b)
     integral = lemma4_error_integral()
-    lower = 0.033 / log_n2
+    lower = L_VALUE_BOUND_NUMERATOR / log_n2
     # e^(-1/X) >= e^(-1e-6) since X >= 1e6, and 20 sqrt(n2)/X^0.49 = 0.01
     # exactly by the choice of X.
     chain_value = (math.exp(-1e-6) - 0.01) / (x_power * gamma_1mb)

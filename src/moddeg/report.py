@@ -21,6 +21,7 @@ significant digits and writes integers above 2^53 as decimal strings.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -34,20 +35,20 @@ from .bounds import (
     theorem1,
     theorem2,
 )
-from .curves import CurveModel, derive_invariants, is_cm, is_prime, two_torsion_roots
+from .curves import CurveModel, derive_invariants, factorize, is_cm, is_prime, two_torsion_roots
 from .fudge import fudge_factor_for
+from .lvalue import L_VALUE_BOUND_NUMERATOR
 from .zerofree import MIN_CERTIFIED_N2
 
 __all__ = [
     "CurveRecord",
     "parse_record",
     "int_field",
+    "a_field",
     "build_report",
     "invariants_document",
     "dumps_report",
-    "factorize",
     "squared_primes",
-    "is_squarefree",
 ]
 
 _MAX_EXACT_JSON_INT = 2**53
@@ -89,17 +90,22 @@ def int_field(name: str, value: Any, minimum: int | None = None) -> int | None:
     return value
 
 
+def a_field(value: Any) -> tuple[int, int, int, int, int]:
+    """value as the record field "a": a list of five JSON integers."""
+    if not (
+        isinstance(value, list)
+        and len(value) == 5
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in value)
+    ):
+        raise ValueError('"a" must be a list of 5 exact integers')
+    return tuple(value)
+
+
 def parse_record(obj: Any) -> CurveRecord:
     """Validate one input record; every error names the offending field."""
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
-    a = obj.get("a")
-    if not (
-        isinstance(a, list)
-        and len(a) == 5
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in a)
-    ):
-        raise ValueError('"a" must be a list of 5 exact integers')
+    a = a_field(obj.get("a"))
     conductor = int_field("conductor", obj.get("conductor"))
     if conductor is None:
         raise ValueError('record is missing required field "conductor"')
@@ -111,7 +117,7 @@ def parse_record(obj: Any) -> CurveRecord:
         raise ValueError(f'"twist_minimal" must be true or false, got {json.dumps(twist_minimal)}')
     return CurveRecord(
         label=obj.get("label"),
-        a=tuple(a),
+        a=a,
         conductor=conductor,
         n2=int_field("n2", obj.get("n2")),
         semistable=semistable,
@@ -120,33 +126,8 @@ def parse_record(obj: Any) -> CurveRecord:
     )
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization; desk scale (n up to ~1e12)."""
-    if n < 1:
-        raise ValueError("can only factor positive integers")
-    factors: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 def squared_primes(n: int) -> list[int]:
     return sorted(p for p, e in factorize(n).items() if e >= 2)
-
-
-def is_squarefree(n: int) -> bool:
-    return not squared_primes(n)
 
 
 def _wire(value: Any) -> Any:
@@ -205,9 +186,9 @@ def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, Any]:
             "imag_part": period.imag_part,
             "inv_omega": period.inv_omega,
             "t_or_c": period.t_or_c,
-            "lemma1_rhs": check.rhs,
-            "lemma1_margin": check.margin,
-            "lemma1_ok": check.ok,
+            "lemma1_rhs": check.bound,
+            "lemma1_margin": check.value - check.bound,
+            "lemma1_ok": check.passed,
         }
     )
     return doc
@@ -241,16 +222,12 @@ def build_report(record: CurveRecord) -> dict[str, Any]:
     fudge = [
         fudge_factor_for(inv, p, n, twist_minimal=record.twist_minimal) for p in square_ps
     ]
-    l_lower = 0.033 / math.log(n2)
+    l_lower = L_VALUE_BOUND_NUMERATOR / math.log(n2)
     formula = degree_formula_bound(n, period.omega, l_lower, [f.u_inverse_at_1 for f in fudge])
     th1 = theorem1(n, period.omega)
     th2 = theorem2(n, n2, period.omega, fudge)
 
-    good_p = 2
-    while inv.disc % good_p == 0 or n % good_p == 0:
-        good_p += 1
-        while not is_prime(good_p):
-            good_p += 1
+    good_p = next(p for p in itertools.count(2) if inv.disc % p and n % p and is_prime(p))
     lin = linear_bounds(n, good_p)
 
     certified = [formula, th2.analytic, th2.intermediate, th2.closed_form]
@@ -274,7 +251,7 @@ def build_report(record: CurveRecord) -> dict[str, Any]:
         "omega": period.omega,
         "inv_omega": period.inv_omega,
         "case_tag": period.case_tag,
-        "lemma1": {"rhs": check.rhs, "margin": check.margin, "ok": check.ok},
+        "lemma1": {"rhs": check.bound, "margin": check.value - check.bound, "ok": check.passed},
         "fudge": [
             {
                 "p": f.p,

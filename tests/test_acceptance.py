@@ -40,21 +40,23 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_area_bound_constants_and_random_curves():
     constants = lemma1_constants()
+    k1, k2 = (w.value for w in constants.waypoints)
     ok = (
-        abs(constants.k1 - 13.7504) <= 1e-3
-        and abs(constants.k2 - 14.0449) <= 1e-3
-        and constants.k2 <= 14.045
+        constants.overall_pass
+        and abs(k1 - 13.7504) <= 1e-3
+        and abs(k2 - 14.0449) <= 1e-3
+        and k2 <= 14.045
     )
     failures = 0
     for curve in random_curves(10_000, seed=11):
         inv = derive_invariants(curve)
-        if not lemma1_check(inv, period_data(inv)).ok:
+        if not lemma1_check(inv, period_data(inv)).passed:
             failures += 1
     ok = ok and failures == 0
     _report(
         "criterion 1 (area-bound constants + 1e4 random curves)",
         ok,
-        f"k1={constants.k1:.6f}, k2={constants.k2:.6f}, counterexamples={failures}",
+        f"k1={k1:.6f}, k2={k2:.6f}, counterexamples={failures}",
     )
 
 

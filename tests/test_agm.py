@@ -27,6 +27,11 @@ K1_EXPECTED = 13.750371636040745655
 K2_EXPECTED = 14.044556133045613852
 
 
+def lemma1_k1_k2() -> tuple[float, float]:
+    pos, neg = lemma1_constants().waypoints
+    return pos.value, neg.value
+
+
 def test_package_does_not_shadow_the_agm_module():
     import moddeg
 
@@ -98,8 +103,8 @@ class TestAreaPosDisc:
 
 class TestAreaNegDisc:
     def test_symmetric_case(self):
-        # b2 = b6 = 0, b4 > 0: real root 0, r_tilde = 0, c = 0
-        data = area_neg_disc(0.0, 0, 1)
+        # b2 = b6 = 0, b4 = 1: real root 0, r_tilde = 0, c = 0, Z^2 = B^2 = b4/2
+        data = area_neg_disc(0.0, math.sqrt(0.5), 0.5)
         # disc = -8 b4^3 = -8
         d_sixth = 8.0 ** (1.0 / 6.0)
         expected = agm(1.0, math.sqrt(0.5)) ** 2
@@ -107,51 +112,60 @@ class TestAreaNegDisc:
         assert data.t_or_c == pytest.approx(0.0, abs=1e-12)
 
     def test_extremal_c(self):
-        # depressed roots r_tilde = sqrt(4/3), -r_tilde/2 +- i: c = sqrt(4/3)
+        # depressed roots r_tilde = sqrt(4/3), -r_tilde/2 +- i: c = sqrt(4/3),
+        # B^2 = 3 r_tilde^2 = 4
         r = math.sqrt(4.0 / 3.0)
-        data = area_neg_disc(r, 0, 0)
-        constants = lemma1_constants()
+        data = area_neg_disc(r, 1.0, 4.0)
+        _, k2 = lemma1_k1_k2()
         d_sixth = (64.0 * 1.0 * 16.0) ** (1.0 / 6.0)  # D = 64 Z^2 B^4, Z = 1, B = 2
         assert data.t_or_c == pytest.approx(r, rel=1e-12)
         assert data.inv_omega * math.pi**2 / d_sixth == pytest.approx(
-            math.pi**2 / constants.k2, rel=1e-12
+            math.pi**2 / k2, rel=1e-12
         )
 
     def test_curve_368(self):
         inv = derive_invariants(CurveModel(0, 0, 0, -1, 1))
         roots = two_torsion_roots(inv)
-        data = area_neg_disc(roots.r, inv.b2, inv.b4)
+        data = area_neg_disc(roots.r_tilde, roots.z, roots.b_sq)
         rhs = 368.0 ** (1.0 / 6.0) / AREA_BOUND_DENOMINATOR
         assert data.inv_omega >= rhs
 
-    def test_domain_error(self):
-        # 2B <= |A| cannot come from a one-real-root cubic; force it
-        with pytest.raises(ValueError):
-            area_neg_disc(5.0, -100, 1)
+    def test_shape_uses_the_root_step_z(self):
+        # ill-conditioned y^2 = x^3 - 3k^2 x + 2k^3 + 1 at k = 1e4: the Z
+        # that two_torsion_roots reports is the one the periods use
+        k = 10**4
+        inv = derive_invariants(CurveModel(0, 0, 0, -3 * k * k, 2 * k**3 + 1))
+        roots = two_torsion_roots(inv)
+        assert period_data(inv, roots).t_or_c == roots.r_tilde / roots.z
 
 
 class TestLemma1:
     def test_constants(self):
         constants = lemma1_constants()
-        assert constants.k1 == pytest.approx(K1_EXPECTED, abs=1e-9)
-        assert constants.k2 == pytest.approx(K2_EXPECTED, abs=1e-9)
-        assert max(constants.k1, constants.k2) <= AREA_BOUND_DENOMINATOR
+        assert constants.case_tag == "lemma1"
+        assert [w.name for w in constants.waypoints] == ["case_pos_constant", "case_neg_constant"]
+        assert all(w.op == "<=" and w.bound == AREA_BOUND_DENOMINATOR for w in constants.waypoints)
+        assert constants.overall_pass
+        k1, k2 = lemma1_k1_k2()
+        assert k1 == pytest.approx(K1_EXPECTED, abs=1e-9)
+        assert k2 == pytest.approx(K2_EXPECTED, abs=1e-9)
+        assert max(k1, k2) <= AREA_BOUND_DENOMINATOR
 
     def test_pos_disc_grid_minimised_at_half(self):
-        constants = lemma1_constants()
+        k1, _ = lemma1_k1_k2()
         ts = np.linspace(0.05, 0.95, 19)
         values = [
             math.pi**2
             / ((4 * t * (1 - t)) ** (1 / 3) * agm(1, math.sqrt(t)) * agm(1, math.sqrt(1 - t)))
             for t in ts
         ]
-        assert all(v >= constants.k1 - 1e-9 for v in values)
+        assert all(v >= k1 - 1e-9 for v in values)
         assert np.argmin(values) == 9  # t = 0.5
 
     def test_neg_disc_grid_minimised_at_extremal_c(self):
         # the AGM product multiplying D^(1/6)/pi^2 is minimised at
         # c = +-sqrt(4/3), so the local constant pi^2/product peaks there
-        constants = lemma1_constants()
+        _, k2 = lemma1_k1_k2()
         cs = np.linspace(0.0, 3.0, 61)
         values = []
         for c in cs:
@@ -164,7 +178,7 @@ class TestLemma1:
                     * agm(1, math.sqrt(0.5 - off))
                 )
             )
-        assert all(v <= constants.k2 + 1e-9 for v in values)
+        assert all(v <= k2 + 1e-9 for v in values)
         c_star = cs[int(np.argmax(values))]
         assert c_star == pytest.approx(math.sqrt(4.0 / 3.0), abs=0.05)
 
@@ -172,14 +186,14 @@ class TestLemma1:
         for a, expect_ok in [((0, 0, 1, -1, 0), True), ((0, 0, 0, -1, 1), True)]:
             inv = derive_invariants(CurveModel(*a))
             check = lemma1_check(inv, period_data(inv))
-            assert check.ok is expect_ok
-            assert check.inv_omega >= check.rhs
+            assert check.passed is expect_ok
+            assert check.value >= check.bound
 
     def test_holds_on_random_curves(self):
         for curve in random_curves(10_000, seed=6):
             inv = derive_invariants(curve)
             check = lemma1_check(inv, period_data(inv))
-            assert check.ok, f"area bound failed for {curve.a_invariants}"
+            assert check.passed, f"area bound failed for {curve.a_invariants}"
 
 
 class TestPeriodOracle:

@@ -98,6 +98,15 @@ class TestTwoTorsionRoots:
         b_sq = (1.5 * r.r_tilde) ** 2 + r.z**2
         assert 2 * r.z * b_sq == pytest.approx(math.sqrt(368 / 16), rel=1e-10)
 
+    def test_domain_error(self):
+        # y^2 = x^3 - 3k^2 x + 2k^3 + 1: the complex pair sits so close to the
+        # real axis that Z^2 = B^2 - (3 r_tilde/2)^2 is 0 in double precision
+        for k in (10**5, 10**6, 10**7):
+            inv = derive_invariants(CurveModel(0, 0, 0, -3 * k * k, 2 * k**3 + 1))
+            assert not inv.disc_positive
+            with pytest.raises(ValueError, match=r"2B <= \|A\|"):
+                two_torsion_roots(inv)
+
     def test_root_residuals_random(self):
         for curve in random_curves(400, seed=2):
             inv = derive_invariants(curve)

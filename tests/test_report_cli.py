@@ -9,12 +9,11 @@ from pathlib import Path
 import pytest
 
 from moddeg.cli import main
+from moddeg.curves import factorize
 from moddeg.report import (
     build_report,
     dumps_report,
-    factorize,
     invariants_document,
-    is_squarefree,
     parse_record,
     squared_primes,
 )
@@ -23,6 +22,7 @@ from moddeg.report import (
 GOLDEN = Path(__file__).parent / "data"
 DATASET = resources.files("moddeg").joinpath("data/curves.jsonl")
 SRC = Path(__file__).resolve().parents[1] / "src"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def child_env(**overrides: str) -> dict[str, str]:
@@ -46,8 +46,6 @@ class TestFactorize:
         assert factorize(999999999989) == {999999999989: 1}
 
     def test_squarefree(self):
-        assert is_squarefree(37)
-        assert not is_squarefree(20)
         assert squared_primes(25000) == [2, 5]
 
 
@@ -207,12 +205,26 @@ class TestGolden:
         assert main(["verify-lemmas", "--json"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "verify_lemmas.golden.json").read_text()
 
+    def test_invariants_on_table_curves(self, capsys, bundled_records):
+        out = []
+        for record in bundled_records:
+            if not record["label"].startswith("synthetic"):
+                assert main(["invariants", "--a", ",".join(map(str, record["a"]))]) == 0
+                out.append(capsys.readouterr().out)
+        assert "".join(out) == (GOLDEN / "invariants_tables.golden.jsonl").read_text()
+
 
 def test_cli_import_loads_no_numpy_or_scipy():
     code = "import moddeg.cli, sys; print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
@@ -255,8 +267,13 @@ class TestCliInvariants:
         assert "singular" in proc.stderr
 
     def test_malformed_a(self):
-        proc = run_cli("invariants", "--a", "1,2,3")
-        assert proc.returncode == 2
+        # the record rule for "a": JSON integers only, so no underscore,
+        # non-ASCII digit, sign, leading zero, real or boolean
+        for text in ["1,2,3", "0,0,1,-1,0,", "0,0,1_0,-1,\u0660", "+1,0,1,-1,0", "01,0,1,-1,0",
+                     "1.0,0,1,-1,0", "true,0,1,-1,0"]:
+            proc = run_cli("invariants", "--a", text)
+            assert proc.returncode == 2, text
+            assert "--a" in proc.stderr and proc.stdout == "", text
 
 
 class TestCliBound:
