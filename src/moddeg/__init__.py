@@ -49,9 +49,7 @@ from .fudge import (
     twist_growth_check,
 )
 from .lvalue import (
-    LineBounds,
     lemma4_certify,
-    rademacher_line_bounds,
     symsq_lower_bound,
     symsq_value_estimate,
 )
@@ -61,7 +59,6 @@ from .specfun import (
     abs_gamma_half_line,
     digamma,
     lemma4_error_integral,
-    zeta_real,
 )
 from .zerofree import (
     CertReport,

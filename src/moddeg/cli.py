@@ -27,6 +27,7 @@ from .lvalue import lemma4_certify
 from .report import a_field, build_report, dumps_report, int_field, invariants_document, parse_record
 from .zerofree import (
     MIN_CERTIFIED_N2,
+    _n2_value,
     _wp,
     certify_cm_qi,
     certify_cm_zeta3,
@@ -94,13 +95,15 @@ def _a_flag(text: str) -> tuple[int, int, int, int, int]:
         ) from None
 
 
-def _n2_flag(minimum: int | None = None) -> Callable[[str], int]:
-    """An argparse type for --n2: the record's rule for "n2", with minimum
-    in place of the record's own when given."""
+def _n2_flag(certified: bool) -> Callable[[str], int]:
+    """An argparse type for --n2: the record's rule for "n2"; a certified
+    n2 must also lie in the certification's range [142, 10**300]."""
 
     def parse(text: str) -> int:
         try:
-            return int_field("n2", text, minimum)
+            if certified:
+                return _n2_value(int_field("n2", text, MIN_CERTIFIED_N2))
+            return int_field("n2", text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -177,16 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="degree-bound reports for a JSONL dataset")
     p_bound.add_argument("--input", required=True, help="input JSONL path")
     p_bound.add_argument("--output", required=True, help="output JSONL path (not the input), or - for stdout")
-    p_bound.add_argument("--n2", type=_n2_flag(), default=None, help="n2 for every record (integer >= 2)")
+    p_bound.add_argument("--n2", type=_n2_flag(certified=False), default=None, help="n2 for every record (integer >= 2)")
     p_bound.set_defaults(func=cmd_bound)
 
     p_verify = sub.add_parser("verify-lemmas", help="run the constant-certification suite")
     p_verify.add_argument("--json", action="store_true", help="machine-readable output")
     p_verify.add_argument(
         "--n2",
-        type=_n2_flag(MIN_CERTIFIED_N2),
+        type=_n2_flag(certified=True),
         default=MIN_CERTIFIED_N2,
-        help=f"symmetric-square conductor (integer >= {MIN_CERTIFIED_N2})",
+        help=f"symmetric-square conductor (integer from {MIN_CERTIFIED_N2} to 10**300)",
     )
     p_verify.set_defaults(func=cmd_verify_lemmas)
     return parser

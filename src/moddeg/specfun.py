@@ -1,7 +1,7 @@
 """Special functions needed by the certification chain.
 
-Digamma and real zeta to near machine accuracy, the Gamma modulus on the
-critical line, and the smoothing-error integral of Lemma 4,
+Digamma to near machine accuracy, the Gamma modulus on the critical
+line, and the smoothing-error integral of Lemma 4,
 
     zeta(3/2)^4/(4 pi^2) * int_0^inf (25/4+t^2)^(3/4) sqrt(9/4+t^2)
         * 2 (1+t^2)^(1/200) / sqrt(1+4t^2) * sqrt(pi sech(pi t)) dt,
@@ -16,18 +16,14 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "EULER_GAMMA",
     "ZETA_3_HALVES",
     "QuadratureResult",
     "digamma",
-    "zeta_real",
     "abs_gamma_half_line",
     "error_integrand",
     "error_integral_tail_bound",
     "lemma4_error_integral",
 ]
-
-EULER_GAMMA = 0.57721566490153286061
 
 # zeta(3/2), frozen to 20 significant digits.
 ZETA_3_HALVES = 2.6123753486854883440
@@ -43,23 +39,10 @@ _DIGAMMA_SERIES = (
     1.0 / 12.0,
 )
 
-# B_{2k}/(2k)! for the Euler-Maclaurin zeta tail, k = 1..7.
-_ZETA_EM = (
-    1.0 / 12.0,
-    -1.0 / 720.0,
-    1.0 / 30240.0,
-    -1.0 / 1209600.0,
-    1.0 / 47900160.0,
-    -691.0 / 1307674368000.0,
-    1.0 / 74724249600.0,
-)
-
-
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
     abs_error_estimate: float
-    truncation_point: float
 
 
 def digamma(x: float) -> float:
@@ -80,22 +63,6 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - series
 
 
-def zeta_real(s: float, n_terms: int = 25) -> float:
-    """Riemann zeta on the real axis, s > 1, by Euler-Maclaurin."""
-    if not s > 1.0:
-        raise ValueError("zeta_real requires s > 1")
-    n = n_terms
-    total = sum(k ** (-s) for k in range(1, n))
-    total += 0.5 * n ** (-s) + n ** (1.0 - s) / (s - 1.0)
-    rising = s
-    power = n ** (-s - 1.0)
-    for k, coeff in enumerate(_ZETA_EM, start=1):
-        total += coeff * rising * power
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        power /= n * n
-    return total
-
-
 def abs_gamma_half_line(t: float) -> float:
     """|Gamma(1/2 + it)| = sqrt(pi * sech(pi t)); even in t, overflow safe."""
     at = abs(t)
@@ -112,8 +79,14 @@ _TRAPEZOID_STEP = 1.0 / 32.0
 def error_integrand(t: float) -> float:
     """Integrand of the smoothing-error integral, prefactor included.
 
-    (25/4 + t^2)^(3/4) is |5/2 + it|^(3/2), the convexity bound's growth
-    on the half line.
+    The first two factors are the t-dependence of the Phragmen-Lindelof
+    (Rademacher) convexity bounds on the half line,
+
+        |L(Sym^2, 1/2+it)| <= zeta(3/2)^3 sqrt(n2/8pi^3) (25/4+t^2)^(3/4),
+        |zeta(1/2+it)|     <= zeta(3/2)/sqrt(2pi) sqrt(9/4+t^2),
+
+    and the prefactor zeta(3/2)^4/(4 pi^2) is the product of their
+    constants without the sqrt(n2).
     """
     poly = (
         (6.25 + t * t) ** 0.75
@@ -126,14 +99,17 @@ def error_integrand(t: float) -> float:
 
 
 def error_integral_tail_bound(t0: float) -> float:
-    """Upper bound for the integral of error_integrand over [t0, inf).
+    """Upper bound for the integral of error_integrand over [t0, inf), t0 >= 20.
 
-    For t >= 10 the integrand is below prefactor * 2.6 * e^{-1.3 t}:
-    the algebraic factors are at most 2.6 t^{1.51} and
-    t^{1.51} e^{-pi t/2} <= e^{-1.3 t} there.
+    The bound integrates the envelope prefactor * 2.6 * e^{-1.3 t}.  The
+    log of the integrand/envelope ratio has derivative below
+    1.51/t + 1/(4t^3) + pi e^{-2 pi t} - (pi/2 - 1.3), which is negative
+    for t above about 6, and the ratio is 0.40 at t = 20, so the envelope
+    dominates on [20, inf).  It does not below t = 15.09: the ratio is
+    2.2 at t = 10.
     """
-    if t0 < 10.0:
-        raise ValueError("tail bound only valid for t0 >= 10")
+    if t0 < 20.0:
+        raise ValueError("tail bound only valid for t0 >= 20")
     return _ERROR_PREFACTOR * 2.6 * math.exp(-1.3 * t0) / 1.3
 
 
@@ -158,7 +134,6 @@ def lemma4_error_integral() -> QuadratureResult:
     result = QuadratureResult(
         value=fine + tail,
         abs_error_estimate=abs(fine - coarse) + tail + 32.0 * math.ulp(fine),
-        truncation_point=_ERROR_TRUNCATION,
     )
     if not result.value > 0.0 or not math.isfinite(result.value):
         raise ArithmeticError("quadrature failed to produce a finite positive value")

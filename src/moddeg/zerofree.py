@@ -30,6 +30,7 @@ from .specfun import digamma
 
 __all__ = [
     "MIN_CERTIFIED_N2",
+    "MAX_CERTIFIED_N2",
     "RegionConstants",
     "Waypoint",
     "CertReport",
@@ -49,6 +50,9 @@ __all__ = [
 
 # Standing assumption of every certification: n2 >= 142 (conductor >= 20000).
 MIN_CERTIFIED_N2 = 142
+# The chains run in doubles, and Lemma 4's 4000000.0 * n2 overflows above
+# about 4.5e301.
+MAX_CERTIFIED_N2 = 10**300
 
 SQRT2 = math.sqrt(2.0)
 
@@ -105,8 +109,7 @@ class RegionConstants:
     """Zero-free region data for one case.
 
     eta(delta) is the smaller positive root of the case quadratic
-    a2(delta) x^2 + a1(delta) x + a0; sigma_max(n2) is the extremal
-    evaluation point 1 + eta(delta_max)*delta_max / log(n2/C).
+    a2(delta) x^2 + a1(delta) x + a0.
     """
 
     case_tag: str
@@ -125,9 +128,6 @@ class RegionConstants:
 
     def eta(self, delta: float) -> float:
         return eta_smaller_root(*self.quadratic_coefficients(delta))
-
-    def sigma_max(self, n2: int) -> float:
-        return 1.0 + self.eta_delta_max / math.log(n2 / self.c_param)
 
 
 def eta_smaller_root(a2: float, a1: float, a0: float) -> float:
@@ -184,8 +184,11 @@ def region_cm_zeta3() -> RegionConstants:
 
 
 def _n2_value(n2: int) -> int:
+    """n2, checked against the certified range [142, 10**300]."""
     if n2 < MIN_CERTIFIED_N2:
         raise ValueError(f"n2 = {n2} is below the certified minimum {MIN_CERTIFIED_N2}")
+    if n2 > MAX_CERTIFIED_N2:
+        raise ValueError("n2 is above the certified maximum 10**300")
     return n2
 
 

@@ -5,11 +5,10 @@ import pytest
 from moddeg import CurveModel, derive_invariants, period_data
 from moddeg.lvalue import (
     lemma4_certify,
-    rademacher_line_bounds,
     symsq_lower_bound,
     symsq_value_estimate,
 )
-from moddeg.specfun import ZETA_3_HALVES
+from moddeg.zerofree import MAX_CERTIFIED_N2
 
 N2_LADDER = [142, 10**3, 10**6, 10**12, 10**18]
 
@@ -25,34 +24,12 @@ class TestSymsqLowerBound:
     def test_precondition(self):
         with pytest.raises(ValueError):
             symsq_lower_bound(100)
+        with pytest.raises(ValueError, match="above the certified maximum"):
+            symsq_lower_bound(MAX_CERTIFIED_N2 + 1)
 
     def test_strictly_decreasing(self):
         values = [symsq_lower_bound(n2) for n2 in N2_LADDER]
         assert all(b < a for a, b in zip(values, values[1:]))
-
-
-class TestRademacherLineBounds:
-    def test_at_zero(self):
-        bounds = rademacher_line_bounds(0.0, 142)
-        # independent re-derivation of the closed forms
-        symsq = ZETA_3_HALVES**3 * math.sqrt(142 / (8 * math.pi**3)) * (2.5) ** 1.5
-        zeta = ZETA_3_HALVES * 1.5 / math.sqrt(2 * math.pi)
-        assert bounds.symsq_halfline == pytest.approx(symsq, rel=1e-12)
-        assert bounds.zeta_halfline == pytest.approx(zeta, rel=1e-12)
-        assert bounds.zeta_halfline == pytest.approx(1.5632, abs=1e-3)
-
-    def test_monotone_in_t(self):
-        ts = [0.0, 0.5, 1.0, 3.0, 10.0]
-        for small, large in zip(ts, ts[1:]):
-            lo = rademacher_line_bounds(small, 142)
-            hi = rademacher_line_bounds(large, 142)
-            assert hi.symsq_halfline >= lo.symsq_halfline
-            assert hi.zeta_halfline >= lo.zeta_halfline
-
-    def test_even_in_t(self):
-        lo = rademacher_line_bounds(-2.0, 500)
-        hi = rademacher_line_bounds(2.0, 500)
-        assert lo == hi
 
 
 def _values(n2: int) -> dict[str, float]:
@@ -83,6 +60,12 @@ class TestLemma4Certify:
             assert v["x_power"] == pytest.approx(identity, rel=1e-12)
             assert v["x_power"] <= math.exp(4.2 / 25.0) <= 1.19
 
+    def test_chain_is_checked_against_symsq_lower_bound(self):
+        for n2 in N2_LADDER:
+            v = _values(n2)
+            chain = (math.exp(-1e-6) - 0.01) / (v["x_power"] * v["gamma_one_minus_b"])
+            assert v["chain_slack"] == chain - symsq_lower_bound(n2)
+
     def test_ladder_passes(self):
         for n2 in N2_LADDER:
             assert lemma4_certify(n2).overall_pass
@@ -96,6 +79,11 @@ class TestLemma4Certify:
     def test_precondition(self):
         with pytest.raises(ValueError):
             lemma4_certify(141)
+        # the limit keeps 4000000.0 * n2 finite; it overflows from about 4.5e301
+        for n2 in (MAX_CERTIFIED_N2 + 1, 10**302, 10**400):
+            with pytest.raises(ValueError, match="above the certified maximum"):
+                lemma4_certify(n2)
+        assert lemma4_certify(MAX_CERTIFIED_N2).overall_pass
 
 
 class TestEulerProductEstimate:

@@ -7,8 +7,10 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from moddeg.cli import main
+from moddeg.cli import _verification_rows, main
 from moddeg.curves import factorize
 from moddeg.report import (
     build_report,
@@ -17,6 +19,7 @@ from moddeg.report import (
     parse_record,
     squared_primes,
 )
+from moddeg.zerofree import MAX_CERTIFIED_N2, MIN_CERTIFIED_N2
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -214,8 +217,12 @@ class TestGolden:
         assert "".join(out) == (GOLDEN / "invariants_tables.golden.jsonl").read_text()
 
 
-def test_cli_import_loads_no_numpy_or_scipy():
-    code = "import moddeg.cli, sys; print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+# Test oracles only: the runtime is the standard library.
+TEST_ORACLES = ("numpy", "scipy", "mpmath", "sympy")
+
+
+def test_cli_import_loads_no_test_oracle():
+    code = f"import moddeg.cli, sys; print(sorted(m for m in {TEST_ORACLES!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -395,6 +402,15 @@ class TestCliBound:
         doc = json.loads(dst.read_text())
         assert doc["n2"] == {"value": 2, "source": "supplied"}
 
+    def test_n2_flag_has_no_upper_limit(self, tmp_path):
+        # bound never runs the certification chains, so their limit is not its own
+        src = tmp_path / "in.jsonl"
+        dst = tmp_path / "out.jsonl"
+        src.write_text('{"a": [0,0,1,-1,0], "conductor": 37}\n')
+        n2 = 10 * MAX_CERTIFIED_N2
+        assert main(["bound", "--input", str(src), "--output", str(dst), "--n2", str(n2)]) == 0
+        assert json.loads(dst.read_text())["n2"] == {"value": str(n2), "source": "supplied"}
+
     def test_deterministic_output(self, tmp_path, bundled_records):
         src = tmp_path / "in.jsonl"
         src.write_text("\n".join(json.dumps(r) for r in bundled_records) + "\n")
@@ -449,6 +465,29 @@ class TestCliVerifyLemmas:
             captured = capsys.readouterr()
             assert "argument --n2" in captured.err and ">= 142" in captured.err
             assert not captured.out
+
+    def test_n2_above_maximum_is_an_input_error(self, capsys):
+        for value in (MAX_CERTIFIED_N2 + 1, 10**302, 10**400):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify-lemmas", "--n2", str(value)])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "argument --n2" in captured.err and "10**300" in captured.err
+            assert not captured.out
+
+    def test_n2_maximum_accepted(self, capsys):
+        assert main(["verify-lemmas", "--json", "--n2", str(MAX_CERTIFIED_N2)]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(min_value=math.log(MIN_CERTIFIED_N2), max_value=math.log(MAX_CERTIFIED_N2)))
+    @example(math.log(MIN_CERTIFIED_N2))
+    @example(math.log(MAX_CERTIFIED_N2))
+    def test_every_row_passes_over_the_certified_range(self, log_n2):
+        # n2 log-uniform over [142, 10**300]
+        n2 = min(max(round(math.exp(log_n2)), MIN_CERTIFIED_N2), MAX_CERTIFIED_N2)
+        failed = [row["name"] for row in _verification_rows(n2) if not row["pass"]]
+        assert not failed, (n2, failed)
 
     def test_json_big_n2_is_decimal_string(self, capsys):
         n2 = 2**53 + 1

@@ -7,6 +7,7 @@ import sympy as sp
 
 from moddeg.specfun import digamma
 from moddeg.zerofree import (
+    MAX_CERTIFIED_N2,
     MIN_CERTIFIED_N2,
     QI_COS_COEFFS,
     CertReport,
@@ -56,7 +57,6 @@ class TestRegionConstants:
         assert region.delta_max == pytest.approx(0.040408, abs=5e-6)
         assert region.eta_delta_max == pytest.approx(0.1797959, abs=1e-6)
         assert region.c_param == 96
-        assert region.sigma_max(142) == pytest.approx(1.45927, abs=1e-5)
 
     def test_cm_qi(self):
         region = region_cm_qi()
@@ -64,14 +64,12 @@ class TestRegionConstants:
         assert region.eta_delta_max == pytest.approx(math.sqrt(2.0) * (2.0**0.25 - 1.0), rel=1e-15)
         assert region.eta_delta_max == pytest.approx(0.2675793, abs=1e-6)
         assert region.c_param == 100
-        assert region.sigma_max(142) == pytest.approx(1.7631, abs=1e-4)
 
     def test_cm_zeta3(self):
         region = region_cm_zeta3()
         assert region.delta_max == pytest.approx(0.0592669, abs=1e-6)
         assert region.eta_delta_max == pytest.approx((6 * math.sqrt(2014) - 212) / 261, rel=1e-15)
         assert region.c_param == 64
-        assert region.sigma_max(142) == pytest.approx(1.2753, abs=1e-4)
 
     def test_delta_max_below_006(self):
         for region in (region_noncm(), region_cm_qi(), region_cm_zeta3()):
@@ -192,6 +190,9 @@ class TestCertifications:
     def test_precondition(self, certify):
         with pytest.raises(ValueError, match="below the certified minimum"):
             certify(MIN_CERTIFIED_N2 - 1)
+        with pytest.raises(ValueError, match="above the certified maximum"):
+            certify(MAX_CERTIFIED_N2 + 1)
+        assert certify(MAX_CERTIFIED_N2).overall_pass
 
 
 class TestTrigPoly:
