@@ -1,9 +1,9 @@
 """Certify every explicit constant behind the degree bounds.
 
 Runs the three zero-free-region contradiction chains, the L-value chain,
-and the shared machinery (cosine polynomials, the quintic weight
-optimum), printing each waypoint against its certified bound.  This is
-the library view of what `moddeg verify-lemmas` prints.
+and the shared machinery (the Q(zeta3) cosine polynomial's exact weights,
+the quintic weight optimum), printing each waypoint against its certified
+bound.  This is the library view of what `moddeg verify-lemmas` prints.
 """
 
 from fractions import Fraction
@@ -16,7 +16,6 @@ from moddeg import (
     quintic_beta_optimum,
     trig_poly_expand,
 )
-from moddeg.zerofree import cos_poly_min_on_grid
 
 N2 = 142  # the smallest certified symmetric-square conductor
 
@@ -31,9 +30,6 @@ def show(case_name, waypoints):
 
 for cert in (certify_noncm(N2), certify_cm_qi(N2), certify_cm_zeta3(N2)):
     show(f"zero-free region, case {cert.case_tag} (n2 = {N2}):", cert.waypoints)
-    for note in cert.notes:
-        print(f"   note: {note}")
-        print()
 
 l4 = lemma4_certify(N2)
 show(f"L-value lower bound 0.033/log(n2) (n2 = {N2}):", l4.waypoints)
@@ -44,6 +40,4 @@ print()
 # the cosine polynomial machinery of the Q(zeta3) case
 coeffs = trig_poly_expand(Fraction(5, 2))
 print(f"(1+cos t)(1+(5/2)cos t)^2 = {coeffs[0]} + {coeffs[1]} cos t + {coeffs[2]} cos 2t + {coeffs[3]} cos 3t")
-print(f"   minimum on a 10^4-point grid: {cos_poly_min_on_grid(coeffs):.3e} (nonnegative)")
-quintic = quintic_beta_optimum()
-print(f"   optimal weight beta* = {quintic.beta_star:.9f} (5/2 loses little)")
+print(f"   optimal weight beta* = {quintic_beta_optimum():.9f} (5/2 loses little)")

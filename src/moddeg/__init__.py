@@ -61,19 +61,17 @@ from .specfun import (
     lemma4_error_integral,
 )
 from .zerofree import (
+    CM_QI,
+    CM_ZETA3,
+    NONCM,
     CertReport,
-    QuinticOptimum,
     RegionConstants,
     Waypoint,
     certify_cm_qi,
     certify_cm_zeta3,
     certify_noncm,
-    cos_poly_min_on_grid,
     eta_smaller_root,
     quintic_beta_optimum,
-    region_cm_qi,
-    region_cm_zeta3,
-    region_noncm,
     trig_poly_expand,
 )
 

@@ -28,6 +28,7 @@ from typing import Iterable
 
 from .fudge import FudgeFactor
 from .lvalue import L_VALUE_BOUND_NUMERATOR
+from .specfun import _bisect
 
 __all__ = [
     "Theorem1Bounds",
@@ -162,13 +163,4 @@ def crossover_check() -> float:
             - 0.5 * math.log(0.02 + math.log(log_n))
         )
 
-    lo, hi = 60.0, 120.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(g, 60.0, 120.0, 1e-12)

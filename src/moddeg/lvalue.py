@@ -50,7 +50,9 @@ def lemma4_certify(n2: int) -> CertReport:
 
         (e^(-1e-6) - 0.01) / (X^(1-b) Gamma(1-b)) >= 0.033/log n2
 
-    holds with nonnegative slack.
+    holds with nonnegative slack.  Nonpositivity of the ordinary part is
+    applied at the smoothing exponent b itself: the product L-function has
+    no zeros in [b, 1).
     """
     lower = symsq_lower_bound(n2)  # the one domain check
     log_n2 = math.log(n2)
@@ -73,14 +75,7 @@ def lemma4_certify(n2: int) -> CertReport:
         _wp("error_constant", integral.value / math.pi, "<=", 20.0),
         _wp("chain_slack", chain_value - lower, ">=", 0.0),
     )
-    return CertReport(
-        case_tag="lvalue",
-        waypoints=waypoints,
-        notes=(
-            "nonpositivity of the ordinary part is applied at the smoothing "
-            "exponent b itself (the product L-function has no zeros in [b, 1))",
-        ),
-    )
+    return CertReport(case_tag="lvalue", waypoints=waypoints)
 
 
 def symsq_value_estimate(curve: CurveModel, prime_cutoff: int) -> float:

@@ -1,7 +1,9 @@
 """Special functions needed by the certification chain.
 
 Digamma to near machine accuracy, the Gamma modulus on the critical
-line, and the smoothing-error integral of Lemma 4,
+line, the bisection behind the chain's two fixed roots (the quintic
+weight optimum and the Theorem 2 crossover), and the smoothing-error
+integral of Lemma 4,
 
     zeta(3/2)^4/(4 pi^2) * int_0^inf (25/4+t^2)^(3/4) sqrt(9/4+t^2)
         * 2 (1+t^2)^(1/200) / sqrt(1+4t^2) * sqrt(pi sech(pi t)) dt,
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "ZETA_3_HALVES",
@@ -143,3 +146,18 @@ def lemma4_error_integral() -> QuadratureResult:
 def _trapezoid(values: list[float], step: float) -> float:
     """Trapezoidal sum over equally spaced samples, endpoints included."""
     return step * (math.fsum(values[1:-1]) + 0.5 * (values[0] + values[-1]))
+
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float, rel_tol: float) -> float:
+    """The sign change of f, increasing across [lo, hi]: halve the bracket,
+    keeping lo where f < 0, until its width is rel_tol * hi (at most 200
+    halvings); returns the midpoint."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rel_tol * hi:
+            break
+    return 0.5 * (lo + hi)

@@ -12,8 +12,11 @@ CM and, if so, on the CM field:
 Each proof is a contradiction chain evaluated at the extremal point
 sigma = 1 + eta*delta/log(n2/C), with eta the smaller positive root of a
 case quadratic whose discriminant vanishes exactly at delta_max.  The
-certify_* operations recompute every waypoint of the chain and compare it
-against its certified bound.
+case table NONCM, CM_QI, CM_ZETA3 holds delta_max, C and that quadratic;
+the certify_* operations recompute every waypoint of the chain and
+compare it against its certified bound.  The cosine polynomials behind
+the chains are nonnegative by their factorisation; trig_poly_expand gives
+the exact Fourier weights of the Q(zeta_3) one.
 
 Gamma-factor sums are the s-derivatives of the log of the relevant
 Gamma-product, so arguments of the form s/2 carry a chain factor 1/2;
@@ -23,10 +26,11 @@ the certified bounds (1.74, 2.821, 153) are tight for this reading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .specfun import digamma
+from .specfun import _bisect, digamma
 
 __all__ = [
     "MIN_CERTIFIED_N2",
@@ -35,17 +39,14 @@ __all__ = [
     "Waypoint",
     "CertReport",
     "eta_smaller_root",
-    "region_noncm",
-    "region_cm_qi",
-    "region_cm_zeta3",
+    "NONCM",
+    "CM_QI",
+    "CM_ZETA3",
     "certify_noncm",
     "certify_cm_qi",
     "certify_cm_zeta3",
     "trig_poly_expand",
-    "cos_poly_value",
-    "cos_poly_min_on_grid",
     "quintic_beta_optimum",
-    "QI_COS_COEFFS",
 ]
 
 # Standing assumption of every certification: n2 >= 142 (conductor >= 20000).
@@ -55,10 +56,6 @@ MIN_CERTIFIED_N2 = 142
 MAX_CERTIFIED_N2 = 10**300
 
 SQRT2 = math.sqrt(2.0)
-
-# Fourier coefficients of (1 + sqrt(2) cos t)^2 = 2 + 2 sqrt(2) cos t + cos 2t,
-# the nonnegative cosine polynomial of the Q(i) case.
-QI_COS_COEFFS = (2.0, 2.0 * SQRT2, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,6 @@ def _wp(name: str, value: float, op: str, bound) -> Waypoint:
 class CertReport:
     case_tag: str  # "noncm" | "cm_qi" | "cm_zeta3" | "lvalue"
     waypoints: tuple[Waypoint, ...]
-    notes: tuple[str, ...] = field(default=())
 
     @property
     def overall_pass(self) -> bool:
@@ -108,26 +104,17 @@ class CertReport:
 class RegionConstants:
     """Zero-free region data for one case.
 
-    eta(delta) is the smaller positive root of the case quadratic
-    a2(delta) x^2 + a1(delta) x + a0.
+    quadratic(delta) gives the coefficients (a2, a1, a0) of the case
+    quadratic a2 x^2 + a1 x + a0, whose discriminant vanishes at
+    delta_max; eta(delta) is its smaller positive root.
     """
 
-    case_tag: str
     delta_max: float
     c_param: int
-    eta_delta_max: float
-
-    def quadratic_coefficients(self, delta: float) -> tuple[float, float, float]:
-        if self.case_tag == "noncm":
-            return 2.5 * delta, 2.5 * delta - 1.0, 2.0
-        if self.case_tag == "cm_qi":
-            return delta * SQRT2, delta * SQRT2 - 2.0 * SQRT2 + 2.0, 2.0
-        if self.case_tag == "cm_zeta3":
-            return 261.0 * delta, 261.0 * delta - 130.0, 212.0
-        raise ValueError(f"unknown case {self.case_tag!r}")
+    quadratic: Callable[[float], tuple[float, float, float]]
 
     def eta(self, delta: float) -> float:
-        return eta_smaller_root(*self.quadratic_coefficients(delta))
+        return eta_smaller_root(*self.quadratic(delta))
 
 
 def eta_smaller_root(a2: float, a1: float, a0: float) -> float:
@@ -154,33 +141,21 @@ def eta_smaller_root(a2: float, a1: float, a0: float) -> float:
     return lo
 
 
-def region_noncm() -> RegionConstants:
-    s6 = math.sqrt(6.0)
-    return RegionConstants(
-        case_tag="noncm",
-        delta_max=2.0 * (5.0 - 2.0 * s6) / 5.0,
-        c_param=96,
-        eta_delta_max=2.0 * (s6 - 2.0) / 5.0,
-    )
-
-
-def region_cm_qi() -> RegionConstants:
-    return RegionConstants(
-        case_tag="cm_qi",
-        delta_max=SQRT2 + 2.0 - 2.0**1.75,
-        c_param=100,
-        eta_delta_max=SQRT2 * (2.0**0.25 - 1.0),
-    )
-
-
-def region_cm_zeta3() -> RegionConstants:
-    s2014 = math.sqrt(2014.0)
-    return RegionConstants(
-        case_tag="cm_zeta3",
-        delta_max=(554.0 - 12.0 * s2014) / 261.0,
-        c_param=64,
-        eta_delta_max=(6.0 * s2014 - 212.0) / 261.0,
-    )
+NONCM = RegionConstants(  # Lemma 2
+    delta_max=2.0 * (5.0 - 2.0 * math.sqrt(6.0)) / 5.0,
+    c_param=96,
+    quadratic=lambda d: (2.5 * d, 2.5 * d - 1.0, 2.0),
+)
+CM_QI = RegionConstants(  # Lemma 3, case I
+    delta_max=SQRT2 + 2.0 - 2.0**1.75,
+    c_param=100,
+    quadratic=lambda d: (d * SQRT2, d * SQRT2 - 2.0 * SQRT2 + 2.0, 2.0),
+)
+CM_ZETA3 = RegionConstants(  # Lemma 3, case II
+    delta_max=(554.0 - 12.0 * math.sqrt(2014.0)) / 261.0,
+    c_param=64,
+    quadratic=lambda d: (261.0 * d, 261.0 * d - 130.0, 212.0),
+)
 
 
 def _n2_value(n2: int) -> int:
@@ -193,8 +168,9 @@ def _n2_value(n2: int) -> int:
 
 
 def _extremal_points(region: RegionConstants, n2: int) -> tuple[float, float]:
-    """sigma and sigma - (1 - beta) at the chain's extremal parameters."""
-    log_ratio = math.log(n2 / region.c_param)
+    """sigma and sigma - (1 - beta) at the chain's extremal parameters,
+    for an n2 in the certified range."""
+    log_ratio = math.log(_n2_value(n2) / region.c_param)
     delta = region.delta_max
     eta = region.eta(delta)
     sigma = 1.0 + eta * delta / log_ratio
@@ -202,11 +178,11 @@ def _extremal_points(region: RegionConstants, n2: int) -> tuple[float, float]:
     return sigma, sigma_shift
 
 
-def _quadratic_disc_rel(region: RegionConstants) -> float:
-    """Discriminant of the case quadratic at delta_max, relative scale."""
-    a2, a1, a0 = region.quadratic_coefficients(region.delta_max)
-    disc = a1 * a1 - 4.0 * a2 * a0
-    return abs(disc) / max(a1 * a1, abs(4.0 * a2 * a0))
+def _endpoint_disc(region: RegionConstants) -> tuple[float, float]:
+    """The discriminant of the case quadratic at delta_max, and its scale
+    max(a1^2, |4 a2 a0|)."""
+    a2, a1, a0 = region.quadratic(region.delta_max)
+    return a1 * a1 - 4.0 * a2 * a0, max(a1 * a1, abs(4.0 * a2 * a0))
 
 
 def certify_noncm(n2: int) -> CertReport:
@@ -216,9 +192,8 @@ def certify_noncm(n2: int) -> CertReport:
     Gamma(s+2), so its log-derivative is 1.5 psi(s/2) + 4 psi(s+1)
     + 1.5 psi((s+1)/2) + psi(s+2).
     """
-    n2v = _n2_value(n2)
-    region = region_noncm()
-    sigma, sigma_shift = _extremal_points(region, n2v)
+    sigma, sigma_shift = _extremal_points(NONCM, n2)
+    disc, scale = _endpoint_disc(NONCM)
 
     gamma_sum = (
         1.5 * digamma(sigma / 2.0)
@@ -234,16 +209,13 @@ def certify_noncm(n2: int) -> CertReport:
 
     waypoints = (
         _wp("sigma_max", sigma, "<=", 1.46),
-        _wp("quadratic_disc_rel", _quadratic_disc_rel(region), "abs<=", 1e-12),
+        _wp("quadratic_disc_rel", abs(disc) / scale, "abs<=", 1e-12),
         _wp("gamma_factor_sum", gamma_sum, "<=", 1.74),
         _wp("middle_term", middle, "<=", -0.84),
         _wp("log_32_pi8", log_32_pi8, "in", (12.62, 12.63)),
         _wp("contradiction_total", total, "<=", -0.30),
     )
-    return CertReport(
-        case_tag="noncm",
-        waypoints=waypoints,
-    )
+    return CertReport(case_tag="noncm", waypoints=waypoints)
 
 
 def certify_cm_qi(n2: int) -> CertReport:
@@ -253,17 +225,17 @@ def certify_cm_qi(n2: int) -> CertReport:
     factor, plus 2 sqrt(2) psi(s+1) + psi(s+2).  The fourth symmetric
     power has the same conductor as the square, n4 = n2, since all the
     relevant inertia groups are C2, C4 or Q8.
+
+    The region statement takes C = 64 for all CM cases; this chain is
+    certified with its own C = 100, which yields the weaker stated region.
     """
-    n2v = _n2_value(n2)
-    region = region_cm_qi()
-    sigma, sigma_shift = _extremal_points(region, n2v)
+    sigma, sigma_shift = _extremal_points(CM_QI, n2)
 
     gamma_sum = digamma(sigma / 2.0) + 2.0 * SQRT2 * digamma(sigma + 1.0) + digamma(sigma + 2.0)
     middle = 2.0 / sigma - 2.0 * SQRT2 / sigma_shift
     # -(2 log(1/pi) + 2 sqrt(2) log(1/4pi)), certified as 9.448 +- 0.001.
     const_block = 2.0 * math.log(math.pi) + 2.0 * SQRT2 * math.log(4.0 * math.pi)
-    delta = region.delta_max
-    endpoint_disc = (delta * SQRT2 - 2.0 * SQRT2 + 2.0) ** 2 - 8.0 * SQRT2 * delta
+    endpoint_disc, _ = _endpoint_disc(CM_QI)
     total = -0.612 - 9.448 + 2.821 + SQRT2 * math.log(100.0)
 
     waypoints = (
@@ -274,14 +246,7 @@ def certify_cm_qi(n2: int) -> CertReport:
         _wp("constant_block", const_block, "in", (9.448 - 0.001, 9.448 + 0.001)),
         _wp("contradiction_total", total, "<=", -0.726),
     )
-    return CertReport(
-        case_tag="cm_qi",
-        waypoints=waypoints,
-        notes=(
-            "region statement takes C=64 for all CM cases; the Q(i) chain is "
-            "certified with its own C=100, which yields the weaker stated region",
-        ),
-    )
+    return CertReport(case_tag="cm_qi", waypoints=waypoints)
 
 
 def certify_cm_zeta3(n2: int) -> CertReport:
@@ -291,9 +256,8 @@ def certify_cm_zeta3(n2: int) -> CertReport:
     The fourth and sixth symmetric powers have conductors n4 = n6 = n2^2,
     except when 3^3 exactly divides the conductor, where n6 = 9 n4 = n2^2.
     """
-    n2v = _n2_value(n2)
-    region = region_cm_zeta3()
-    sigma, sigma_shift = _extremal_points(region, n2v)
+    sigma, sigma_shift = _extremal_points(CM_ZETA3, n2)
+    disc, scale = _endpoint_disc(CM_ZETA3)
 
     gamma_sum = (
         53.0 * digamma(sigma / 2.0)
@@ -315,7 +279,7 @@ def certify_cm_zeta3(n2: int) -> CertReport:
 
     waypoints = (
         _wp("sigma_max", sigma, "<=", 1.28),
-        _wp("quadratic_disc_rel", _quadratic_disc_rel(region), "abs<=", 1e-12),
+        _wp("quadratic_disc_rel", abs(disc) / scale, "abs<=", 1e-12),
         _wp("gamma_factor_sum", gamma_sum, "<", 153.0),
         _wp("middle_term", middle, "<=", -59.0),
         _wp("constant_block", const_block, "in", (-645.0, -644.0)),
@@ -323,10 +287,7 @@ def certify_cm_zeta3(n2: int) -> CertReport:
         _wp("trig_poly_exact", 1.0 if trig_exact else 0.0, ">=", 1.0),
         _wp("contradiction_total", total, "<=", -7.0),
     )
-    return CertReport(
-        case_tag="cm_zeta3",
-        waypoints=waypoints,
-    )
+    return CertReport(case_tag="cm_zeta3", waypoints=waypoints)
 
 
 def trig_poly_expand(beta: Fraction | int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -343,17 +304,6 @@ def trig_poly_expand(beta: Fraction | int) -> tuple[Fraction, Fraction, Fraction
     return (c0, c1, c2, c3)
 
 
-def cos_poly_value(coeffs, theta: float) -> float:
-    """Evaluate sum_k c_k cos(k theta)."""
-    return sum(float(c) * math.cos(k * theta) for k, c in enumerate(coeffs))
-
-
-def cos_poly_min_on_grid(coeffs, n_points: int = 10_000) -> float:
-    """Minimum of the cosine polynomial over an n-point grid on [0, pi]."""
-    step = math.pi / max(n_points - 1, 1)
-    return min(cos_poly_value(coeffs, i * step) for i in range(n_points))
-
-
 _QUINTIC = (1.0, -25.0, -4.0, 30.0, 19.0, 3.0)
 
 
@@ -364,29 +314,13 @@ def _quintic_value(x: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class QuinticOptimum:
-    root: float
-    beta_star: float
-    residual: float
-
-
-def quintic_beta_optimum() -> QuinticOptimum:
-    """Smallest positive root of x^5 - 25x^4 - 4x^3 + 30x^2 + 19x + 3,
-    bracketed in (0, 2) and bisected; beta_star is twice the root.
+def quintic_beta_optimum() -> float:
+    """beta_star, twice the smallest positive root of
+    x^5 - 25x^4 - 4x^3 + 30x^2 + 19x + 3, bisected in (1, 2), where the
+    quintic falls from +24 to -239 and crosses zero once.
 
     beta_star is the weight for which the cubic cosine polynomial gives
     the best region constant; beta = 5/2 loses little and keeps the
     integer weights.
     """
-    lo, hi = 1.0, 2.0  # value is +24 at 1 and -239 at 2; single crossing
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _quintic_value(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    root = 0.5 * (lo + hi)
-    return QuinticOptimum(root=root, beta_star=2.0 * root, residual=_quintic_value(root))
+    return 2.0 * _bisect(lambda x: -_quintic_value(x), 1.0, 2.0, 1e-16)

@@ -22,11 +22,11 @@ from moddeg.fudge import twist_growth_check
 from moddeg.report import build_report, parse_record
 from moddeg.specfun import lemma4_error_integral
 from moddeg.zerofree import (
+    CM_QI,
     certify_cm_qi,
     certify_cm_zeta3,
     certify_noncm,
     quintic_beta_optimum,
-    region_cm_qi,
 )
 from fractions import Fraction
 
@@ -101,7 +101,7 @@ def test_criterion_3_noncm_certification():
 def test_criterion_4_qi_certification():
     report = certify_cm_qi(142)
     wp = {w.name: w for w in report.waypoints}
-    delta = region_cm_qi().delta_max
+    delta = CM_QI.delta_max
     s2 = math.sqrt(2.0)
     endpoint = (delta * s2 - 2.0 * s2 + 2.0) ** 2 - 8.0 * s2 * delta
     ok = (
@@ -132,11 +132,11 @@ def test_criterion_5_zeta3_certification():
         Fraction(90, 16),
         Fraction(25, 16),
     )
-    quintic = quintic_beta_optimum()
+    beta_star = quintic_beta_optimum()
     ok = (
         report.overall_pass
         and exact
-        and abs(quintic.beta_star - 2.629152166) <= 1e-8
+        and abs(beta_star - 2.629152166) <= 1e-8
         and wp["sigma_max"].value <= 1.28
         and wp["gamma_factor_sum"].value < 153.0
         and wp["contradiction_total"].value <= -7.0
@@ -144,7 +144,7 @@ def test_criterion_5_zeta3_certification():
     _report(
         "criterion 5 (Q(zeta3) chain)",
         ok,
-        f"trig exact={exact}, beta*={quintic.beta_star:.9f}, sigma={wp['sigma_max'].value:.5f}, "
+        f"trig exact={exact}, beta*={beta_star:.9f}, sigma={wp['sigma_max'].value:.5f}, "
         f"gamma={wp['gamma_factor_sum'].value:.3f}, total={wp['contradiction_total'].value:.4f}",
     )
 

@@ -208,6 +208,10 @@ class TestGolden:
         assert main(["verify-lemmas", "--json"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "verify_lemmas.golden.json").read_text()
 
+    def test_verify_lemmas_text(self, capsys):
+        assert main(["verify-lemmas"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "verify_lemmas.golden.txt").read_text()
+
     def test_invariants_on_table_curves(self, capsys, bundled_records):
         out = []
         for record in bundled_records:
@@ -272,6 +276,14 @@ class TestCliInvariants:
         proc = run_cli("invariants", "--a", "0,0,0,0,0")
         assert proc.returncode == 2
         assert "singular" in proc.stderr
+
+    @pytest.mark.parametrize("exponent", [103, 200])
+    def test_huge_coefficient_is_an_input_error(self, exponent):
+        # the |disc| of such a model does not fit in a double
+        proc = run_cli("invariants", "--a", f"0,0,0,-{10**exponent},0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
     def test_malformed_a(self):
         # the record rule for "a": JSON integers only, so no underscore,

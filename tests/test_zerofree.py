@@ -7,25 +7,54 @@ import sympy as sp
 
 from moddeg.specfun import digamma
 from moddeg.zerofree import (
+    CM_QI,
+    CM_ZETA3,
     MAX_CERTIFIED_N2,
     MIN_CERTIFIED_N2,
-    QI_COS_COEFFS,
+    NONCM,
     CertReport,
+    _endpoint_disc,
     _wp,
     certify_cm_qi,
     certify_cm_zeta3,
     certify_noncm,
-    cos_poly_min_on_grid,
-    cos_poly_value,
     eta_smaller_root,
     quintic_beta_optimum,
-    region_cm_qi,
-    region_cm_zeta3,
-    region_noncm,
     trig_poly_expand,
 )
 
 N2_LADDER = [142, 143, 1000, 10**6, 10**12]
+
+# The case table in exact arithmetic: the region, its delta_max, its case
+# quadratic (a2, a1, a0) as a function of delta, and the closed form of
+# eta * delta at delta_max.
+S2 = sp.sqrt(2)
+EXACT_CASES = [
+    (
+        NONCM,
+        2 * (5 - 2 * sp.sqrt(6)) / 5,
+        lambda d: (sp.Rational(5, 2) * d, sp.Rational(5, 2) * d - 1, 2),
+        2 * (sp.sqrt(6) - 2) / 5,
+    ),
+    (
+        CM_QI,
+        S2 + 2 - 2 ** sp.Rational(7, 4),
+        lambda d: (S2 * d, S2 * d - 2 * S2 + 2, 2),
+        S2 * (2 ** sp.Rational(1, 4) - 1),
+    ),
+    (
+        CM_ZETA3,
+        (554 - 12 * sp.sqrt(2014)) / 261,
+        lambda d: (261 * d, 261 * d - 130, 212),
+        (6 * sp.sqrt(2014) - 212) / 261,
+    ),
+]
+CASE_IDS = ["noncm", "cm_qi", "cm_zeta3"]
+
+
+def eta_delta_max(region) -> float:
+    """The closed form of eta * delta at the region's delta_max."""
+    return next(float(closed) for exact_region, _, _, closed in EXACT_CASES if exact_region is region)
 
 
 class TestEtaSmallerRoot:
@@ -34,7 +63,7 @@ class TestEtaSmallerRoot:
         assert eta_smaller_root(0.1, -0.9, 2.0) == pytest.approx(4.0, rel=1e-12)
 
     def test_endpoint_double_root(self):
-        region = region_noncm()
+        region = NONCM
         d = region.delta_max
         eta = region.eta(d)
         assert eta == pytest.approx((2.0 - 5.0 * d) / (10.0 * d), rel=1e-9)
@@ -51,43 +80,53 @@ class TestEtaSmallerRoot:
 
 class TestRegionConstants:
     def test_noncm(self):
-        region = region_noncm()
+        region = NONCM
         s6 = math.sqrt(6.0)
         assert region.delta_max == pytest.approx(2.0 * (5.0 - 2.0 * s6) / 5.0, rel=1e-15)
         assert region.delta_max == pytest.approx(0.040408, abs=5e-6)
-        assert region.eta_delta_max == pytest.approx(0.1797959, abs=1e-6)
+        assert region.eta(region.delta_max) * region.delta_max == pytest.approx(0.1797959, abs=1e-6)
         assert region.c_param == 96
 
     def test_cm_qi(self):
-        region = region_cm_qi()
+        region = CM_QI
         assert region.delta_max == pytest.approx(0.050628, abs=5e-6)
-        assert region.eta_delta_max == pytest.approx(math.sqrt(2.0) * (2.0**0.25 - 1.0), rel=1e-15)
-        assert region.eta_delta_max == pytest.approx(0.2675793, abs=1e-6)
+        assert region.eta(region.delta_max) * region.delta_max == pytest.approx(0.2675793, abs=1e-6)
         assert region.c_param == 100
 
     def test_cm_zeta3(self):
-        region = region_cm_zeta3()
+        region = CM_ZETA3
         assert region.delta_max == pytest.approx(0.0592669, abs=1e-6)
-        assert region.eta_delta_max == pytest.approx((6 * math.sqrt(2014) - 212) / 261, rel=1e-15)
+        assert region.eta(region.delta_max) * region.delta_max == pytest.approx(0.2194087, abs=1e-6)
         assert region.c_param == 64
 
     def test_delta_max_below_006(self):
-        for region in (region_noncm(), region_cm_qi(), region_cm_zeta3()):
+        for region in (NONCM, CM_QI, CM_ZETA3):
             assert 0.0 < region.delta_max < 0.06
 
     def test_quadratic_discriminant_vanishes(self):
-        # closed-form identities: 25 d^2 - 100 d + 4 = 0 and friends
-        for region in (region_noncm(), region_cm_qi(), region_cm_zeta3()):
-            a2, a1, a0 = region.quadratic_coefficients(region.delta_max)
-            disc = a1 * a1 - 4.0 * a2 * a0
-            assert abs(disc) <= 1e-12 * max(a1 * a1, abs(4.0 * a2 * a0))
+        for region in (NONCM, CM_QI, CM_ZETA3):
+            disc, scale = _endpoint_disc(region)
+            assert abs(disc) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("case", EXACT_CASES, ids=CASE_IDS)
+    def test_delta_max_identities_exact(self, case):
+        region, delta, quadratic, closed = case
+        a2, a1, a0 = quadratic(delta)
+        # a double root at delta_max, and that root times delta_max is the closed form
+        assert sp.simplify(a1**2 - 4 * a2 * a0) == 0
+        assert sp.simplify(-a1 / (2 * a2) * delta - closed) == 0
+        # the doubles of the case table are those exact quantities
+        assert region.delta_max == pytest.approx(float(delta), rel=1e-15)
+        for d in (delta / 3, delta):
+            assert region.quadratic(float(d)) == pytest.approx([float(c) for c in quadratic(d)], rel=1e-15)
+        assert region.eta(region.delta_max) * region.delta_max == pytest.approx(float(closed), rel=1e-15)
 
     def test_eta_delta_monotone_to_endpoint(self):
-        for region in (region_noncm(), region_cm_qi(), region_cm_zeta3()):
+        for region in (NONCM, CM_QI, CM_ZETA3):
             deltas = np.linspace(region.delta_max / 50.0, region.delta_max, 50)
             products = [d * region.eta(d) for d in deltas]
             assert all(b > a for a, b in zip(products, products[1:]))
-            assert products[-1] == pytest.approx(region.eta_delta_max, rel=1e-7)
+            assert products[-1] == pytest.approx(eta_delta_max(region), rel=1e-7)
 
 
 class TestPassRule:
@@ -137,7 +176,6 @@ class TestCertifications:
         assert abs(wp["endpoint_disc"].value) <= 1e-12
         assert wp["constant_block"].value == pytest.approx(9.4482774, abs=1e-6)
         assert wp["contradiction_total"].value == pytest.approx(-0.7263059, abs=1e-6)
-        assert report.notes  # statement/proof C mismatch is recorded
 
     def test_zeta3_at_142(self):
         report = certify_cm_zeta3(142)
@@ -153,9 +191,8 @@ class TestCertifications:
     def test_gamma_sums_recomputed(self):
         # independent reassembly of the extremal evaluation points
         n2 = 142
-        region = region_noncm()
-        log_ratio = math.log(n2 / region.c_param)
-        sigma = 1.0 + region.eta_delta_max / log_ratio
+        log_ratio = math.log(n2 / NONCM.c_param)
+        sigma = 1.0 + eta_delta_max(NONCM) / log_ratio
         expected = (
             1.5 * digamma(sigma / 2)
             + 4.0 * digamma(sigma + 1)
@@ -229,48 +266,28 @@ class TestTrigPoly:
         assert sp.simplify(sp.expand_trig(product - expansion)) == 0
 
     def test_nonnegative_on_grid(self):
-        beta_star = quintic_beta_optimum().beta_star
-        for coeffs in (
-            QI_COS_COEFFS,
-            trig_poly_expand(Fraction(5, 2)),
-            _float_coeffs(beta_star),
-        ):
-            assert cos_poly_min_on_grid(coeffs, 10_000) >= -1e-12
-
-    def test_grid_minimum_matches_numpy(self):
-        theta = np.linspace(0.0, math.pi, 1001)
-        for coeffs in (QI_COS_COEFFS, trig_poly_expand(Fraction(5, 2)), (0.5, -1.0, 0.25)):
-            oracle = sum(float(c) * np.cos(k * theta) for k, c in enumerate(coeffs)).min()
-            assert cos_poly_min_on_grid(coeffs, 1001) == pytest.approx(float(oracle), abs=1e-12)
-
-    def test_value_matches_product(self):
-        coeffs = trig_poly_expand(Fraction(5, 2))
-        for theta in np.linspace(0.0, math.pi, 64):
-            direct = (1 + math.cos(theta)) * (1 + 2.5 * math.cos(theta)) ** 2
-            assert cos_poly_value(coeffs, float(theta)) == pytest.approx(direct, abs=1e-12)
-
-    def test_qi_coefficients_match_square(self):
-        # (1 + sqrt(2) cos t)^2 expands to 2 + 2 sqrt(2) cos t + cos 2t
-        for theta in np.linspace(0.0, math.pi, 64):
-            direct = (1 + math.sqrt(2) * math.cos(theta)) ** 2
-            assert cos_poly_value(QI_COS_COEFFS, float(theta)) == pytest.approx(direct, abs=1e-12)
+        # the expansion at 5/2 and at the optimal weight beta* evaluates,
+        # like the product it expands, to no negative value
+        theta = np.linspace(0.0, math.pi, 10_000)
+        for beta in (Fraction(5, 2), Fraction(quintic_beta_optimum())):
+            values = sum(float(c) * np.cos(k * theta) for k, c in enumerate(trig_poly_expand(beta)))
+            assert values.min() >= -1e-12
 
 
-def _float_coeffs(beta: float) -> tuple[float, float, float, float]:
-    b2 = beta * beta
-    return (1 + (b2 + 2 * beta) / 2, 1 + 2 * beta + 0.75 * b2, (b2 + 2 * beta) / 2, b2 / 4)
+QUINTIC = [1.0, -25.0, -4.0, 30.0, 19.0, 3.0]
 
 
 class TestQuintic:
     def test_root_and_beta(self):
-        result = quintic_beta_optimum()
-        assert abs(result.residual) < 1e-10
-        assert result.root == pytest.approx(1.314576083, abs=1e-8)
-        assert result.beta_star == pytest.approx(2.629152166, abs=1e-8)
+        beta_star = quintic_beta_optimum()
+        root = beta_star / 2.0
+        assert abs(np.polyval(QUINTIC, root)) < 1e-10
+        assert root == pytest.approx(1.314576083, abs=1e-8)
+        assert beta_star == pytest.approx(2.629152166, abs=1e-8)
 
     def test_numpy_oracle(self):
-        roots = np.roots([1.0, -25.0, -4.0, 30.0, 19.0, 3.0])
+        roots = np.roots(QUINTIC)
         positive = sorted(r.real for r in roots if abs(r.imag) < 1e-9 and r.real > 0)
         # two positive real roots; the relevant one is the smaller
         assert len(positive) == 2
-        assert quintic_beta_optimum().root == pytest.approx(positive[0], rel=1e-12)
+        assert quintic_beta_optimum() / 2.0 == pytest.approx(positive[0], rel=1e-12)
