@@ -42,12 +42,7 @@ from .curves import (
     trace_of_frobenius,
     two_torsion_roots,
 )
-from .fudge import (
-    FudgeFactor,
-    TwistGrowth,
-    fudge_factor_for,
-    twist_growth_check,
-)
+from .fudge import FudgeFactor, fudge_factor_for
 from .lvalue import (
     lemma4_certify,
     symsq_lower_bound,

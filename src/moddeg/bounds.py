@@ -130,20 +130,13 @@ def theorem2(
 class LinearBounds:
     abramovich: float  # 7N/1600, unconditional
     abramovich_selberg: float  # N/192, under the Selberg eigenvalue conjecture
-    ogg_estimate: float  # p N / (12 (p+1)^2), asymptotic heuristic only
 
 
-def linear_bounds(conductor: int, p: int) -> LinearBounds:
-    """Linear comparison bounds at a good prime p; the supersingular-count
-    estimate is a heuristic (its constant is asymptotic) and is excluded
-    from consistency checking."""
+def linear_bounds(conductor: int) -> LinearBounds:
+    """The linear comparison bounds; both enter consistency checking."""
     if conductor < 1:
         raise ValueError("conductor must be positive")
-    return LinearBounds(
-        abramovich=7.0 * conductor / 1600.0,
-        abramovich_selberg=conductor / 192.0,
-        ogg_estimate=p * conductor / (12.0 * (p + 1) ** 2),
-    )
+    return LinearBounds(abramovich=7.0 * conductor / 1600.0, abramovich_selberg=conductor / 192.0)
 
 
 def crossover_check() -> float:

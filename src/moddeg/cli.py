@@ -43,7 +43,7 @@ EXIT_INPUT_ERROR = 2
 def cmd_invariants(args: argparse.Namespace) -> int:
     try:
         doc = invariants_document(args.a)
-    except (ValueError, ArithmeticError) as exc:  # SingularCurveError; OverflowError on a huge model
+    except (ValueError, ArithmeticError) as exc:  # SingularCurveError and the too-large refusal included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return EXIT_OK if _print_or_fail(dumps_report(doc)) else EXIT_INPUT_ERROR

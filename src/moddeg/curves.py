@@ -15,6 +15,7 @@ discriminant feeding the area bound, belongs to the supplied model.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,6 +159,9 @@ def derive_invariants(curve: CurveModel) -> Invariants:
     )
 
 
+_DOUBLE_MAX = int(sys.float_info.max)
+
+
 def _torsion_poly(inv: Invariants, x: float) -> float:
     return ((4.0 * x + inv.b2) * x + 2.0 * inv.b4) * x + inv.b6
 
@@ -186,8 +190,19 @@ def two_torsion_roots(inv: Invariants) -> RootData:
     With one real root r, A = 3 r_tilde and B^2 = 3r^2 + b2 r/2 + b4/2
     satisfy 4B^2 - A^2 = 4z^2.  A model whose z^2 = B^2 - (3 r_tilde/2)^2
     does not come out positive in double precision (a complex pair too
-    close to the real axis) is refused with ValueError.
+    close to the real axis) is refused with ValueError.  So is a model
+    for which a float formed here or in Lemma 1 would leave double range.
     """
+    # Refuse the model, in exact integers, before a float leaves double
+    # range: each integer converted here or in Lemma 1 (|disc|, b2, b4, b6
+    # and c6; c4 follows), and with p and q below, p*m = -2 (-p)^(3/2) /
+    # sqrt(3) for three real roots or Cardano's (q/2)^2 = (c6/1728)^2.
+    if inv.disc_positive:
+        too_large = 4 * inv.c4**3 > 3 * 48**3 * _DOUBLE_MAX**2
+    else:
+        too_large = inv.c6**2 > 1728**2 * _DOUBLE_MAX
+    if too_large or max(inv.abs_disc, abs(inv.b2), abs(inv.b4), abs(inv.b6), abs(inv.c6)) > _DOUBLE_MAX:
+        raise ValueError('"a" gives a model too large for double precision')
     # Depressed form: with y = x + b2/12 the cubic is y^3 - (c4/48) y - c6/864.
     p = -inv.c4 / 48.0
     q = -inv.c6 / 864.0

@@ -11,9 +11,7 @@ eps_p in {-1, 0, +1} decided by congruence and divisibility rules:
 Undetermined cases fall back to eps = +1 (the smallest U_p(1)^(-1),
 hence the worst case for a lower bound) and are flagged.  p = 2 and
 p = 3 get dedicated lower bounds.  ``fudge_factor_for`` is the one entry
-point for every p.  The module also checks the twist-growth comparators
-(the degree gains more than the bound's right side under twisting by any
-odd prime).
+point for every p.
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ from .curves import Invariants, is_prime
 
 __all__ = [
     "FudgeFactor",
-    "TwistGrowth",
     "fudge_factor_for",
-    "twist_growth_check",
 ]
 
 
@@ -80,34 +76,3 @@ def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: boo
         eps, determined = _EPSILON[p % 12][not divisibility]
         u = 1.0 - eps / p
     return FudgeFactor(p=p, epsilon=eps, u_inverse_at_1=u, determined=determined)
-
-
-@dataclass(frozen=True)
-class TwistGrowth:
-    lhs_factor: float
-    rhs_factor: float
-    ok: bool
-
-
-def twist_growth_check(p: int, a_p: int, reduction: str) -> TwistGrowth:
-    """Compare degree growth against bound growth under a quadratic twist
-    by an odd prime p.
-
-    additive:        degree gains p,                 bound unchanged;
-    multiplicative:  degree gains p^2 - 1,           bound gains p^(7/6);
-    good:            degree gains (p-1)(p+1-a_p)(p+1+a_p), bound gains p^(7/3).
-    """
-    if not is_prime(p) or p < 3:
-        raise ValueError("twisting prime must be an odd prime")
-    if reduction == "additive":
-        lhs, rhs = float(p), 1.0
-    elif reduction == "multiplicative":
-        lhs, rhs = float(p * p - 1), p ** (7.0 / 6.0)
-    elif reduction == "good":
-        if a_p * a_p > 4 * p:
-            raise ValueError(f"a_p = {a_p} violates the Hasse bound at p = {p}")
-        lhs = float((p - 1) * (p + 1 - a_p) * (p + 1 + a_p))
-        rhs = p ** (7.0 / 3.0)
-    else:
-        raise ValueError(f"unknown reduction type {reduction!r}")
-    return TwistGrowth(lhs_factor=lhs, rhs_factor=rhs, ok=lhs >= rhs)

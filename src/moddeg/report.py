@@ -21,7 +21,6 @@ significant digits and writes integers above 2^53 as decimal strings.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from .bounds import (
     theorem1,
     theorem2,
 )
-from .curves import CurveModel, derive_invariants, factorize, is_cm, is_prime, two_torsion_roots
+from .curves import CurveModel, derive_invariants, factorize, is_cm, two_torsion_roots
 from .fudge import fudge_factor_for
 from .lvalue import L_VALUE_BOUND_NUMERATOR
 from .zerofree import MIN_CERTIFIED_N2
@@ -226,9 +225,7 @@ def build_report(record: CurveRecord) -> dict[str, Any]:
     formula = degree_formula_bound(n, period.omega, l_lower, [f.u_inverse_at_1 for f in fudge])
     th1 = theorem1(n, period.omega)
     th2 = theorem2(n, n2, period.omega, fudge)
-
-    good_p = next(p for p in itertools.count(2) if inv.disc % p and n % p and is_prime(p))
-    lin = linear_bounds(n, good_p)
+    lin = linear_bounds(n)
 
     certified = [formula, th2.analytic, th2.intermediate, th2.closed_form]
     if squarefree:
@@ -277,9 +274,6 @@ def build_report(record: CurveRecord) -> dict[str, Any]:
         "linear": {
             "abramovich": lin.abramovich,
             "abramovich_selberg": lin.abramovich_selberg,
-            "ogg_estimate": lin.ogg_estimate,
-            "ogg_prime": good_p,
-            "ogg_heuristic": True,
         },
         "known_degree": record.deg_phi,
         "consistency_ok": consistency_ok,

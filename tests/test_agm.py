@@ -185,14 +185,14 @@ class TestLemma1:
     def test_check_examples(self):
         for a, expect_ok in [((0, 0, 1, -1, 0), True), ((0, 0, 0, -1, 1), True)]:
             inv = derive_invariants(CurveModel(*a))
-            check = lemma1_check(inv, period_data(inv))
+            check = lemma1_check(inv, period_data(inv, two_torsion_roots(inv)))
             assert check.passed is expect_ok
             assert check.value >= check.bound
 
     def test_holds_on_random_curves(self):
         for curve in random_curves(10_000, seed=6):
             inv = derive_invariants(curve)
-            check = lemma1_check(inv, period_data(inv))
+            check = lemma1_check(inv, period_data(inv, two_torsion_roots(inv)))
             assert check.passed, f"area bound failed for {curve.a_invariants}"
 
 
@@ -204,7 +204,7 @@ class TestPeriodOracle:
         assert len(pos) >= 5 and len(neg) >= 5
         for curve in curves:
             inv = derive_invariants(curve)
-            data = period_data(inv)
+            data = period_data(inv, two_torsion_roots(inv))
             oracle, _ = real_period_by_integration(inv)
             assert data.real_period == pytest.approx(oracle, rel=1e-9)
 

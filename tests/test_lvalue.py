@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from moddeg import CurveModel, derive_invariants, period_data
+from moddeg import CurveModel, derive_invariants, period_data, two_torsion_roots
 from moddeg.lvalue import (
     lemma4_certify,
     symsq_lower_bound,
@@ -99,7 +99,7 @@ class TestEulerProductEstimate:
         # for this curve the exact degree formula gives
         # L(Sym^2, 1) = 2 pi Omega deg / N with deg = 2
         inv = derive_invariants(self.CURVE)
-        omega = period_data(inv).omega
+        omega = period_data(inv, two_torsion_roots(inv)).omega
         target = 2.0 * math.pi * omega * 2.0 / 37.0
         estimate = symsq_value_estimate(self.CURVE, 10_000)
         assert estimate == pytest.approx(target, rel=0.02)

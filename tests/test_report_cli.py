@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moddeg.bounds import LinearBounds
 from moddeg.cli import _verification_rows, main
 from moddeg.curves import factorize
 from moddeg.report import (
@@ -134,6 +135,17 @@ class TestBuildReport:
         assert report["lemma1"]["ok"] is True
         assert any("below certified range" in w for w in report["warnings"])
         assert report["formula_bound"] == pytest.approx(0.0036671, abs=1e-6)
+
+    def test_linear_bounds_are_the_certified_two(self, monkeypatch):
+        record = parse_record({"a": [0, 0, 1, -1, 0], "conductor": 37, "deg_phi": 2})
+        report = build_report(record)
+        assert set(report["linear"]) == {"abramovich", "abramovich_selberg"}
+        assert report["consistency_ok"] is True
+        # each of the two, alone above the known degree, fails the check
+        for key in report["linear"]:
+            values = {"abramovich": 0.0, "abramovich_selberg": 0.0, key: 3.0}
+            monkeypatch.setattr("moddeg.report.linear_bounds", lambda n: LinearBounds(**values))
+            assert build_report(record)["consistency_ok"] is False, key
 
     def test_n2_supplied(self):
         record = parse_record({"a": [0, 1, 1, -2, 0], "conductor": 389, "n2": 151321})
@@ -277,13 +289,43 @@ class TestCliInvariants:
         assert proc.returncode == 2
         assert "singular" in proc.stderr
 
-    @pytest.mark.parametrize("exponent", [103, 200])
-    def test_huge_coefficient_is_an_input_error(self, exponent):
-        # the |disc| of such a model does not fit in a double
-        proc = run_cli("invariants", "--a", f"0,0,0,-{10**exponent},0")
+    TOO_LARGE = '"a" gives a model too large for double precision'
+
+    # (a4, a6) of y^2 = x^3 + a4 x + a6; the ids "103" and "200" are the
+    # exponents of -a4
+    @pytest.mark.parametrize(
+        "a4, a6",
+        [
+            pytest.param(-(10**103), 0, id="103"),
+            pytest.param(-(10**200), 0, id="200"),
+            pytest.param(10**105, 0, id="a4=+1e105"),
+            pytest.param(-(10**105), 0, id="a4=-1e105"),
+            pytest.param(-(10**216), 0, id="a4=-1e216"),
+            pytest.param(0, 10**153, id="a6=+1e153"),
+            pytest.param(0, -(10**153), id="a6=-1e153"),
+            pytest.param(0, 10**156, id="a6=+1e156"),
+            pytest.param(0, -(10**156), id="a6=-1e156"),
+        ],
+    )
+    def test_huge_coefficient_is_an_input_error(self, tmp_path, capsys, a4, a6):
+        # |disc|, or a power of c4 or c6 in the root step, does not fit
+        # in a double: one refusal naming "a", from invariants and bound
+        proc = run_cli("invariants", "--a", f"0,0,0,{a4},{a6}")
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr == f"error: {self.TOO_LARGE}\n"
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({"a": [0, 0, 0, a4, a6], "conductor": 37}) + "\n")
+        assert main(["bound", "--input", str(src), "--output", "-"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"line": 1, "error": self.TOO_LARGE}
+
+    @pytest.mark.parametrize("a4, a6", [(10**102, 0), (-(10**102), 0), (0, 10**152), (0, -(10**152))])
+    def test_largest_models_still_report(self, a4, a6):
+        doc = invariants_document((0, 0, 0, a4, a6))
+        assert doc["lemma1_ok"] is True
+        assert all(math.isfinite(doc[key]) for key in ("omega", "real_period", "imag_part", "inv_omega"))
+        report = build_report(parse_record({"a": [0, 0, 0, a4, a6], "conductor": 37}))
+        assert report["lemma1"]["ok"] is True
 
     def test_malformed_a(self):
         # the record rule for "a": JSON integers only, so no underscore,
