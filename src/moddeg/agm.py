@@ -24,10 +24,11 @@ together with the two extremal constants behind it:
 
   minimised at c = +-sqrt(4/3).
 
-The one-real-root geometry (r_tilde, Z, B^2) and its one refusal come
-from ``curves.two_torsion_roots``.  Lemma 1 uses the certification
-layer's types: ``lemma1_check`` returns a ``Waypoint`` and
-``lemma1_constants`` a ``CertReport`` tagged "lemma1".
+The root geometry (r_tilde, z, B^2) of either sign comes from
+``curves.two_torsion_roots``, with z = sqrt(D) / (8 B^2) taken from the
+exact discriminant, so no root difference below cancels.  Lemma 1 uses
+the certification layer's types: ``lemma1_check`` returns a
+``Waypoint`` and ``lemma1_constants`` a ``CertReport`` tagged "lemma1".
 """
 
 from __future__ import annotations
@@ -93,15 +94,19 @@ def agm(x: float, y: float) -> float:
     return (a + b) / 2.0
 
 
-def area_pos_disc(e1: float, e2: float, e3: float) -> PeriodData:
-    """Period data from the three ordered real roots e1 > e2 > e3.
+def area_pos_disc(r_tilde: float, z: float) -> PeriodData:
+    """Period data from the three-real-root geometry of
+    ``two_torsion_roots``: the isolated root r_tilde of the depressed
+    cubic and the half gap z of the other two.
 
-    By AGM homogeneity, 1/Omega is the closed form of the module
-    docstring with t = d12/d13.
+    The root differences are d12, d13, d23 for e1 > e2 > e3: 2z and
+    3|r_tilde|/2 -+ z, none formed by cancellation.  By AGM homogeneity,
+    1/Omega is the closed form of the module docstring with t = d12/d13.
     """
-    if not (e1 > e2 > e3):
-        raise ValueError("roots must satisfy e1 > e2 > e3")
-    d12, d13, d23 = e1 - e2, e1 - e3, e2 - e3
+    if not 0.0 < z < 1.5 * abs(r_tilde):
+        raise ValueError("three real roots need 0 < z < 3|r_tilde|/2")
+    near, far = 1.5 * abs(r_tilde) - z, 1.5 * abs(r_tilde) + z
+    d12, d13, d23 = (near, far, 2.0 * z) if r_tilde > 0.0 else (2.0 * z, far, near)
     real_period = math.pi / agm(math.sqrt(d12), math.sqrt(d13))
     imag_part = math.pi / agm(math.sqrt(d23), math.sqrt(d13))
     omega = real_period * imag_part
@@ -158,8 +163,8 @@ def area_neg_disc(r_tilde: float, z: float, b_sq: float) -> PeriodData:
 def period_data(inv: Invariants, roots: RootData) -> PeriodData:
     """Period data of the model with these invariants, from the roots
     ``two_torsion_roots(inv)``; dispatches on the discriminant sign."""
-    if roots.kind == "three_real":
-        return area_pos_disc(roots.e1, roots.e2, roots.e3)
+    if inv.disc_positive:
+        return area_pos_disc(roots.r_tilde, roots.z)
     return area_neg_disc(roots.r_tilde, roots.z, roots.b_sq)
 
 

@@ -1,8 +1,9 @@
 """Exact Weierstrass-model arithmetic.
 
-Integer b/c-invariants and the discriminant, roots of the 2-torsion
+Integer b/c-invariants and the discriminant, the roots of the 2-torsion
 polynomial ``4x^3 + b2 x^2 + 2 b4 x + b6`` (the polynomial appearing on
-the right side of ``y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6``), trial-division
+the right side of ``y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6``) through the
+geometry of its isolated root and the exact discriminant, trial-division
 factorization and primality, naive point counts over small prime fields,
 and CM detection by rational j-invariant.
 
@@ -81,10 +82,11 @@ class CurveModel:
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "a3", "a4", "a6"):
             v = getattr(self, name)
-            if not isinstance(v, int):
+            if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"{name} must be an exact integer, got {v!r}")
-        if self.conductor is not None and self.conductor < 1:
-            raise ValueError("conductor must be a positive integer")
+        n = self.conductor
+        if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
+            raise ValueError(f"conductor must be a positive integer, got {n!r}")
 
     @property
     def a_invariants(self) -> tuple[int, int, int, int, int]:
@@ -113,22 +115,23 @@ class Invariants:
 
 @dataclass(frozen=True)
 class RootData:
-    """Roots of the 2-torsion polynomial 4x^3 + b2 x^2 + 2 b4 x + b6.
+    """Roots of the 2-torsion polynomial f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6.
 
-    kind == "three_real": e1 > e2 > e3 (positive discriminant).
-    kind == "one_real":   real root r, complex pair with imaginary part z > 0,
-    r_tilde = r + b2/12 (the real root of the depressed cubic), and
-    b_sq = B^2 = 3r^2 + b2 r/2 + b4/2 = (3 r_tilde/2)^2 + z^2.
+    r is the isolated real root: the one real root when disc < 0, the real
+    root with the largest |r_tilde| when disc > 0, where
+    r_tilde = r + b2/12.  The other two roots are -b2/12 - r_tilde/2 plus
+    or minus i z (disc < 0) or z (disc > 0), with z > 0, and
+    b_sq = B^2 = f'(r)/4 is the product of r's distances to them, so that
+    |disc| = 64 B^4 z^2.  For disc > 0, e1 > e2 > e3 are the three roots.
     """
 
-    kind: str
+    r: float
+    r_tilde: float
+    b_sq: float
+    z: float
     e1: float | None = None
     e2: float | None = None
     e3: float | None = None
-    r: float | None = None
-    z: float | None = None
-    r_tilde: float | None = None
-    b_sq: float | None = None
 
 
 def derive_invariants(curve: CurveModel) -> Invariants:
@@ -162,74 +165,66 @@ def derive_invariants(curve: CurveModel) -> Invariants:
 _DOUBLE_MAX = int(sys.float_info.max)
 
 
-def _torsion_poly(inv: Invariants, x: float) -> float:
-    return ((4.0 * x + inv.b2) * x + 2.0 * inv.b4) * x + inv.b6
-
-
-def _torsion_poly_deriv(inv: Invariants, x: float) -> float:
-    return (12.0 * x + 2.0 * inv.b2) * x + 2.0 * inv.b4
-
-
-def _newton_polish(inv: Invariants, x: float, steps: int = 2) -> float:
-    for _ in range(steps):
-        fp = _torsion_poly_deriv(inv, x)
+def _newton_polish(p: float, q: float, y: float) -> float:
+    """Three Newton steps on the depressed cubic y^3 + p y + q."""
+    for _ in range(3):
+        fp = 3.0 * y * y + p
         if fp == 0.0:
             break
-        x -= _torsion_poly(inv, x) / fp
-    return x
+        y -= ((y * y + p) * y + q) / fp
+    return y
 
 
 def two_torsion_roots(inv: Invariants) -> RootData:
-    """Solve 4x^3 + b2 x^2 + 2 b4 x + b6 = 0.
+    """Solve 4x^3 + b2 x^2 + 2 b4 x + b6 = 0 through its isolated root r.
 
-    Closed form (trigonometric for three real roots, Cardano otherwise)
-    followed by a Newton polish against the exact integer coefficients;
-    the roots of nondegenerate 2-torsion cubics are well separated so this
-    is robust in double precision.
+    With y = x + b2/12 the cubic is 4(y^3 + p y + q), p = -c4/48 and
+    q = -c6/864.  A closed form (trigonometric for three real roots,
+    Cardano for one, whose radicand (q/2)^2 + (p/3)^3 is |disc|/1728
+    exactly) gives r_tilde, which three Newton steps on the depressed
+    cubic refine; in that variable a model translated far along x keeps
+    every digit of r_tilde.  Then B^2 = f'(r)/4 = 3 r_tilde^2 + p and
+    z = sqrt|disc| / (8 B^2) come from r_tilde and the exact
+    discriminant, so no root difference is formed by cancellation: with
+    disc > 0 the differences are 2z and 3|r_tilde|/2 -+ z, and the nearer
+    neighbour of r is at least |r_tilde| away.
 
-    With one real root r, A = 3 r_tilde and B^2 = 3r^2 + b2 r/2 + b4/2
-    satisfy 4B^2 - A^2 = 4z^2.  A model whose z^2 = B^2 - (3 r_tilde/2)^2
-    does not come out positive in double precision (a complex pair too
-    close to the real axis) is refused with ValueError.  So is a model
-    for which a float formed here or in Lemma 1 would leave double range.
+    A model for which a float formed here or in Lemma 1 would leave double
+    range is refused with ValueError.
     """
     # Refuse the model, in exact integers, before a float leaves double
     # range: each integer converted here or in Lemma 1 (|disc|, b2, b4, b6
-    # and c6; c4 follows), and with p and q below, p*m = -2 (-p)^(3/2) /
-    # sqrt(3) for three real roots or Cardano's (q/2)^2 = (c6/1728)^2.
+    # and c6; c4 follows), p*m = -2 (-p)^(3/2) / sqrt(3) with p and m below
+    # for three real roots, and for one real root (q/2)^2 = (c6/1728)^2,
+    # which keeps c = r_tilde/z of agm.area_neg_disc in double range.
     if inv.disc_positive:
         too_large = 4 * inv.c4**3 > 3 * 48**3 * _DOUBLE_MAX**2
     else:
         too_large = inv.c6**2 > 1728**2 * _DOUBLE_MAX
     if too_large or max(inv.abs_disc, abs(inv.b2), abs(inv.b4), abs(inv.b6), abs(inv.c6)) > _DOUBLE_MAX:
         raise ValueError('"a" gives a model too large for double precision')
-    # Depressed form: with y = x + b2/12 the cubic is y^3 - (c4/48) y - c6/864.
     p = -inv.c4 / 48.0
     q = -inv.c6 / 864.0
-    shift = inv.b2 / 12.0
     if inv.disc_positive:
-        # Three real roots; disc > 0 forces p < 0.
+        # Three real roots m cos((phi - 2 pi k)/3); disc > 0 forces p < 0.
         m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        phi = math.acos(arg)
-        ys = [m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3)]
-        roots = sorted((_newton_polish(inv, y - shift) for y in ys), reverse=True)
-        return RootData(kind="three_real", e1=roots[0], e2=roots[1], e3=roots[2])
-    # One real root: Cardano.
-    half_q = q / 2.0
-    rad = math.sqrt(half_q * half_q + (p / 3.0) ** 3)
-    y = math.copysign(abs(-half_q + rad) ** (1.0 / 3.0), -half_q + rad) + math.copysign(
-        abs(-half_q - rad) ** (1.0 / 3.0), -half_q - rad
-    )
-    r = _newton_polish(inv, y - shift, steps=3)
-    r_tilde = r + shift
-    b_sq = 3.0 * r * r + inv.b2 * r / 2.0 + inv.b4 / 2.0
-    z_sq = b_sq - (1.5 * r_tilde) ** 2
-    # z^2 <= B^2, so this also refuses B^2 <= 0
-    if z_sq <= 0.0:
-        raise ValueError("2B <= |A|: not a one-real-root 2-torsion cubic")
-    return RootData(kind="one_real", r=r, z=math.sqrt(z_sq), r_tilde=r_tilde, b_sq=b_sq)
+        phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m))))
+        y = max((m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3)), key=abs)
+    else:
+        # Cardano y = u - p/(3u), taking the cube root that does not cancel.
+        w = -q / 2.0 - math.copysign(math.sqrt(inv.abs_disc / 1728), q)
+        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        y = u - p / (3.0 * u)
+    r_tilde = _newton_polish(p, q, y)
+    r = r_tilde - inv.b2 / 12.0
+    b_sq = 3.0 * r_tilde * r_tilde + p
+    z = math.sqrt(inv.abs_disc) / (8.0 * b_sq)
+    if not inv.disc_positive:
+        return RootData(r=r, r_tilde=r_tilde, b_sq=b_sq, z=z)
+    near, far = 1.5 * abs(r_tilde) - z, 1.5 * abs(r_tilde) + z
+    if r_tilde > 0.0:
+        return RootData(r=r, r_tilde=r_tilde, b_sq=b_sq, z=z, e1=r, e2=r - near, e3=r - far)
+    return RootData(r=r, r_tilde=r_tilde, b_sq=b_sq, z=z, e1=r + far, e2=r + near, e3=r)
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -174,7 +174,7 @@ def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, Any]:
         "is_cm": is_cm(inv),
         "case_tag": period.case_tag,
     }
-    if roots.kind == "three_real":
+    if inv.disc_positive:
         doc["roots"] = {"e1": roots.e1, "e2": roots.e2, "e3": roots.e3}
     else:
         doc["roots"] = {"r": roots.r, "z": roots.z, "r_tilde": roots.r_tilde}

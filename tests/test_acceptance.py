@@ -30,7 +30,7 @@ from moddeg.zerofree import (
 )
 from fractions import Fraction
 
-from conftest import load_bundled_records, random_curves, real_period_by_integration
+from conftest import inv_omega_oracle, load_bundled_records, random_curves, real_period_by_integration
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -63,18 +63,27 @@ def test_criterion_1_area_bound_constants_and_random_curves():
 def test_criterion_2_period_oracle():
     curves = random_curves(24, seed=12, span=12)
     signs = {True: 0, False: 0}
-    worst = 0.0
+    worst = worst_inv_omega = 0.0
     for curve in curves:
         inv = derive_invariants(curve)
         signs[inv.disc_positive] += 1
         data = period_data(inv, two_torsion_roots(inv))
         oracle, _ = real_period_by_integration(inv)
         worst = max(worst, abs(data.real_period - oracle) / oracle)
-    ok = len(curves) >= 20 and signs[True] >= 3 and signs[False] >= 3 and worst <= 1e-9
+        oracle = inv_omega_oracle(inv)
+        worst_inv_omega = max(worst_inv_omega, abs(data.inv_omega - oracle) / oracle)
+    ok = (
+        len(curves) >= 20
+        and signs[True] >= 3
+        and signs[False] >= 3
+        and worst <= 1e-9
+        and worst_inv_omega <= 1e-9
+    )
     _report(
-        "criterion 2 (AGM periods vs direct integration)",
+        "criterion 2 (AGM periods vs direct integration, 1/Omega vs mpmath)",
         ok,
-        f"{len(curves)} curves ({signs[True]} pos disc, {signs[False]} neg disc), worst rel dev {worst:.2e}",
+        f"{len(curves)} curves ({signs[True]} pos disc, {signs[False]} neg disc), "
+        f"worst rel dev {worst:.2e} (real period), {worst_inv_omega:.2e} (1/Omega)",
     )
 
 

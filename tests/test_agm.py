@@ -19,7 +19,7 @@ from moddeg import (
 )
 from moddeg.agm import AREA_BOUND_DENOMINATOR, agm
 
-from conftest import random_curves, real_period_by_integration
+from conftest import inv_omega_oracle, random_curves, real_period_by_integration
 
 # 50-digit mpmath values, frozen.
 AGM_1_INVSQRT2 = 0.84721308479397908661
@@ -75,8 +75,10 @@ class TestAgm:
 
 
 class TestAreaPosDisc:
+    # (r_tilde, z): roots r_tilde and -r_tilde/2 +- z of the depressed cubic
     def test_unit_triple(self):
-        data = area_pos_disc(1.0, 0.0, -1.0)
+        # roots 1, 0, -1
+        data = area_pos_disc(1.0, 0.5)
         expected = agm(1.0, math.sqrt(2.0)) ** 2 / math.pi**2
         assert data.inv_omega == pytest.approx(expected, rel=1e-13)
         assert data.inv_omega == pytest.approx(0.1454506, abs=5e-7)
@@ -87,16 +89,18 @@ class TestAreaPosDisc:
         assert data.t_or_c == pytest.approx(0.5)
 
     def test_scaling(self):
-        one = area_pos_disc(1.0, 0.0, -1.0)
-        two = area_pos_disc(2.0, 0.0, -2.0)
+        one = area_pos_disc(1.0, 0.5)
+        two = area_pos_disc(2.0, 1.0)
         assert two.inv_omega == pytest.approx(2.0 * one.inv_omega, rel=1e-13)
 
     def test_ordering_error(self):
+        # roots 0, 1, -1: 0 is not the isolated root
         with pytest.raises(ValueError):
-            area_pos_disc(0.0, 1.0, -1.0)
+            area_pos_disc(0.0, 1.0)
 
     def test_omega_is_period_product(self):
-        data = area_pos_disc(3.0, 0.5, -1.25)
+        # roots 3, 0.5, -1.25, centred at 0.75: 2.25 and -1.125 +- 0.875
+        data = area_pos_disc(2.25, 0.875)
         assert data.omega == pytest.approx(data.real_period * data.imag_part, rel=1e-15)
         assert data.inv_omega * data.omega == pytest.approx(1.0, rel=1e-12)
 
@@ -213,7 +217,7 @@ class TestPeriodOracle:
             inv = derive_invariants(curve)
             roots = two_torsion_roots(inv)
             data = period_data(inv, roots)
-            if roots.kind == "three_real":
+            if inv.disc_positive:
                 t = (roots.e1 - roots.e2) / (roots.e1 - roots.e3)
                 closed = (
                     (roots.e1 - roots.e3)
@@ -241,9 +245,40 @@ class TestPeriodOracle:
                     * agm(1, math.sqrt(minus))
                     / math.pi**2
                 )
-            # extreme shapes (|c| large) lose digits to the inherent
-            # cancellation in Z^2 = B^2 - (3 r_tilde/2)^2; the contract
-            # tolerance applies to the moderate-shape regime
-            c_shape = data.t_or_c if data.case_tag == "neg_disc" else 0.0
-            tol = max(1e-12, 5e-16 * c_shape * c_shape)
-            assert data.inv_omega == pytest.approx(closed, rel=tol)
+            assert data.inv_omega == pytest.approx(closed, rel=1e-12)
+
+
+class TestInvOmegaOracle:
+    """1/Omega against the precision-scaled mpmath oracle, far beyond the
+    coefficient range of the tables."""
+
+    @staticmethod
+    def _rel_error(a) -> float:
+        inv = derive_invariants(CurveModel(*a))
+        value = period_data(inv, two_torsion_roots(inv)).inv_omega
+        oracle = inv_omega_oracle(inv)
+        return abs(value - oracle) / oracle
+
+    @given(st.tuples(*(st.integers(-10**5, 10**5) for _ in range(5))))
+    def test_large_coefficients_hypothesis(self, a):
+        try:
+            derive_invariants(CurveModel(*a))
+        except ValueError:
+            return
+        assert self._rel_error(a) <= 1e-13
+
+    @pytest.mark.parametrize("span", [10**3, 10**5])
+    def test_seeded_random_models(self, span):
+        for curve in random_curves(500, seed=13, span=span):
+            assert self._rel_error(curve.a_invariants) <= 1e-13, curve.a_invariants
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("k", [10**3, 10**4, 3 * 10**4, 10**5, 10**6, 10**7])
+    def test_near_singular_family(self, k, sign):
+        # y^2 = x^3 - 3k^2 x + 2k^3 +- 1, |c4^3/disc| about k^3
+        assert self._rel_error((0, 0, 0, -3 * k * k, 2 * k**3 + sign)) <= 1e-13
+
+    @pytest.mark.parametrize("k", [10**3, 10**5, 10**7])
+    def test_translated_model(self, k):
+        # y^2 = (x + k)^3 + 2: r_tilde = -2^(1/3) far below b2/12 = k
+        assert self._rel_error((0, 3 * k, 0, 3 * k * k, k**3 + 2)) <= 1e-13

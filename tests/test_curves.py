@@ -11,12 +11,13 @@ from moddeg import (
     SingularCurveError,
     derive_invariants,
     is_cm,
+    period_data,
     trace_of_frobenius,
     two_torsion_roots,
 )
 from moddeg.curves import Invariants, is_prime
 
-from conftest import random_curves
+from conftest import inv_omega_oracle, random_curves
 
 C37A1 = CurveModel(0, 0, 1, -1, 0, conductor=37)  # 37a1
 
@@ -38,6 +39,18 @@ class TestInvariants:
     def test_singular(self):
         with pytest.raises(SingularCurveError):
             derive_invariants(CurveModel(0, 0, 0, 0, 0))
+
+    def test_booleans_refused(self):
+        # True is an int to isinstance; the model rule names the field
+        with pytest.raises(ValueError, match="a1 must be an exact integer, got True"):
+            CurveModel(True, 0, True, -1, 0)
+        with pytest.raises(ValueError, match="a3 must be an exact integer, got False"):
+            CurveModel(0, 0, False, -1, 0)
+        with pytest.raises(ValueError, match="conductor must be a positive integer, got True"):
+            CurveModel(0, 0, 1, -1, 0, conductor=True)
+        with pytest.raises(ValueError, match="conductor must be a positive integer"):
+            CurveModel(0, 0, 1, -1, 0, conductor=37.0)
+        assert CurveModel(0, 0, 1, -1, 0, conductor=37).conductor == 37
 
     def test_identities_random(self):
         rng = np.random.RandomState(1)
@@ -71,7 +84,7 @@ class TestTwoTorsionRoots:
             disc_positive=True, j_num=1728, j_den=1,
         )
         roots = two_torsion_roots(inv)
-        assert roots.kind == "three_real"
+        assert inv.disc_positive
         assert roots.e1 == pytest.approx(1.0, abs=1e-12)
         assert roots.e2 == pytest.approx(0.0, abs=1e-12)
         assert roots.e3 == pytest.approx(-1.0, abs=1e-12)
@@ -86,7 +99,7 @@ class TestTwoTorsionRoots:
         # y^2 = x^3 - x + 1 rescaled: torsion cubic 4x^3 - 4x + 4
         inv = derive_invariants(CurveModel(0, 0, 0, -1, 1))
         r = two_torsion_roots(inv)
-        assert r.kind == "one_real"
+        assert not inv.disc_positive and r.e1 is None
         # oracle: numpy companion-matrix roots of 4x^3 - 4x + 4
         np_roots = np.roots([4.0, 0.0, -4.0, 4.0])
         real = [z.real for z in np_roots if abs(z.imag) < 1e-9]
@@ -98,20 +111,25 @@ class TestTwoTorsionRoots:
         b_sq = (1.5 * r.r_tilde) ** 2 + r.z**2
         assert 2 * r.z * b_sq == pytest.approx(math.sqrt(368 / 16), rel=1e-10)
 
-    def test_domain_error(self):
-        # y^2 = x^3 - 3k^2 x + 2k^3 + 1: the complex pair sits so close to the
-        # real axis that Z^2 = B^2 - (3 r_tilde/2)^2 is 0 in double precision
+    def test_near_singular_families(self):
+        # y^2 = x^3 - 3k^2 x + 2k^3 +- 1: a double root at x = k split into a
+        # complex pair (+1, disc < 0) or two real roots (-1, disc > 0) only
+        # about k^(-1/2) apart; z comes from the exact disc, so 1/Omega keeps
+        # its accuracy instead of being refused
         for k in (10**5, 10**6, 10**7):
-            inv = derive_invariants(CurveModel(0, 0, 0, -3 * k * k, 2 * k**3 + 1))
-            assert not inv.disc_positive
-            with pytest.raises(ValueError, match=r"2B <= \|A\|"):
-                two_torsion_roots(inv)
+            for sign in (1, -1):
+                inv = derive_invariants(CurveModel(0, 0, 0, -3 * k * k, 2 * k**3 + sign))
+                assert inv.disc_positive is (sign == -1)
+                roots = two_torsion_roots(inv)
+                assert 64 * roots.b_sq**2 * roots.z**2 == pytest.approx(inv.abs_disc, rel=1e-14)
+                inv_omega = period_data(inv, roots).inv_omega
+                assert inv_omega == pytest.approx(inv_omega_oracle(inv), rel=1e-13)
 
     def test_root_residuals_random(self):
         for curve in random_curves(400, seed=2):
             inv = derive_invariants(curve)
             roots = two_torsion_roots(inv)
-            if roots.kind != "three_real":
+            if not inv.disc_positive:
                 continue
             for e in (roots.e1, roots.e2, roots.e3):
                 value = ((4 * e + inv.b2) * e + 2 * inv.b4) * e + inv.b6
@@ -121,17 +139,16 @@ class TestTwoTorsionRoots:
         for curve in random_curves(400, seed=3):
             inv = derive_invariants(curve)
             roots = two_torsion_roots(inv)
-            assert (roots.kind == "three_real") == inv.disc_positive
-            if roots.kind == "three_real":
+            assert (roots.e1 is not None) == inv.disc_positive
+            if inv.disc_positive:
+                assert roots.e1 > roots.e2 > roots.e3
                 product = (roots.e1 - roots.e2) * (roots.e1 - roots.e3) * (roots.e2 - roots.e3)
                 assert product == pytest.approx(math.sqrt(inv.disc / 16), rel=1e-9)
+                b_sq = (1.5 * roots.r_tilde) ** 2 - roots.z**2
             else:
                 b_sq = (1.5 * roots.r_tilde) ** 2 + roots.z**2
-                # a nearly-real complex pair (|r_tilde/z| large) limits the
-                # attainable accuracy of z to ~ (r_tilde/z)^2 * eps
-                c_shape = roots.r_tilde / roots.z
-                tol = max(1e-10, 1e-15 * c_shape * c_shape)
-                assert 2 * roots.z * b_sq == pytest.approx(math.sqrt(-inv.disc / 16), rel=tol)
+            assert roots.b_sq == pytest.approx(b_sq, rel=1e-12)
+            assert 2 * roots.z * b_sq == pytest.approx(math.sqrt(inv.abs_disc / 16), rel=1e-10)
 
 
 class TestTraceOfFrobenius:
