@@ -21,9 +21,6 @@ from .agm import (
     period_data,
 )
 from .bounds import (
-    LinearBounds,
-    Theorem1Bounds,
-    Theorem2Bounds,
     crossover_check,
     degree_formula_bound,
     linear_bounds,
@@ -42,7 +39,7 @@ from .curves import (
     trace_of_frobenius,
     two_torsion_roots,
 )
-from .fudge import FudgeFactor, fudge_factor_for
+from .fudge import fudge_factor_for
 from .lvalue import (
     lemma4_certify,
     symsq_lower_bound,
@@ -65,7 +62,6 @@ from .zerofree import (
     certify_cm_qi,
     certify_cm_zeta3,
     certify_noncm,
-    eta_smaller_root,
     quintic_beta_optimum,
     trig_poly_expand,
 )

@@ -18,22 +18,20 @@ constants 5350, 7150, 10300 already absorb 2 pi * 14.045); the exact
 formula bound is degree_formula_bound.  The chain's final inequality is
 asserted only in its regime N >= 20000; chain_ok records the pointwise
 comparison honestly for every input.
+
+theorem1, theorem2 and linear_bounds each return their block of the
+``bound`` report as a plain dict, keys in report order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
-from .fudge import FudgeFactor
 from .lvalue import L_VALUE_BOUND_NUMERATOR
 from .specfun import _bisect
 
 __all__ = [
-    "Theorem1Bounds",
-    "Theorem2Bounds",
-    "LinearBounds",
     "degree_formula_bound",
     "theorem1",
     "theorem2",
@@ -60,29 +58,16 @@ def degree_formula_bound(
     return conductor / (2.0 * math.pi * omega) * l_value_lower * product
 
 
-@dataclass(frozen=True)
-class Theorem1Bounds:
-    analytic: float  # (N/Omega) * 0.033/(2 log N)
-    closed_form: float  # N^(7/6) / (5350 log N)
-
-
-def theorem1(conductor: int, omega: float) -> Theorem1Bounds:
-    """Semistable chain; below N = 20000 the values are still computed (the
-    tables cover that range)."""
+def theorem1(conductor: int, omega: float) -> dict[str, float]:
+    """Semistable chain: analytic = (N/Omega) * 0.033/(2 log N) and
+    closed_form = N^(7/6) / (5350 log N).  Below N = 20000 the values are
+    still computed (the tables cover that range)."""
     if conductor < 2 or omega <= 0.0:
         raise ValueError("need conductor >= 2 and omega > 0")
     log_n = math.log(conductor)
     analytic = conductor / omega * L_VALUE_BOUND_NUMERATOR / (2.0 * log_n)
     closed = conductor ** (7.0 / 6.0) / (5350.0 * log_n)
-    return Theorem1Bounds(analytic=analytic, closed_form=closed)
-
-
-@dataclass(frozen=True)
-class Theorem2Bounds:
-    analytic: float
-    intermediate: float
-    closed_form: float
-    chain_ok: bool
+    return {"analytic": analytic, "closed_form": closed}
 
 
 def theorem2_closed_form(conductor: float) -> float:
@@ -95,15 +80,16 @@ def theorem2(
     conductor: int,
     n2: int,
     omega: float,
-    fudge_factors: Iterable[FudgeFactor] = (),
-) -> Theorem2Bounds:
-    """General chain.
+    fudge_factors: Iterable[dict[str, Any]] = (),
+) -> dict[str, Any]:
+    """General chain: analytic, intermediate, closed_form and chain_ok.
 
-    analytic uses the actual fudge lower bounds; intermediate uses the
-    worst-case product of (1 - 1/p) over the 1-mod-3 primes among them
-    (the other residue classes are absorbed by the 7150 constant and the
-    sixth-power credits p^(1/6) (1 - 1/p) >= 1, p >= 5); closed_form is
-    the fully explicit display.
+    fudge_factors are fudge_factor_for blocks.  analytic uses their
+    u_inverse_at_1; intermediate uses the worst-case product of (1 - 1/p)
+    over the 1-mod-3 primes among them (the other residue classes are
+    absorbed by the 7150 constant and the sixth-power credits
+    p^(1/6) (1 - 1/p) >= 1, p >= 5); closed_form is the fully explicit
+    display.
     """
     if conductor < 3 or n2 < 2 or omega <= 0.0:
         raise ValueError("need conductor >= 3, n2 >= 2 and omega > 0")
@@ -111,32 +97,28 @@ def theorem2(
     log_n2 = math.log(n2)
     analytic = conductor / omega * L_VALUE_BOUND_NUMERATOR / log_n2
     for f in factors:
-        analytic *= f.u_inverse_at_1
+        analytic *= f["u_inverse_at_1"]
     worst = 1.0
     for f in factors:
-        if f.p % 3 == 1:
-            worst *= 1.0 - 1.0 / f.p
+        if f["p"] % 3 == 1:
+            worst *= 1.0 - 1.0 / f["p"]
     intermediate = conductor ** (7.0 / 6.0) / (7150.0 * log_n2) * worst
     closed = theorem2_closed_form(conductor)
-    return Theorem2Bounds(
-        analytic=analytic,
-        intermediate=intermediate,
-        closed_form=closed,
-        chain_ok=analytic >= intermediate >= closed,
-    )
+    return {
+        "analytic": analytic,
+        "intermediate": intermediate,
+        "closed_form": closed,
+        "chain_ok": analytic >= intermediate >= closed,
+    }
 
 
-@dataclass(frozen=True)
-class LinearBounds:
-    abramovich: float  # 7N/1600, unconditional
-    abramovich_selberg: float  # N/192, under the Selberg eigenvalue conjecture
-
-
-def linear_bounds(conductor: int) -> LinearBounds:
-    """The linear comparison bounds; both enter consistency checking."""
+def linear_bounds(conductor: int) -> dict[str, float]:
+    """The linear comparison bounds, both entering consistency checking:
+    abramovich = 7N/1600, unconditional, and abramovich_selberg = N/192,
+    under the Selberg eigenvalue conjecture."""
     if conductor < 1:
         raise ValueError("conductor must be positive")
-    return LinearBounds(abramovich=7.0 * conductor / 1600.0, abramovich_selberg=conductor / 192.0)
+    return {"abramovich": 7.0 * conductor / 1600.0, "abramovich_selberg": conductor / 192.0}
 
 
 def crossover_check() -> float:

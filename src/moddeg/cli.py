@@ -70,12 +70,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
                     if args.n2 is not None:
                         record = dataclasses.replace(record, n2=args.n2)
                     report = build_report(record)
-                # UnicodeDecodeError included; json raises RecursionError on deep nesting
+                    text = dumps_report(report)
+                # UnicodeDecodeError included; json.loads and dumps_report raise
+                # RecursionError on deep nesting, the latter in a nested "label"
                 except (ValueError, ArithmeticError, RecursionError) as exc:
                     sink.write(json.dumps({"line": line_no, "error": str(exc)}) + "\n")
                     continue
                 any_inconsistent |= report["consistency_ok"] is False
-                sink.write(dumps_report(report) + "\n")
+                sink.write(text + "\n")
             sink.flush()  # a closed stdout fails here, inside the try, not at exit
     except OSError as exc:  # opening, reading or writing, also part-way through
         print(f"error: cannot stream {args.input} to {args.output}: {exc}", file=sys.stderr)

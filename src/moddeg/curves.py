@@ -8,7 +8,7 @@ factorization and primality, naive point counts over small prime fields,
 and CM detection by rational j-invariant.
 
 The conductor is always an input, never computed; reports downstream
-carry a "conductor: supplied" provenance.  Models are used exactly as
+carry a ``"conductor_provenance": "supplied"`` field.  Models are used exactly as
 given (no re-minimalization): every derived quantity, in particular the
 discriminant feeding the area bound, belongs to the supplied model.
 """

@@ -11,35 +11,19 @@ eps_p in {-1, 0, +1} decided by congruence and divisibility rules:
 Undetermined cases fall back to eps = +1 (the smallest U_p(1)^(-1),
 hence the worst case for a lower bound) and are flagged.  p = 2 and
 p = 3 get dedicated lower bounds.  ``fudge_factor_for`` is the one entry
-point for every p.
+point for every p; it returns the factor's block of the ``bound`` report
+as a plain dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any
 
 from .curves import Invariants, is_prime
 
 __all__ = [
-    "FudgeFactor",
     "fudge_factor_for",
 ]
-
-
-@dataclass(frozen=True)
-class FudgeFactor:
-    """One local factor.
-
-    epsilon is None when only a lower bound for U_p(1)^(-1) is known (the
-    p = 2 branch without 2^8 || N, and a declared non-minimal twist);
-    otherwise u_inverse_at_1 = 1 - eps/p.  determined is False whenever
-    the rules above do not pin eps down.
-    """
-
-    p: int
-    epsilon: int | None
-    u_inverse_at_1: float
-    determined: bool
 
 
 # (eps, determined) by p mod 12: the first pair when p || c4 and p^2 | c6,
@@ -54,8 +38,14 @@ _EPSILON = {
 }
 
 
-def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: bool = True) -> FudgeFactor:
-    """U_p(1)^(-1), or its certified lower bound, at a prime p with p^2 | N.
+def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: bool = True) -> dict[str, Any]:
+    """U_p(1)^(-1), or its certified lower bound, at a prime p with p^2 | N,
+    as {"p", "epsilon", "u_inverse_at_1", "determined"}.
+
+    epsilon is None when only a lower bound for U_p(1)^(-1) is known (the
+    p = 2 branch without 2^8 || N, and a declared non-minimal twist);
+    otherwise u_inverse_at_1 = 1 - eps/p.  determined is False whenever
+    the rules above do not pin eps down.
 
     p = 3: U_3(1)^(-1) >= 1 - 1/3 = 2/3.
     p = 2: eps = +1 (factor 1/2) is possible only when 2^8 || N; any other
@@ -75,4 +65,4 @@ def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: boo
         divisibility = inv.c4 % p == 0 and inv.c4 % (p * p) != 0 and inv.c6 % (p * p) == 0
         eps, determined = _EPSILON[p % 12][not divisibility]
         u = 1.0 - eps / p
-    return FudgeFactor(p=p, epsilon=eps, u_inverse_at_1=u, determined=determined)
+    return {"p": p, "epsilon": eps, "u_inverse_at_1": u, "determined": determined}

@@ -222,15 +222,15 @@ def build_report(record: CurveRecord) -> dict[str, Any]:
         fudge_factor_for(inv, p, n, twist_minimal=record.twist_minimal) for p in square_ps
     ]
     l_lower = L_VALUE_BOUND_NUMERATOR / math.log(n2)
-    formula = degree_formula_bound(n, period.omega, l_lower, [f.u_inverse_at_1 for f in fudge])
+    formula = degree_formula_bound(n, period.omega, l_lower, [f["u_inverse_at_1"] for f in fudge])
     th1 = theorem1(n, period.omega)
     th2 = theorem2(n, n2, period.omega, fudge)
     lin = linear_bounds(n)
 
-    certified = [formula, th2.analytic, th2.intermediate, th2.closed_form]
+    certified = [formula, th2["analytic"], th2["intermediate"], th2["closed_form"]]
     if squarefree:
-        certified.extend([th1.analytic, th1.closed_form])
-    certified.extend([lin.abramovich, lin.abramovich_selberg])
+        certified.extend(th1.values())
+    certified.extend(lin.values())
     consistency_ok = None
     if record.deg_phi is not None:
         consistency_ok = all(b <= record.deg_phi for b in certified)
@@ -249,32 +249,12 @@ def build_report(record: CurveRecord) -> dict[str, Any]:
         "inv_omega": period.inv_omega,
         "case_tag": period.case_tag,
         "lemma1": {"rhs": check.bound, "margin": check.value - check.bound, "ok": check.passed},
-        "fudge": [
-            {
-                "p": f.p,
-                "epsilon": f.epsilon,
-                "u_inverse_at_1": f.u_inverse_at_1,
-                "determined": f.determined,
-            }
-            for f in fudge
-        ],
+        "fudge": fudge,
         "l_value_lower": l_lower,
         "formula_bound": formula,
-        "theorem1": {
-            "analytic": th1.analytic,
-            "closed_form": th1.closed_form,
-            "applicable": squarefree,
-        },
-        "theorem2": {
-            "analytic": th2.analytic,
-            "intermediate": th2.intermediate,
-            "closed_form": th2.closed_form,
-            "chain_ok": th2.chain_ok,
-        },
-        "linear": {
-            "abramovich": lin.abramovich,
-            "abramovich_selberg": lin.abramovich_selberg,
-        },
+        "theorem1": {**th1, "applicable": squarefree},
+        "theorem2": th2,
+        "linear": lin,
         "known_degree": record.deg_phi,
         "consistency_ok": consistency_ok,
         "warnings": warnings,

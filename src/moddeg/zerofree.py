@@ -10,8 +10,9 @@ CM and, if so, on the CM field:
     CM, Q(z3):  delta = (554 - 12 sqrt(2014))/261, C = 64  (Lemma 3, case II)
 
 Each proof is a contradiction chain evaluated at the extremal point
-sigma = 1 + eta*delta/log(n2/C), with eta the smaller positive root of a
-case quadratic whose discriminant vanishes exactly at delta_max.  The
+sigma = 1 + eta*delta/log(n2/C), with eta = -a1/(2 a2) the double root
+of a case quadratic a2 x^2 + a1 x + a0 whose discriminant vanishes
+exactly at delta_max.  The
 case table NONCM, CM_QI, CM_ZETA3 holds delta_max, C and that quadratic;
 the certify_* operations recompute every waypoint of the chain and
 compare it against its certified bound.  The cosine polynomials behind
@@ -38,7 +39,6 @@ __all__ = [
     "RegionConstants",
     "Waypoint",
     "CertReport",
-    "eta_smaller_root",
     "NONCM",
     "CM_QI",
     "CM_ZETA3",
@@ -106,39 +106,12 @@ class RegionConstants:
 
     quadratic(delta) gives the coefficients (a2, a1, a0) of the case
     quadratic a2 x^2 + a1 x + a0, whose discriminant vanishes at
-    delta_max; eta(delta) is its smaller positive root.
+    delta_max.
     """
 
     delta_max: float
     c_param: int
     quadratic: Callable[[float], tuple[float, float, float]]
-
-    def eta(self, delta: float) -> float:
-        return eta_smaller_root(*self.quadratic(delta))
-
-
-def eta_smaller_root(a2: float, a1: float, a0: float) -> float:
-    """Smaller positive root of a2 x^2 + a1 x + a0.
-
-    A discriminant within 1e-12 of zero, relative to the coefficient
-    scale, is clamped to zero (the endpoint double root); genuinely
-    complex or nonpositive roots are domain errors.  The tolerance is
-    relative because the endpoint coefficients of the largest case are of
-    size ~1e4, whose correctly rounded discriminant lands a few 1e-12
-    below zero in double precision.
-    """
-    disc = a1 * a1 - 4.0 * a2 * a0
-    scale = max(1.0, a1 * a1, abs(4.0 * a2 * a0))
-    if disc < -1e-12 * scale:
-        raise ValueError("complex roots: delta beyond the endpoint")
-    disc = max(disc, 0.0)
-    sq = math.sqrt(disc)
-    r1 = (-a1 - sq) / (2.0 * a2)
-    r2 = (-a1 + sq) / (2.0 * a2)
-    lo, hi = min(r1, r2), max(r1, r2)
-    if lo <= 0.0:
-        raise ValueError("quadratic does not have two positive roots")
-    return lo
 
 
 NONCM = RegionConstants(  # Lemma 2
@@ -172,10 +145,16 @@ def _extremal_points(region: RegionConstants, n2: int) -> tuple[float, float]:
     for an n2 in the certified range."""
     log_ratio = math.log(_n2_value(n2) / region.c_param)
     delta = region.delta_max
-    eta = region.eta(delta)
+    eta = _endpoint_eta(region)
     sigma = 1.0 + eta * delta / log_ratio
     sigma_shift = 1.0 + delta * (eta - 1.0) / log_ratio
     return sigma, sigma_shift
+
+
+def _endpoint_eta(region: RegionConstants) -> float:
+    """eta, the double root -a1/(2 a2) of the case quadratic at delta_max."""
+    a2, a1, _ = region.quadratic(region.delta_max)
+    return -a1 / (2.0 * a2)
 
 
 def _endpoint_disc(region: RegionConstants) -> tuple[float, float]:

@@ -17,37 +17,37 @@ def _inv(c4: int, c6: int) -> Invariants:
 class TestEpsilonP:
     def test_one_mod_twelve(self):
         f = fudge_factor_for(_inv(1, 1), 13, 13**2)
-        assert (f.epsilon, f.determined) == (1, True)
-        assert f.u_inverse_at_1 == pytest.approx(1 - 1 / 13)
+        assert (f["epsilon"], f["determined"]) == (1, True)
+        assert f["u_inverse_at_1"] == pytest.approx(1 - 1 / 13)
 
     def test_eleven_mod_twelve(self):
         f = fudge_factor_for(_inv(1, 1), 11, 11**2)
-        assert (f.epsilon, f.determined) == (-1, True)
-        assert f.u_inverse_at_1 == pytest.approx(1 + 1 / 11)
+        assert (f["epsilon"], f["determined"]) == (-1, True)
+        assert f["u_inverse_at_1"] == pytest.approx(1 + 1 / 11)
 
     def test_five_mod_twelve_determined(self):
         # p || c4 and p^2 | c6
         f = fudge_factor_for(_inv(5, 25), 5, 25 * 3)
-        assert (f.epsilon, f.determined) == (1, True)
+        assert (f["epsilon"], f["determined"]) == (1, True)
 
     def test_five_mod_twelve_fallback(self):
         f = fudge_factor_for(_inv(25, 25), 5, 25 * 3)  # p^2 | c4, condition fails
-        assert (f.epsilon, f.determined) == (1, False)
-        assert f.u_inverse_at_1 == pytest.approx(0.8)
+        assert (f["epsilon"], f["determined"]) == (1, False)
+        assert f["u_inverse_at_1"] == pytest.approx(0.8)
 
     def test_seven_mod_twelve_determined(self):
         f = fudge_factor_for(_inv(7, 49), 7, 49)
-        assert (f.epsilon, f.determined) == (-1, True)
-        assert f.u_inverse_at_1 == pytest.approx(1 + 1 / 7)
+        assert (f["epsilon"], f["determined"]) == (-1, True)
+        assert f["u_inverse_at_1"] == pytest.approx(1 + 1 / 7)
 
     def test_seven_mod_twelve_fallback(self):
         f = fudge_factor_for(_inv(3, 49), 7, 49)  # p does not divide c4
-        assert (f.epsilon, f.determined) == (1, False)
+        assert (f["epsilon"], f["determined"]) == (1, False)
 
     def test_non_twist_minimal(self):
         f = fudge_factor_for(_inv(5, 25), 5, 25, twist_minimal=False)
-        assert f.determined is False
-        assert f.u_inverse_at_1 == pytest.approx(0.8)
+        assert f["determined"] is False
+        assert f["u_inverse_at_1"] == pytest.approx(0.8)
 
     def test_requires_square_divisor(self):
         with pytest.raises(ValueError, match="p\\^2"):
@@ -62,18 +62,18 @@ class TestEpsilonP:
 class TestUPSpecial:
     def test_three(self):
         f = fudge_factor_for(_inv(1, 1), 3, 9)
-        assert f.u_inverse_at_1 == pytest.approx(2.0 / 3.0)
-        assert f.epsilon == 1 and not f.determined
+        assert f["u_inverse_at_1"] == pytest.approx(2.0 / 3.0)
+        assert f["epsilon"] == 1 and not f["determined"]
 
     def test_two_with_exact_eighth_power(self):
         f = fudge_factor_for(_inv(1, 1), 2, 2**8 * 3)
-        assert f.u_inverse_at_1 == pytest.approx(0.5)
-        assert f.epsilon == 1
+        assert f["u_inverse_at_1"] == pytest.approx(0.5)
+        assert f["epsilon"] == 1
 
     def test_two_other_valuations(self):
         f = fudge_factor_for(_inv(1, 1), 2, 2**4 * 3)
-        assert f.u_inverse_at_1 == pytest.approx(5.0 / 8.0)
-        assert f.epsilon is None and not f.determined
+        assert f["u_inverse_at_1"] == pytest.approx(5.0 / 8.0)
+        assert f["epsilon"] is None and not f["determined"]
 
     def test_requires_square_divisor(self):
         for p in (2, 3):
@@ -81,8 +81,8 @@ class TestUPSpecial:
                 fudge_factor_for(_inv(1, 1), p, p * 7)
 
     def test_dispatch(self):
-        assert fudge_factor_for(_inv(1, 1), 2, 48).u_inverse_at_1 == pytest.approx(5.0 / 8.0)
-        assert fudge_factor_for(_inv(1, 1), 13, 13**2).epsilon == 1
+        assert fudge_factor_for(_inv(1, 1), 2, 48)["u_inverse_at_1"] == pytest.approx(5.0 / 8.0)
+        assert fudge_factor_for(_inv(1, 1), 13, 13**2)["epsilon"] == 1
 
     def test_u_inverse_within_band(self):
         cases = [
@@ -93,9 +93,9 @@ class TestUPSpecial:
             fudge_factor_for(_inv(1, 1), 11, 11**2),
         ]
         for f in cases:
-            assert 1 - 1 / f.p <= f.u_inverse_at_1 <= 1 + 1 / f.p
-            if f.epsilon is not None:
-                assert f.u_inverse_at_1 == pytest.approx(1 - f.epsilon / f.p)
+            assert 1 - 1 / f["p"] <= f["u_inverse_at_1"] <= 1 + 1 / f["p"]
+            if f["epsilon"] is not None:
+                assert f["u_inverse_at_1"] == pytest.approx(1 - f["epsilon"] / f["p"])
 
 
 class TestTwistGrowth:
@@ -145,4 +145,4 @@ class TestFallbackConservatism:
         for p, c4, c6 in [(5, 5, 25), (7, 7, 49), (13, 1, 1), (11, 1, 1)]:
             determined = fudge_factor_for(_inv(c4, c6), p, p * p)
             fallback = 1.0 - 1.0 / p
-            assert determined.u_inverse_at_1 >= fallback - 1e-15
+            assert determined["u_inverse_at_1"] >= fallback - 1e-15

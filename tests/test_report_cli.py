@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moddeg.bounds import LinearBounds
 from moddeg.cli import _verification_rows, main
 from moddeg.curves import factorize
 from moddeg.report import (
@@ -144,7 +143,7 @@ class TestBuildReport:
         # each of the two, alone above the known degree, fails the check
         for key in report["linear"]:
             values = {"abramovich": 0.0, "abramovich_selberg": 0.0, key: 3.0}
-            monkeypatch.setattr("moddeg.report.linear_bounds", lambda n: LinearBounds(**values))
+            monkeypatch.setattr("moddeg.report.linear_bounds", lambda n: values)
             assert build_report(record)["consistency_ok"] is False, key
 
     def test_n2_supplied(self):
@@ -215,6 +214,14 @@ class TestGolden:
         dst = tmp_path / "out.jsonl"
         assert main(["bound", "--input", str(DATASET), "--output", str(dst)]) == 0
         assert dst.read_bytes() == (GOLDEN / "bound_curves.golden.jsonl").read_bytes()
+
+    def test_bound_on_local_factor_branches(self, tmp_path):
+        # 2^8 || N; p = 1, 11 mod 12; p = 5, 7 mod 12 with and without the
+        # c4/c6 divisibility; a declared non-minimal twist at p > 3; the
+        # failing chain at N = 7^2 * 863; an n2 digit string above 2^53
+        dst = tmp_path / "out.jsonl"
+        assert main(["bound", "--input", str(GOLDEN / "bound_branches.jsonl"), "--output", str(dst)]) == 0
+        assert dst.read_bytes() == (GOLDEN / "bound_branches.golden.jsonl").read_bytes()
 
     def test_verify_lemmas_json(self, capsys):
         assert main(["verify-lemmas", "--json"]) == 0
@@ -374,6 +381,21 @@ class TestCliBound:
         src.write_text(
             '{"label": "37a1", "a": [0,0,1,-1,0], "conductor": 37}\n'
             + "[" * 200000 + "\n"
+            + '{"label": "11a1", "a": [0,-1,1,-10,-20], "conductor": 11}\n'
+        )
+        assert main(["bound", "--input", str(src), "--output", str(dst)]) == 0
+        lines = [json.loads(line) for line in dst.read_text().splitlines()]
+        assert len(lines) == 3
+        assert [lines[0]["label"], lines[2]["label"]] == ["37a1", "11a1"]
+        assert lines[1] == {"line": 2, "error": lines[1]["error"]}
+
+    def test_deeply_nested_label_continues(self, tmp_path):
+        # json.loads accepts the label; writing the report out recurses past the limit
+        src = tmp_path / "in.jsonl"
+        dst = tmp_path / "out.jsonl"
+        src.write_text(
+            '{"label": "37a1", "a": [0,0,1,-1,0], "conductor": 37}\n'
+            + '{"label": ' + "[" * 600 + "]" * 600 + ', "a": [0,0,1,-1,0], "conductor": 37}\n'
             + '{"label": "11a1", "a": [0,-1,1,-10,-20], "conductor": 11}\n'
         )
         assert main(["bound", "--input", str(src), "--output", str(dst)]) == 0

@@ -14,11 +14,11 @@ from moddeg.zerofree import (
     NONCM,
     CertReport,
     _endpoint_disc,
+    _endpoint_eta,
     _wp,
     certify_cm_qi,
     certify_cm_zeta3,
     certify_noncm,
-    eta_smaller_root,
     quintic_beta_optimum,
     trig_poly_expand,
 )
@@ -57,25 +57,20 @@ def eta_delta_max(region) -> float:
     return next(float(closed) for exact_region, _, _, closed in EXACT_CASES if exact_region is region)
 
 
-class TestEtaSmallerRoot:
-    def test_hand_example(self):
-        # delta = 0.04 in the non-CM quadratic: roots 4 and 5
-        assert eta_smaller_root(0.1, -0.9, 2.0) == pytest.approx(4.0, rel=1e-12)
+def smaller_root(a2: float, a1: float, a0: float) -> float:
+    """Test oracle: the smaller real part among numpy's roots of
+    a2 x^2 + a1 x + a0 (at delta_max the rounded discriminant may fall just
+    below zero, and the double root comes back as a conjugate pair)."""
+    return float(np.roots([a2, a1, a0]).real.min())
 
+
+class TestEtaSmallerRoot:
     def test_endpoint_double_root(self):
         region = NONCM
         d = region.delta_max
-        eta = region.eta(d)
+        eta = _endpoint_eta(region)
         assert eta == pytest.approx((2.0 - 5.0 * d) / (10.0 * d), rel=1e-9)
         assert eta == pytest.approx(4.44949, abs=1e-5)
-
-    def test_beyond_endpoint(self):
-        with pytest.raises(ValueError, match="complex roots"):
-            eta_smaller_root(2.5 * 0.05, 2.5 * 0.05 - 1.0, 2.0)
-
-    def test_nonpositive_roots(self):
-        with pytest.raises(ValueError, match="positive"):
-            eta_smaller_root(1.0, 2.0, -3.0)
 
 
 class TestRegionConstants:
@@ -84,19 +79,19 @@ class TestRegionConstants:
         s6 = math.sqrt(6.0)
         assert region.delta_max == pytest.approx(2.0 * (5.0 - 2.0 * s6) / 5.0, rel=1e-15)
         assert region.delta_max == pytest.approx(0.040408, abs=5e-6)
-        assert region.eta(region.delta_max) * region.delta_max == pytest.approx(0.1797959, abs=1e-6)
+        assert _endpoint_eta(region) * region.delta_max == pytest.approx(0.1797959, abs=1e-6)
         assert region.c_param == 96
 
     def test_cm_qi(self):
         region = CM_QI
         assert region.delta_max == pytest.approx(0.050628, abs=5e-6)
-        assert region.eta(region.delta_max) * region.delta_max == pytest.approx(0.2675793, abs=1e-6)
+        assert _endpoint_eta(region) * region.delta_max == pytest.approx(0.2675793, abs=1e-6)
         assert region.c_param == 100
 
     def test_cm_zeta3(self):
         region = CM_ZETA3
         assert region.delta_max == pytest.approx(0.0592669, abs=1e-6)
-        assert region.eta(region.delta_max) * region.delta_max == pytest.approx(0.2194087, abs=1e-6)
+        assert _endpoint_eta(region) * region.delta_max == pytest.approx(0.2194087, abs=1e-6)
         assert region.c_param == 64
 
     def test_delta_max_below_006(self):
@@ -119,12 +114,12 @@ class TestRegionConstants:
         assert region.delta_max == pytest.approx(float(delta), rel=1e-15)
         for d in (delta / 3, delta):
             assert region.quadratic(float(d)) == pytest.approx([float(c) for c in quadratic(d)], rel=1e-15)
-        assert region.eta(region.delta_max) * region.delta_max == pytest.approx(float(closed), rel=1e-15)
+        assert _endpoint_eta(region) * region.delta_max == pytest.approx(float(closed), rel=1e-15)
 
     def test_eta_delta_monotone_to_endpoint(self):
         for region in (NONCM, CM_QI, CM_ZETA3):
             deltas = np.linspace(region.delta_max / 50.0, region.delta_max, 50)
-            products = [d * region.eta(d) for d in deltas]
+            products = [d * smaller_root(*region.quadratic(d)) for d in deltas]
             assert all(b > a for a, b in zip(products, products[1:]))
             assert products[-1] == pytest.approx(eta_delta_max(region), rel=1e-7)
 
