@@ -124,18 +124,12 @@ def linear_bounds(conductor: int) -> dict[str, float]:
 def crossover_check() -> float:
     """log of the smallest N where Theorem 2's closed form reaches N.
 
-    Works with g(L) = log(closed_form(e^L)) - L = L/6 - log(10300)
-    - log L - 0.5 log(0.02 + log L), strictly increasing on the bracket
-    [60, 120], where it changes sign; returns the bisected root (about
-    86.7).
+    Bisects g(L) = log(theorem2_closed_form(e^L)) - L, strictly
+    increasing on the bracket [60, 120], where it changes sign; returns
+    the root (about 86.7).
     """
 
     def g(log_n: float) -> float:
-        return (
-            log_n / 6.0
-            - math.log(10300.0)
-            - math.log(log_n)
-            - 0.5 * math.log(0.02 + math.log(log_n))
-        )
+        return math.log(theorem2_closed_form(math.exp(log_n))) - log_n
 
     return _bisect(g, 60.0, 120.0, 1e-12)

@@ -3,8 +3,11 @@
 Subcommands:
 
     invariants --a a1,a2,a3,a4,a6        model invariants, roots, periods
-    bound --input F --output F [...]     JSONL degree-bound reports
-    verify-lemmas [--json] [--n2 K]      the full constant-certification suite
+    bound --input F --output F           JSONL degree-bound reports
+    verify-lemmas [--json]               the full constant-certification suite
+
+bound takes each record's n2 from its own "n2" field.  verify-lemmas
+certifies at n2 = 142; the test suite covers the range [142, 10**300].
 
 Exit codes: 0 success, 1 certification or consistency failure,
 2 input error or an output that cannot be written.
@@ -18,16 +21,15 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Any, Callable
+from typing import Any
 
 from . import __version__
 from .agm import lemma1_constants
 from .bounds import crossover_check
 from .lvalue import lemma4_certify
-from .report import a_field, build_report, dumps_report, int_field, invariants_document, parse_record
+from .report import a_field, build_report, dumps_report, invariants_document, parse_record
 from .zerofree import (
     MIN_CERTIFIED_N2,
-    _n2_value,
     _wp,
     certify_cm_qi,
     certify_cm_zeta3,
@@ -67,12 +69,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
                     if not line.strip():
                         continue
                     record = parse_record(json.loads(line))
-                    if args.n2 is not None:
-                        record = dataclasses.replace(record, n2=args.n2)
                     report = build_report(record)
                     text = dumps_report(report)
-                # UnicodeDecodeError included; json.loads and dumps_report raise
-                # RecursionError on deep nesting, the latter in a nested "label"
+                # UnicodeDecodeError included; json.loads raises RecursionError
+                # on deep nesting
                 except (ValueError, ArithmeticError, RecursionError) as exc:
                     sink.write(json.dumps({"line": line_no, "error": str(exc)}) + "\n")
                     continue
@@ -95,21 +95,6 @@ def _a_flag(text: str) -> tuple[int, int, int, int, int]:
         raise argparse.ArgumentTypeError(
             f"expects 5 comma-separated JSON integers a1,a2,a3,a4,a6, got {text!r}"
         ) from None
-
-
-def _n2_flag(certified: bool) -> Callable[[str], int]:
-    """An argparse type for --n2: the record's rule for "n2"; a certified
-    n2 must also lie in the certification's range [142, 10**300]."""
-
-    def parse(text: str) -> int:
-        try:
-            if certified:
-                return _n2_value(int_field("n2", text, MIN_CERTIFIED_N2))
-            return int_field("n2", text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return parse
 
 
 def _release_stdout() -> None:
@@ -146,10 +131,10 @@ def _verification_rows(n2: int) -> list[dict[str, Any]]:
 
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
-    rows = _verification_rows(args.n2)
+    rows = _verification_rows(MIN_CERTIFIED_N2)
     all_pass = all(row["pass"] for row in rows)
     if args.json:
-        text = dumps_report({"n2": args.n2, "waypoints": rows, "pass": all_pass})
+        text = dumps_report({"n2": MIN_CERTIFIED_N2, "waypoints": rows, "pass": all_pass})
     else:
         width = max(len(row["name"]) for row in rows)
         lines = []
@@ -160,7 +145,7 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
                 f"[{bound[0]:.6g}, {bound[1]:.6g}]" if isinstance(bound, tuple) else f"{bound:.6g}"
             )
             lines.append(f"{status}  {row['name']:<{width}}  {row['value']:+.10g}  {row['op']} {bound_text}")
-        lines.append(f"{'PASS' if all_pass else 'FAIL'}  overall ({len(rows)} waypoints, n2 = {args.n2})")
+        lines.append(f"{'PASS' if all_pass else 'FAIL'}  overall ({len(rows)} waypoints, n2 = {MIN_CERTIFIED_N2})")
         text = "\n".join(lines)
     if not _print_or_fail(text):
         return EXIT_INPUT_ERROR
@@ -182,17 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="degree-bound reports for a JSONL dataset")
     p_bound.add_argument("--input", required=True, help="input JSONL path")
     p_bound.add_argument("--output", required=True, help="output JSONL path (not the input), or - for stdout")
-    p_bound.add_argument("--n2", type=_n2_flag(certified=False), default=None, help="n2 for every record (integer >= 2)")
     p_bound.set_defaults(func=cmd_bound)
 
     p_verify = sub.add_parser("verify-lemmas", help="run the constant-certification suite")
     p_verify.add_argument("--json", action="store_true", help="machine-readable output")
-    p_verify.add_argument(
-        "--n2",
-        type=_n2_flag(certified=True),
-        default=MIN_CERTIFIED_N2,
-        help=f"symmetric-square conductor (integer from {MIN_CERTIFIED_N2} to 10**300)",
-    )
     p_verify.set_defaults(func=cmd_verify_lemmas)
     return parser
 

@@ -9,9 +9,9 @@ Input wire format: UTF-8 JSON, one record per ``\n``-terminated line
 Only "a" and "conductor" are required.  "a" holds five JSON integers;
 "conductor" (>= 3), "n2" (>= 2) and "deg_phi" (>= 1) are integers or
 strings of ASCII digits, never booleans; "twist_minimal" is a boolean
-(default true) and "semistable" a boolean or null.  ``parse_record`` is the one
-place that holds this contract; the ``bound`` command's ``--n2`` flag
-follows the same rule for "n2".
+(default true), "semistable" a boolean or null and "label" a string or
+null.  ``parse_record`` is the one place that holds this contract, and
+a record's "n2" is the only source of its n2.
 
 ``bound`` writes one JSON object per input line, in input order, as soon
 as it is made: a report, or ``{"line": k, "error": ...}`` for a line that
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from .agm import lemma1_check, period_data
@@ -42,7 +42,6 @@ from .zerofree import MIN_CERTIFIED_N2
 __all__ = [
     "CurveRecord",
     "parse_record",
-    "int_field",
     "a_field",
     "build_report",
     "invariants_document",
@@ -68,9 +67,9 @@ class CurveRecord:
 _INT_MINIMUM = {"conductor": 3, "n2": 2, "deg_phi": 1}
 
 
-def int_field(name: str, value: Any, minimum: int | None = None) -> int | None:
-    """value as the record field name: an integer >= minimum (by default
-    the field's own), or None for null.
+def int_field(name: str, value: Any) -> int | None:
+    """value as the record field name: an integer >= the field's minimum,
+    or None for null.
 
     A JSON integer or a string of ASCII digits is accepted; a boolean,
     a sign, a space, an underscore or a non-ASCII digit is not.
@@ -82,8 +81,7 @@ def int_field(name: str, value: Any, minimum: int | None = None) -> int | None:
             value = int(value)
         except ValueError:  # more digits than int() converts; named below
             pass
-    if minimum is None:
-        minimum = _INT_MINIMUM[name]
+    minimum = _INT_MINIMUM[name]
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValueError(f'"{name}" must be an integer >= {minimum}, got {json.dumps(value)}')
     return value
@@ -104,6 +102,9 @@ def parse_record(obj: Any) -> CurveRecord:
     """Validate one input record; every error names the offending field."""
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
+    label = obj.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError('"label" must be a string or null')
     a = a_field(obj.get("a"))
     conductor = int_field("conductor", obj.get("conductor"))
     if conductor is None:
@@ -115,7 +116,7 @@ def parse_record(obj: Any) -> CurveRecord:
     if not isinstance(twist_minimal, bool):
         raise ValueError(f'"twist_minimal" must be true or false, got {json.dumps(twist_minimal)}')
     return CurveRecord(
-        label=obj.get("label"),
+        label=label,
         a=a,
         conductor=conductor,
         n2=int_field("n2", obj.get("n2")),
@@ -152,43 +153,22 @@ def dumps_report(report: dict[str, Any]) -> str:
 def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, Any]:
     """Document for the `invariants` command: invariants, roots, periods,
     and the Lemma 1 check."""
-    a1, a2, a3, a4, a6 = a
-    curve = CurveModel(a1, a2, a3, a4, a6)
-    inv = derive_invariants(curve)
+    inv = derive_invariants(CurveModel(*a))
     roots = two_torsion_roots(inv)
     period = period_data(inv, roots)
     check = lemma1_check(inv, period)
-    doc: dict[str, Any] = {
-        "a": list(a),
-        "b2": inv.b2,
-        "b4": inv.b4,
-        "b6": inv.b6,
-        "b8": inv.b8,
-        "c4": inv.c4,
-        "c6": inv.c6,
-        "disc": inv.disc,
-        "abs_disc": inv.abs_disc,
-        "disc_positive": inv.disc_positive,
-        "j_num": inv.j_num,
-        "j_den": inv.j_den,
-        "is_cm": is_cm(inv),
-        "case_tag": period.case_tag,
-    }
+    period_fields = asdict(period)
+    case_tag = period_fields.pop("case_tag")
+    doc: dict[str, Any] = {"a": list(a), **asdict(inv), "is_cm": is_cm(inv), "case_tag": case_tag}
     if inv.disc_positive:
         doc["roots"] = {"e1": roots.e1, "e2": roots.e2, "e3": roots.e3}
     else:
         doc["roots"] = {"r": roots.r, "z": roots.z, "r_tilde": roots.r_tilde}
     doc.update(
-        {
-            "omega": period.omega,
-            "real_period": period.real_period,
-            "imag_part": period.imag_part,
-            "inv_omega": period.inv_omega,
-            "t_or_c": period.t_or_c,
-            "lemma1_rhs": check.bound,
-            "lemma1_margin": check.value - check.bound,
-            "lemma1_ok": check.passed,
-        }
+        period_fields,
+        lemma1_rhs=check.bound,
+        lemma1_margin=check.value - check.bound,
+        lemma1_ok=check.passed,
     )
     return doc
 
