@@ -446,6 +446,23 @@ class TestCliBound:
         assert "--n2" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["1", "0", "x", "3_7", " 37 ", "\u0663\u0667"])
+    def test_n2_flag_follows_record_rule(self, tmp_path, capsys, value):
+        # a value the old flag refused is refused on the record's line, naming "n2";
+        # the flag itself is an argparse error before any output is opened
+        src = tmp_path / "in.jsonl"
+        dst = tmp_path / "out.jsonl"
+        src.write_text(json.dumps({"a": [0, 0, 1, -1, 0], "conductor": 37, "n2": value}) + "\n")
+        assert main(["bound", "--input", str(src), "--output", str(dst)]) == 0
+        line = json.loads(dst.read_text())
+        assert line["line"] == 1 and '"n2"' in line["error"]
+        dst.unlink()
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--input", str(src), "--output", str(dst), "--n2", value])
+        assert exc.value.code == 2
+        assert "--n2" in capsys.readouterr().err
+        assert not dst.exists()
+
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
     def test_unicode_line_separator_stays_in_record(self, tmp_path, separator):
         src = tmp_path / "in.jsonl"
