@@ -24,16 +24,17 @@ def show(case_name, waypoints):
     print(case_name)
     for wp in waypoints:
         bound = f"[{wp.bound[0]:g}, {wp.bound[1]:g}]" if isinstance(wp.bound, tuple) else f"{wp.bound:g}"
-        print(f"   {'ok ' if wp.passed else 'BAD'} {wp.name:<24} {wp.value:+.9g}  {wp.op} {bound}")
+        print(f"   {'ok ' if wp.passed else 'BAD'} {wp.name:<32} {wp.value:+.9g}  {wp.op} {bound}")
     print()
 
 
-for cert in (certify_noncm(N2), certify_cm_qi(N2), certify_cm_zeta3(N2)):
-    show(f"zero-free region, case {cert.case_tag} (n2 = {N2}):", cert.waypoints)
+# each waypoint is named "<case>.<step>", as verify-lemmas prints it
+for waypoints in (certify_noncm(N2), certify_cm_qi(N2), certify_cm_zeta3(N2)):
+    show(f"zero-free region, case {waypoints[0].name.split('.')[0]} (n2 = {N2}):", waypoints)
 
 l4 = lemma4_certify(N2)
-show(f"L-value lower bound 0.033/log(n2) (n2 = {N2}):", l4.waypoints)
-slack = next(wp.value for wp in l4.waypoints if wp.name == "chain_slack")
+show(f"L-value lower bound 0.033/log(n2) (n2 = {N2}):", l4)
+slack = next(wp.value for wp in l4 if wp.name == "lvalue.chain_slack")
 print(f"   reconstructed chain value exceeds 0.033/log(n2) by {slack:.3e}")
 print()
 

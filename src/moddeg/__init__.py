@@ -56,7 +56,6 @@ from .zerofree import (
     CM_QI,
     CM_ZETA3,
     NONCM,
-    CertReport,
     RegionConstants,
     Waypoint,
     certify_cm_qi,

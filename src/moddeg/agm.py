@@ -27,8 +27,9 @@ together with the two extremal constants behind it:
 The root geometry (r_tilde, z, B^2) of either sign comes from
 ``curves.two_torsion_roots``, with z = sqrt(D) / (8 B^2) taken from the
 exact discriminant, so no root difference below cancels.  Lemma 1 uses
-the certification layer's types: ``lemma1_check`` returns a
-``Waypoint`` and ``lemma1_constants`` a ``CertReport`` tagged "lemma1".
+the certification layer's ``Waypoint``: ``lemma1_check`` returns one, and
+``lemma1_constants`` the two named "lemma1.case_pos_constant" and
+"lemma1.case_neg_constant".
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .curves import Invariants, RootData
-from .zerofree import CertReport, Waypoint, _wp
+from .zerofree import Waypoint, _wp
 
 __all__ = [
     "AGM_TOL",
@@ -168,7 +169,7 @@ def period_data(inv: Invariants, roots: RootData) -> PeriodData:
     return area_neg_disc(roots.r_tilde, roots.z, roots.b_sq)
 
 
-def lemma1_constants() -> CertReport:
+def lemma1_constants() -> tuple[Waypoint, Waypoint]:
     """The two extremal constants pi^2 / (extremal AGM product), each
     certified below 14.045: k1 for three real roots (at t = 1/2), k2 for
     one real root (at c = sqrt(4/3))."""
@@ -178,12 +179,9 @@ def lemma1_constants() -> CertReport:
         * agm(1.0, math.sqrt(0.5 + math.sqrt(3.0) / 4.0))
         * agm(1.0, math.sqrt(0.5 - math.sqrt(3.0) / 4.0))
     )
-    return CertReport(
-        case_tag="lemma1",
-        waypoints=(
-            _wp("case_pos_constant", k1, "<=", AREA_BOUND_DENOMINATOR),
-            _wp("case_neg_constant", k2, "<=", AREA_BOUND_DENOMINATOR),
-        ),
+    return (
+        _wp("lemma1.case_pos_constant", k1, "<=", AREA_BOUND_DENOMINATOR),
+        _wp("lemma1.case_neg_constant", k2, "<=", AREA_BOUND_DENOMINATOR),
     )
 
 

@@ -93,13 +93,11 @@ def theorem2(
     """
     if conductor < 3 or n2 < 2 or omega <= 0.0:
         raise ValueError("need conductor >= 3, n2 >= 2 and omega > 0")
-    factors = list(fudge_factors)
     log_n2 = math.log(n2)
     analytic = conductor / omega * L_VALUE_BOUND_NUMERATOR / log_n2
-    for f in factors:
-        analytic *= f["u_inverse_at_1"]
     worst = 1.0
-    for f in factors:
+    for f in fudge_factors:
+        analytic *= f["u_inverse_at_1"]
         if f["p"] % 3 == 1:
             worst *= 1.0 - 1.0 / f["p"]
     intermediate = conductor ** (7.0 / 6.0) / (7150.0 * log_n2) * worst

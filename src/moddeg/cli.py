@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -122,11 +121,15 @@ def _print_or_fail(text: str) -> bool:
 
 def _verification_rows(n2: int) -> list[dict[str, Any]]:
     """Every verify-lemmas row: a Waypoint, judged by _wp, as a dict."""
-    waypoints = []
-    for cert in (lemma1_constants(), certify_noncm(n2), certify_cm_qi(n2), certify_cm_zeta3(n2), lemma4_certify(n2)):
-        waypoints.extend(dataclasses.replace(wp, name=f"{cert.case_tag}.{wp.name}") for wp in cert.waypoints)
-    waypoints.append(_wp("zeta3.beta_star", quintic_beta_optimum(), "abs_diff<=", (2.629152166, 1e-8)))
-    waypoints.append(_wp("theorem2.crossover_log_n", crossover_check(), "in", (86.0, 87.5)))
+    waypoints = (
+        *lemma1_constants(),
+        *certify_noncm(n2),
+        *certify_cm_qi(n2),
+        *certify_cm_zeta3(n2),
+        *lemma4_certify(n2),
+        _wp("zeta3.beta_star", quintic_beta_optimum(), "abs_diff<=", (2.629152166, 1e-8)),
+        _wp("theorem2.crossover_log_n", crossover_check(), "in", (86.0, 87.5)),
+    )
     return [{"name": w.name, "value": w.value, "op": w.op, "bound": w.bound, "pass": w.passed} for w in waypoints]
 
 

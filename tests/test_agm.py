@@ -28,7 +28,7 @@ K2_EXPECTED = 14.044556133045613852
 
 
 def lemma1_k1_k2() -> tuple[float, float]:
-    pos, neg = lemma1_constants().waypoints
+    pos, neg = lemma1_constants()
     return pos.value, neg.value
 
 
@@ -146,10 +146,9 @@ class TestAreaNegDisc:
 class TestLemma1:
     def test_constants(self):
         constants = lemma1_constants()
-        assert constants.case_tag == "lemma1"
-        assert [w.name for w in constants.waypoints] == ["case_pos_constant", "case_neg_constant"]
-        assert all(w.op == "<=" and w.bound == AREA_BOUND_DENOMINATOR for w in constants.waypoints)
-        assert constants.overall_pass
+        assert [w.name for w in constants] == ["lemma1.case_pos_constant", "lemma1.case_neg_constant"]
+        assert all(w.op == "<=" and w.bound == AREA_BOUND_DENOMINATOR for w in constants)
+        assert all(w.passed for w in constants)
         k1, k2 = lemma1_k1_k2()
         assert k1 == pytest.approx(K1_EXPECTED, abs=1e-9)
         assert k2 == pytest.approx(K2_EXPECTED, abs=1e-9)

@@ -33,48 +33,48 @@ class TestSymsqLowerBound:
 
 
 def _values(n2: int) -> dict[str, float]:
-    return {w.name: w.value for w in lemma4_certify(n2).waypoints}
+    return {w.name: w.value for w in lemma4_certify(n2)}
 
 
 class TestLemma4Certify:
     def test_at_142(self):
-        cert = lemma4_certify(142)
-        assert cert.case_tag == "lvalue"
-        assert cert.overall_pass
+        waypoints = lemma4_certify(142)
+        assert all(w.name.startswith("lvalue.") for w in waypoints)
+        assert all(w.passed for w in waypoints)
         v = _values(142)
-        assert v["b_lower"] == pytest.approx(1.0 - 1.0 / (25.0 * math.log(142)), rel=1e-15)
-        assert v["b_lower"] == pytest.approx(0.9919287, abs=1e-7)
-        assert v["b_lower"] >= 0.99
-        assert v["log_x"] == pytest.approx(20.569, abs=1e-3)
-        assert v["log_x"] <= 4.2 * math.log(142)
-        assert v["x_power"] == pytest.approx(1.1806, abs=1e-3)
-        assert v["x_power"] <= 1.19
-        assert v["gamma_one_minus_b"] <= 25.0 * math.log(142)
-        assert v["error_integral"] < 62.0
-        assert v["chain_slack"] >= 0.0
+        assert v["lvalue.b_lower"] == pytest.approx(1.0 - 1.0 / (25.0 * math.log(142)), rel=1e-15)
+        assert v["lvalue.b_lower"] == pytest.approx(0.9919287, abs=1e-7)
+        assert v["lvalue.b_lower"] >= 0.99
+        assert v["lvalue.log_x"] == pytest.approx(20.569, abs=1e-3)
+        assert v["lvalue.log_x"] <= 4.2 * math.log(142)
+        assert v["lvalue.x_power"] == pytest.approx(1.1806, abs=1e-3)
+        assert v["lvalue.x_power"] <= 1.19
+        assert v["lvalue.gamma_one_minus_b"] <= 25.0 * math.log(142)
+        assert v["lvalue.error_integral"] < 62.0
+        assert v["lvalue.chain_slack"] >= 0.0
 
     def test_x_power_identity(self):
         for n2 in N2_LADDER:
             v = _values(n2)
-            identity = math.exp(v["log_x"] / (25.0 * math.log(n2)))
-            assert v["x_power"] == pytest.approx(identity, rel=1e-12)
-            assert v["x_power"] <= math.exp(4.2 / 25.0) <= 1.19
+            identity = math.exp(v["lvalue.log_x"] / (25.0 * math.log(n2)))
+            assert v["lvalue.x_power"] == pytest.approx(identity, rel=1e-12)
+            assert v["lvalue.x_power"] <= math.exp(4.2 / 25.0) <= 1.19
 
     def test_chain_is_checked_against_symsq_lower_bound(self):
         for n2 in N2_LADDER:
             v = _values(n2)
-            chain = (math.exp(-1e-6) - 0.01) / (v["x_power"] * v["gamma_one_minus_b"])
-            assert v["chain_slack"] == chain - symsq_lower_bound(n2)
+            chain = (math.exp(-1e-6) - 0.01) / (v["lvalue.x_power"] * v["lvalue.gamma_one_minus_b"])
+            assert v["lvalue.chain_slack"] == chain - symsq_lower_bound(n2)
 
     def test_ladder_passes(self):
         for n2 in N2_LADDER:
-            assert lemma4_certify(n2).overall_pass
+            assert all(w.passed for w in lemma4_certify(n2))
 
     def test_margins_grow(self):
         small = _values(142)
         large = _values(10**9)
-        assert large["x_power"] < small["x_power"]
-        assert 4.2 * math.log(10**9) - large["log_x"] > 4.2 * math.log(142) - small["log_x"]
+        assert large["lvalue.x_power"] < small["lvalue.x_power"]
+        assert 4.2 * math.log(10**9) - large["lvalue.log_x"] > 4.2 * math.log(142) - small["lvalue.log_x"]
 
     def test_precondition(self):
         with pytest.raises(ValueError):
@@ -83,7 +83,7 @@ class TestLemma4Certify:
         for n2 in (MAX_CERTIFIED_N2 + 1, 10**302, 10**400):
             with pytest.raises(ValueError, match="above the certified maximum"):
                 lemma4_certify(n2)
-        assert lemma4_certify(MAX_CERTIFIED_N2).overall_pass
+        assert all(w.passed for w in lemma4_certify(MAX_CERTIFIED_N2))
 
 
 class TestEulerProductEstimate:

@@ -1,17 +1,21 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moddeg.agm import lemma1_constants
 from moddeg.cli import _verification_rows, main
-from moddeg.curves import factorize
+from moddeg.curves import factorize, is_prime
+from moddeg.lvalue import lemma4_certify
 from moddeg.report import (
     build_report,
     dumps_report,
@@ -19,7 +23,13 @@ from moddeg.report import (
     parse_record,
     squared_primes,
 )
-from moddeg.zerofree import MAX_CERTIFIED_N2, MIN_CERTIFIED_N2
+from moddeg.zerofree import (
+    MAX_CERTIFIED_N2,
+    MIN_CERTIFIED_N2,
+    certify_cm_qi,
+    certify_cm_zeta3,
+    certify_noncm,
+)
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -43,6 +53,23 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def _large_n_shapes(count: int, seed: int = 1) -> list[int]:
+    """Conductors shaped like the large-N benchmark table: q and p^2 q,
+    q a prime in [1e12, 1.1e12], p a prime in [1e3, 1e5]."""
+    rng = random.Random(seed)
+    shapes = []
+    for i in range(count):
+        q = sympy.nextprime(rng.randint(10**12, 11 * 10**11))
+        shapes.append(q if i % 2 == 0 else sympy.nextprime(rng.randint(10**3, 10**5)) ** 2 * q)
+    return shapes
+
+
+def _assert_factorization_matches_sympy(n: int) -> None:
+    expected = {int(p): e for p, e in sympy.factorint(n).items()}
+    assert factorize(n) == expected, n
+    assert squared_primes(n) == sorted(p for p, e in expected.items() if e >= 2), n
+
+
 class TestFactorize:
     def test_small(self):
         assert factorize(720) == {2: 4, 3: 2, 5: 1}
@@ -50,6 +77,21 @@ class TestFactorize:
 
     def test_squarefree(self):
         assert squared_primes(25000) == [2, 5]
+
+    @pytest.mark.parametrize(
+        "n",
+        [*_large_n_shapes(4), 1000003**2 * 7, 1000003**3, 2**40, 3**25, 7**2 * 13**2 * 19**2, 42287],
+    )
+    def test_against_sympy(self, n):
+        _assert_factorization_matches_sympy(n)
+
+    def test_against_sympy_on_random_n(self):
+        rng = random.Random(20000)
+        for _ in range(2000):
+            _assert_factorization_matches_sympy(rng.randint(1, 10**6))
+
+    def test_is_prime_against_sympy(self):
+        assert [n for n in range(20000) if is_prime(n) != sympy.isprime(n)] == []
 
 
 class TestParseRecord:
@@ -555,6 +597,21 @@ class TestCliVerifyLemmas:
         assert "lvalue.error_integral" in names
         assert "theorem2.crossover_log_n" in names
         assert all(row["pass"] for row in doc["waypoints"])
+
+    def test_rows_are_the_library_waypoints(self):
+        n2 = MIN_CERTIFIED_N2
+        library = (
+            *lemma1_constants(),
+            *certify_noncm(n2),
+            *certify_cm_qi(n2),
+            *certify_cm_zeta3(n2),
+            *lemma4_certify(n2),
+        )
+        rows = _verification_rows(n2)
+        names = [w.name for w in library] + ["zeta3.beta_star", "theorem2.crossover_log_n"]
+        assert [row["name"] for row in rows] == names
+        for row, w in zip(rows, library):
+            assert (row["value"], row["op"], row["bound"], row["pass"]) == (w.value, w.op, w.bound, w.passed)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=math.log(MIN_CERTIFIED_N2), max_value=math.log(MAX_CERTIFIED_N2)))

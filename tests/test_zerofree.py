@@ -12,7 +12,6 @@ from moddeg.zerofree import (
     MAX_CERTIFIED_N2,
     MIN_CERTIFIED_N2,
     NONCM,
-    CertReport,
     _endpoint_disc,
     _endpoint_eta,
     _wp,
@@ -137,51 +136,45 @@ class TestPassRule:
         for value in (2.5 - 2e-8, 2.5 + 2e-8):
             assert not _wp("x", value, "abs_diff<=", (2.5, 1e-8)).passed
 
-    def test_overall_pass_follows_waypoints(self):
-        good = _wp("good", 0.0, "<=", 1.0)
-        bad = _wp("bad", 2.0, "<=", 1.0)
-        assert CertReport("noncm", (good,)).overall_pass
-        assert not CertReport("noncm", (good, bad)).overall_pass
-
 
 class TestCertifications:
     def test_noncm_at_142(self):
-        report = certify_noncm(142)
-        assert report.overall_pass
-        wp = {w.name: w for w in report.waypoints}
-        assert wp["sigma_max"].value == pytest.approx(1.4592736, abs=1e-6)
-        assert wp["middle_term"].value == pytest.approx(-0.8417560, abs=1e-6)
-        assert wp["gamma_factor_sum"].value == pytest.approx(1.7352666, abs=1e-6)
-        assert wp["log_32_pi8"].value == pytest.approx(math.log(32.0) + 8.0 * math.log(math.pi), rel=1e-15)
-        assert wp["contradiction_total"].value == pytest.approx(-0.3127045, abs=1e-6)
+        waypoints = certify_noncm(142)
+        assert all(w.passed for w in waypoints)
+        wp = {w.name: w for w in waypoints}
+        assert wp["noncm.sigma_max"].value == pytest.approx(1.4592736, abs=1e-6)
+        assert wp["noncm.middle_term"].value == pytest.approx(-0.8417560, abs=1e-6)
+        assert wp["noncm.gamma_factor_sum"].value == pytest.approx(1.7352666, abs=1e-6)
+        assert wp["noncm.log_32_pi8"].value == pytest.approx(math.log(32.0) + 8.0 * math.log(math.pi), rel=1e-15)
+        assert wp["noncm.contradiction_total"].value == pytest.approx(-0.3127045, abs=1e-6)
 
     def test_noncm_sigma_to_one_limit(self):
-        report = certify_noncm(10**18)
-        wp = {w.name: w for w in report.waypoints}
+        waypoints = certify_noncm(10**18)
+        wp = {w.name: w for w in waypoints}
         limit = 1.5 * digamma(0.5) + 4.0 * digamma(2.0) + 1.5 * digamma(1.0) + digamma(3.0)
-        assert wp["gamma_factor_sum"].value == pytest.approx(limit, abs=0.05)
-        assert wp["gamma_factor_sum"].value <= 1.74
+        assert wp["noncm.gamma_factor_sum"].value == pytest.approx(limit, abs=0.05)
+        assert wp["noncm.gamma_factor_sum"].value <= 1.74
 
     def test_qi_at_142(self):
-        report = certify_cm_qi(142)
-        assert report.overall_pass
-        wp = {w.name: w for w in report.waypoints}
-        assert wp["sigma_max"].value == pytest.approx(1.7630801, abs=1e-6)
-        assert wp["middle_term"].value == pytest.approx(-0.6129665, abs=1e-6)
-        assert abs(wp["endpoint_disc"].value) <= 1e-12
-        assert wp["constant_block"].value == pytest.approx(9.4482774, abs=1e-6)
-        assert wp["contradiction_total"].value == pytest.approx(-0.7263059, abs=1e-6)
+        waypoints = certify_cm_qi(142)
+        assert all(w.passed for w in waypoints)
+        wp = {w.name: w for w in waypoints}
+        assert wp["cm_qi.sigma_max"].value == pytest.approx(1.7630801, abs=1e-6)
+        assert wp["cm_qi.middle_term"].value == pytest.approx(-0.6129665, abs=1e-6)
+        assert abs(wp["cm_qi.endpoint_disc"].value) <= 1e-12
+        assert wp["cm_qi.constant_block"].value == pytest.approx(9.4482774, abs=1e-6)
+        assert wp["cm_qi.contradiction_total"].value == pytest.approx(-0.7263059, abs=1e-6)
 
     def test_zeta3_at_142(self):
-        report = certify_cm_zeta3(142)
-        assert report.overall_pass
-        wp = {w.name: w for w in report.waypoints}
-        assert wp["sigma_max"].value == pytest.approx(1.2753126, abs=1e-6)
-        assert wp["gamma_factor_sum"].value == pytest.approx(151.18175, abs=1e-4)
-        assert wp["middle_term"].value == pytest.approx(-59.271010, abs=1e-5)
-        assert wp["constant_block"].value == pytest.approx(-644.52998, abs=1e-4)
-        assert wp["half_261_log_64"].value == pytest.approx(130.5 * math.log(64.0), rel=1e-15)
-        assert wp["contradiction_total"].value == pytest.approx(-7.7957339, abs=1e-6)
+        waypoints = certify_cm_zeta3(142)
+        assert all(w.passed for w in waypoints)
+        wp = {w.name: w for w in waypoints}
+        assert wp["cm_zeta3.sigma_max"].value == pytest.approx(1.2753126, abs=1e-6)
+        assert wp["cm_zeta3.gamma_factor_sum"].value == pytest.approx(151.18175, abs=1e-4)
+        assert wp["cm_zeta3.middle_term"].value == pytest.approx(-59.271010, abs=1e-5)
+        assert wp["cm_zeta3.constant_block"].value == pytest.approx(-644.52998, abs=1e-4)
+        assert wp["cm_zeta3.half_261_log_64"].value == pytest.approx(130.5 * math.log(64.0), rel=1e-15)
+        assert wp["cm_zeta3.contradiction_total"].value == pytest.approx(-7.7957339, abs=1e-6)
 
     def test_gamma_sums_recomputed(self):
         # independent reassembly of the extremal evaluation points
@@ -194,14 +187,14 @@ class TestCertifications:
             + 1.5 * digamma((sigma + 1) / 2)
             + digamma(sigma + 2)
         )
-        wp = {w.name: w for w in certify_noncm(n2).waypoints}
-        assert wp["gamma_factor_sum"].value == pytest.approx(expected, rel=1e-12)
+        wp = {w.name: w for w in certify_noncm(n2)}
+        assert wp["noncm.gamma_factor_sum"].value == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("certify", [certify_noncm, certify_cm_qi, certify_cm_zeta3])
     def test_ladder_passes_with_monotone_margins(self, certify):
-        def margins(report):
+        def margins(waypoints):
             out = {}
-            for w in report.waypoints:
+            for w in waypoints:
                 if w.op in ("<=", "<"):
                     out[w.name] = w.bound - w.value
                 elif w.op == ">=":
@@ -210,9 +203,9 @@ class TestCertifications:
 
         previous = None
         for n2 in N2_LADDER:
-            report = certify(n2)
-            assert report.overall_pass, f"{certify.__name__} failed at n2 = {n2}"
-            current = margins(report)
+            waypoints = certify(n2)
+            assert all(w.passed for w in waypoints), f"{certify.__name__} failed at n2 = {n2}"
+            current = margins(waypoints)
             if previous is not None:
                 for name, margin in current.items():
                     assert margin >= previous[name] - 1e-12, (name, n2)
@@ -224,7 +217,7 @@ class TestCertifications:
             certify(MIN_CERTIFIED_N2 - 1)
         with pytest.raises(ValueError, match="above the certified maximum"):
             certify(MAX_CERTIFIED_N2 + 1)
-        assert certify(MAX_CERTIFIED_N2).overall_pass
+        assert all(w.passed for w in certify(MAX_CERTIFIED_N2))
 
 
 class TestTrigPoly:
