@@ -4,8 +4,10 @@ Integer b/c-invariants and the discriminant, the roots of the 2-torsion
 polynomial ``4x^3 + b2 x^2 + 2 b4 x + b6`` (the polynomial appearing on
 the right side of ``y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6``) through the
 geometry of its isolated root and the exact discriminant, trial-division
-factorization and primality, naive point counts over small prime fields,
-and CM detection by rational j-invariant.
+factorization and primality, naive point counts over small prime fields
+(one counting routine, which the Euler-product estimator calls with the
+invariants it derived once per curve), and CM detection by rational
+j-invariant.
 
 The conductor is always an input, never computed; reports downstream
 carry a ``"conductor_provenance": "supplied"`` field.  Models are used exactly as
@@ -62,6 +64,12 @@ CM_J_INVARIANTS = {
 POINT_COUNT_CUTOFF = 10**6
 
 
+def _require_int(name: str, value: object) -> None:
+    """Refuse a bool or any non-int, naming the parameter."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an exact integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CurveModel:
     """Integral Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
@@ -81,9 +89,7 @@ class CurveModel:
 
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "a3", "a4", "a6"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"{name} must be an exact integer, got {v!r}")
+            _require_int(name, getattr(self, name))
         n = self.conductor
         if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
             raise ValueError(f"conductor must be a positive integer, got {n!r}")
@@ -264,6 +270,7 @@ def trace_of_frobenius(curve: CurveModel, p: int) -> int:
     Requires p prime, p below the counting cutoff, and good reduction
     (p does not divide the discriminant of the supplied model).
     """
+    _require_int("p", p)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if p > POINT_COUNT_CUTOFF:
@@ -271,6 +278,12 @@ def trace_of_frobenius(curve: CurveModel, p: int) -> int:
     inv = derive_invariants(curve)
     if inv.disc % p == 0:
         raise ValueError(f"bad reduction: {p} divides the discriminant")
+    return _count_trace(curve, inv, p)
+
+
+def _count_trace(curve: CurveModel, inv: Invariants, p: int) -> int:
+    """a_p at a prime p of good reduction, inv being curve's invariants;
+    the caller has checked p."""
     if p == 2:
         a1, a2, a3, a4, a6 = curve.a_invariants
         count = 1  # point at infinity
@@ -283,9 +296,10 @@ def trace_of_frobenius(curve: CurveModel, p: int) -> int:
         a_p = 2 + 1 - count
     else:
         # Completing the square turns the fibre count over x into
-        # 1 + chi(4x^3 + b2 x^2 + 2 b4 x + b6) with chi the Legendre symbol.
+        # 1 + chi(4x^3 + b2 x^2 + 2 b4 x + b6) with chi the Legendre symbol;
+        # i and p - i have the same square.
         chi = bytearray(p)
-        for i in range(1, p):
+        for i in range(1, (p + 1) // 2):
             chi[i * i % p] = 1
         b2, b4, b6 = inv.b2 % p, inv.b4 % p, inv.b6 % p
         total = 0
@@ -299,6 +313,10 @@ def trace_of_frobenius(curve: CurveModel, p: int) -> int:
     return a_p
 
 
+# The rational CM j-invariants as a set, for is_cm.
+_CM_J_VALUES = frozenset(CM_J_INVARIANTS.values())
+
+
 def is_cm(inv: Invariants) -> bool:
     """True iff j = c4^3/disc is one of the thirteen rational CM j-invariants."""
-    return inv.j_den == 1 and inv.j_num in set(CM_J_INVARIANTS.values())
+    return inv.j_den == 1 and inv.j_num in _CM_J_VALUES

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .curves import CurveModel, derive_invariants, trace_of_frobenius, POINT_COUNT_CUTOFF
+from .curves import POINT_COUNT_CUTOFF, CurveModel, _count_trace, _require_int, derive_invariants
 from .specfun import lemma4_error_integral
 from .zerofree import Waypoint, _n2_value, _wp
 
@@ -84,9 +84,11 @@ def symsq_value_estimate(curve: CurveModel, prime_cutoff: int) -> float:
     [(1 - alpha^2/p^2)(1 - 1/p)(1 - beta^2/p^2)]^(-1) with alpha, beta the
     Frobenius roots (alpha+beta = a_p, alpha*beta = p); this is the local
     factor at the symmetry-normalized edge point.  Primes dividing the
-    conductor or the model discriminant are skipped.  Sanity only; no
-    truncation error control.
+    conductor or the model discriminant are skipped.  The invariants are
+    derived once, and each a_p comes from the counting routine behind
+    trace_of_frobenius.  Sanity only; no truncation error control.
     """
+    _require_int("prime_cutoff", prime_cutoff)
     if prime_cutoff > POINT_COUNT_CUTOFF:
         raise ValueError("prime_cutoff exceeds the point-counting cutoff")
     inv = derive_invariants(curve)
@@ -100,7 +102,7 @@ def symsq_value_estimate(curve: CurveModel, prime_cutoff: int) -> float:
             sieve[m] = 0
         if bad % p == 0:
             continue
-        a_p = trace_of_frobenius(curve, p)
+        a_p = _count_trace(curve, inv, p)
         # (1 - a^2/p^2)(1 - b^2/p^2) = 1 - (a_p^2 - 2p)/p^2 + 1/p^2
         p2 = float(p * p)
         sym_part = 1.0 - (a_p * a_p - 2.0 * p) / p2 + 1.0 / p2

@@ -89,3 +89,49 @@ def load_bundled_records() -> list[dict]:
 @pytest.fixture(scope="session")
 def bundled_records() -> list[dict]:
     return load_bundled_records()
+
+
+# The eight fixed curves of the Euler-product benchmark, with conductors,
+# and three seeded models without one whose a1 and a3 are both nonzero.
+EULER_CURVES = {
+    "11a1": CurveModel(0, -1, 1, -10, -20, conductor=11),
+    "37a1": CurveModel(0, 0, 1, -1, 0, conductor=37),
+    "389a1": CurveModel(0, 1, 1, -2, 0, conductor=389),
+    "14a1": CurveModel(1, 0, 1, 4, -6, conductor=14),
+    "27a1": CurveModel(0, 0, 1, 0, -7, conductor=27),
+    "32a1": CurveModel(0, 0, 0, 4, 0, conductor=32),
+    "36a1": CurveModel(0, 0, 0, 0, 1, conductor=36),
+    "49a1": CurveModel(1, -1, 0, -2, -1, conductor=49),
+    **{
+        f"seeded{i}": model
+        for i, model in enumerate([c for c in random_curves(12, seed=20, span=20) if c.a1 and c.a3][:3])
+    },
+}
+
+
+def good_primes(curve: CurveModel, cutoff: int) -> list[int]:
+    """The primes p <= cutoff, by trial division, not dividing |disc| * N."""
+    bad = derive_invariants(curve).abs_disc * (curve.conductor or 1)
+    primes = [p for p in range(2, cutoff + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    return [p for p in primes if bad % p]
+
+
+def ap_by_euler_criterion(curve: CurveModel, p: int) -> int:
+    """Independent oracle: a_p = p + 1 - #E(F_p), enumerating F_2 x F_2
+    at p = 2 and summing the Legendre symbol of 4x^3 + b2 x^2 + 2 b4 x + b6,
+    by Euler's criterion, over x in F_p at odd p."""
+    a1, a2, a3, a4, a6 = curve.a_invariants
+    if p == 2:
+        affine = sum(
+            (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
+            for x in range(2)
+            for y in range(2)
+        )
+        return 2 - affine
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    total = 0
+    for x in range(p):
+        v = (4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % p
+        if v:
+            total += 1 if pow(v, (p - 1) // 2, p) == 1 else -1
+    return -total

@@ -17,7 +17,7 @@ from moddeg import (
 )
 from moddeg.curves import Invariants, is_prime
 
-from conftest import inv_omega_oracle, random_curves
+from conftest import EULER_CURVES, ap_by_euler_criterion, good_primes, inv_omega_oracle, random_curves
 
 C37A1 = CurveModel(0, 0, 1, -1, 0, conductor=37)  # 37a1
 
@@ -179,6 +179,23 @@ class TestTraceOfFrobenius:
                     continue
                 a_p = trace_of_frobenius(curve, p)
                 assert a_p * a_p <= 4 * p
+
+    @pytest.mark.parametrize("label", EULER_CURVES)
+    def test_every_good_prime_to_2000_against_euler_criterion(self, label):
+        curve = EULER_CURVES[label]
+        program = {p: trace_of_frobenius(curve, p) for p in good_primes(curve, 2000)}
+        assert program == {p: ap_by_euler_criterion(curve, p) for p in program}
+
+    # a_p of the newforms 11a and 37a, from their published q-expansions
+    @pytest.mark.parametrize(
+        "label, published",
+        [
+            ("11a1", {2: -2, 3: -1, 5: 1, 7: -2, 13: 4, 17: -2, 19: 0, 23: -1, 29: 0, 31: 7}),
+            ("37a1", {2: -2, 3: -3, 5: -2, 7: -1, 11: -5, 13: -2, 17: 0, 19: 0, 23: 2, 29: 6}),
+        ],
+    )
+    def test_published_q_expansions(self, label, published):
+        assert {p: trace_of_frobenius(EULER_CURVES[label], p) for p in published} == published
 
 
 class TestIsCm:

@@ -2,13 +2,17 @@ import math
 
 import pytest
 
-from moddeg import CurveModel, derive_invariants, period_data, two_torsion_roots
+import moddeg.curves
+import moddeg.lvalue
+from moddeg import CurveModel, derive_invariants, period_data, trace_of_frobenius, two_torsion_roots
 from moddeg.lvalue import (
     lemma4_certify,
     symsq_lower_bound,
     symsq_value_estimate,
 )
 from moddeg.zerofree import MAX_CERTIFIED_N2
+
+from conftest import EULER_CURVES, good_primes
 
 N2_LADDER = [142, 10**3, 10**6, 10**12, 10**18]
 
@@ -111,3 +115,43 @@ class TestEulerProductEstimate:
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             symsq_value_estimate(self.CURVE, 10**7)
+
+    @pytest.mark.parametrize("label", EULER_CURVES)
+    def test_is_the_euler_product_over_the_good_primes(self, label):
+        # rebuilt in ascending order from the public a_p, over exactly the
+        # primes not dividing |disc| * N; the seeded models have no conductor
+        curve = EULER_CURVES[label]
+        product = 1.0
+        for p in good_primes(curve, 2000):
+            a_p = trace_of_frobenius(curve, p)
+            p2 = float(p * p)
+            product /= (1.0 - (a_p * a_p - 2.0 * p) / p2 + 1.0 / p2) * (1.0 - 1.0 / p)
+        assert symsq_value_estimate(curve, 2000) == pytest.approx(product, rel=1e-12)
+
+    def test_derives_the_invariants_once(self, monkeypatch):
+        calls = []
+
+        def counted(curve):
+            calls.append(curve)
+            return derive_invariants(curve)
+
+        monkeypatch.setattr(moddeg.curves, "derive_invariants", counted)
+        monkeypatch.setattr(moddeg.lvalue, "derive_invariants", counted)
+        symsq_value_estimate(self.CURVE, 2000)
+        assert calls == [self.CURVE]
+
+
+@pytest.mark.parametrize(
+    "function, name, value",
+    [
+        (trace_of_frobenius, "p", 2.0),
+        (trace_of_frobenius, "p", 5.0),
+        (trace_of_frobenius, "p", True),
+        (symsq_value_estimate, "prime_cutoff", True),
+        (symsq_value_estimate, "prime_cutoff", 2000.0),
+        (symsq_value_estimate, "prime_cutoff", "2000"),
+    ],
+)
+def test_non_integer_argument_refused(function, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an exact integer, got {value!r}$"):
+        function(EULER_CURVES["37a1"], value)

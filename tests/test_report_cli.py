@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from moddeg.agm import lemma1_constants
 from moddeg.cli import _verification_rows, main
-from moddeg.curves import factorize, is_prime
-from moddeg.lvalue import lemma4_certify
+from moddeg.curves import CurveModel, factorize, is_prime
+from moddeg.lvalue import lemma4_certify, symsq_value_estimate
 from moddeg.report import (
     build_report,
     dumps_report,
@@ -289,6 +289,15 @@ class TestGolden:
                 assert main(["invariants", "--a", ",".join(map(str, record["a"]))]) == 0
                 out.append(capsys.readouterr().out)
         assert "".join(out) == (GOLDEN / "invariants_tables.golden.jsonl").read_text()
+
+    def test_euler_estimates_on_table_curves(self, bundled_records):
+        labels = ("11a1", "37a1", "389a1", "14a1", "27a1", "32a1", "36a1", "49a1")
+        estimates = {
+            r["label"]: repr(symsq_value_estimate(CurveModel(*r["a"], conductor=r["conductor"]), 2000))
+            for r in bundled_records
+            if r["label"] in labels
+        }
+        assert json.dumps(estimates, indent=2) + "\n" == (GOLDEN / "euler_estimates.golden.json").read_text()
 
 
 # Test oracles only: the runtime is the standard library.
