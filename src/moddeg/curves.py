@@ -313,7 +313,6 @@ def _count_trace(curve: CurveModel, inv: Invariants, p: int) -> int:
     return a_p
 
 
-# The rational CM j-invariants as a set, for is_cm.
 _CM_J_VALUES = frozenset(CM_J_INVARIANTS.values())
 
 

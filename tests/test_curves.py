@@ -152,12 +152,6 @@ class TestTwoTorsionRoots:
 
 
 class TestTraceOfFrobenius:
-    def test_37a1_small_primes(self):
-        assert trace_of_frobenius(C37A1, 2) == -2
-        assert trace_of_frobenius(C37A1, 3) == -3
-        assert trace_of_frobenius(C37A1, 5) == -2
-        assert trace_of_frobenius(C37A1, 7) == -1
-
     def test_bad_reduction(self):
         with pytest.raises(ValueError, match="bad reduction"):
             trace_of_frobenius(C37A1, 37)
@@ -190,8 +184,12 @@ class TestTraceOfFrobenius:
     @pytest.mark.parametrize(
         "label, published",
         [
-            ("11a1", {2: -2, 3: -1, 5: 1, 7: -2, 13: 4, 17: -2, 19: 0, 23: -1, 29: 0, 31: 7}),
-            ("37a1", {2: -2, 3: -3, 5: -2, 7: -1, 11: -5, 13: -2, 17: 0, 19: 0, 23: 2, 29: 6}),
+            pytest.param(
+                "11a1", {2: -2, 3: -1, 5: 1, 7: -2, 13: 4, 17: -2, 19: 0, 23: -1, 29: 0, 31: 7}, id="11a1"
+            ),
+            pytest.param(
+                "37a1", {2: -2, 3: -3, 5: -2, 7: -1, 11: -5, 13: -2, 17: 0, 19: 0, 23: 2, 29: 6}, id="37a1"
+            ),
         ],
     )
     def test_published_q_expansions(self, label, published):
