@@ -48,11 +48,11 @@ def degree_formula_bound(
     conductor: int, omega: float, l_value_lower: float, fudge_inverses: Iterable[float] = ()
 ) -> float:
     """Exact-formula lower bound (N/(2 pi Omega)) * L_lower * prod u, c = 1."""
-    if conductor <= 0 or omega <= 0.0 or l_value_lower <= 0.0:
+    if conductor <= 0 or not omega > 0.0 or not l_value_lower > 0.0:
         raise ValueError("conductor, omega and the L-value lower bound must be positive")
     product = 1.0
     for u in fudge_inverses:
-        if u <= 0.0:
+        if not u > 0.0:
             raise ValueError("fudge inverses must be positive")
         product *= u
     return conductor / (2.0 * math.pi * omega) * l_value_lower * product
@@ -62,7 +62,7 @@ def theorem1(conductor: int, omega: float) -> dict[str, float]:
     """Semistable chain: analytic = (N/Omega) * 0.033/(2 log N) and
     closed_form = N^(7/6) / (5350 log N).  Below N = 20000 the values are
     still computed (the tables cover that range)."""
-    if conductor < 2 or omega <= 0.0:
+    if conductor < 2 or not omega > 0.0:
         raise ValueError("need conductor >= 2 and omega > 0")
     log_n = math.log(conductor)
     analytic = conductor / omega * L_VALUE_BOUND_NUMERATOR / (2.0 * log_n)
@@ -91,7 +91,7 @@ def theorem2(
     p^(1/6) (1 - 1/p) >= 1, p >= 5); closed_form is the fully explicit
     display.
     """
-    if conductor < 3 or n2 < 2 or omega <= 0.0:
+    if conductor < 3 or n2 < 2 or not omega > 0.0:
         raise ValueError("need conductor >= 3, n2 >= 2 and omega > 0")
     log_n2 = math.log(n2)
     analytic = conductor / omega * L_VALUE_BOUND_NUMERATOR / log_n2

@@ -89,6 +89,8 @@ def symsq_value_estimate(curve: CurveModel, prime_cutoff: int) -> float:
     trace_of_frobenius.  Sanity only; no truncation error control.
     """
     _require_int("prime_cutoff", prime_cutoff)
+    if prime_cutoff < 2:
+        raise ValueError(f"prime_cutoff must be at least 2, got {prime_cutoff}")
     if prime_cutoff > POINT_COUNT_CUTOFF:
         raise ValueError("prime_cutoff exceeds the point-counting cutoff")
     inv = derive_invariants(curve)

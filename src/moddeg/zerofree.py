@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .curves import _require_int
 from .specfun import _bisect, digamma
 
 __all__ = [
@@ -124,7 +125,8 @@ CM_ZETA3 = RegionConstants(  # Lemma 3, case II
 
 
 def _n2_value(n2: int) -> int:
-    """n2, checked against the certified range [142, 10**300]."""
+    """n2, checked to be an exact integer in the certified range [142, 10**300]."""
+    _require_int("n2", n2)
     if n2 < MIN_CERTIFIED_N2:
         raise ValueError(f"n2 = {n2} is below the certified minimum {MIN_CERTIFIED_N2}")
     if n2 > MAX_CERTIFIED_N2:

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import math
-from importlib import resources
 
 import mpmath
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 from moddeg import CurveModel, Invariants, derive_invariants, two_torsion_roots
@@ -79,16 +76,6 @@ def random_curves(count: int, seed: int = 0, span: int = 50) -> list[CurveModel]
             continue
         curves.append(model)
     return curves
-
-
-def load_bundled_records() -> list[dict]:
-    text = resources.files("moddeg").joinpath("data/curves.jsonl").read_text()
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
-@pytest.fixture(scope="session")
-def bundled_records() -> list[dict]:
-    return load_bundled_records()
 
 
 # The eight fixed curves of the Euler-product benchmark, with conductors,

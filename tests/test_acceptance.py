@@ -30,7 +30,8 @@ from moddeg.zerofree import (
 )
 from fractions import Fraction
 
-from conftest import inv_omega_oracle, load_bundled_records, random_curves, real_period_by_integration
+from conftest import inv_omega_oracle, random_curves, real_period_by_integration
+from test_golden import dataset_records
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -232,7 +233,7 @@ def test_criterion_8_twist_growth_exhaustive():
 
 
 def test_criterion_9_bound_consistency_on_dataset():
-    records = [parse_record(obj) for obj in load_bundled_records()]
+    records = [parse_record(obj) for obj in dataset_records()]
     assert len([r for r in records if r.deg_phi is not None]) >= 10
     consistency_bad = []
     ordering_bad = []

@@ -29,7 +29,11 @@ class TestDegreeFormulaBound:
         base = degree_formula_bound(100, 2.0, 0.01)
         assert degree_formula_bound(100, 2.0, 0.01, [0.5, 1.5]) == pytest.approx(0.75 * base)
 
-    @pytest.mark.parametrize("bad", [(0, 1.0, 1.0), (10, -1.0, 1.0), (10, 1.0, 0.0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [(0, 1.0, 1.0), (10, -1.0, 1.0), (10, 1.0, 0.0), (5, math.nan, 0.1), (5, 1.0, math.nan),
+         (5, 1.0, 0.1, [math.nan])],
+    )
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             degree_formula_bound(*bad)
@@ -53,6 +57,10 @@ class TestTheorem1:
         n, omega = 50000, 0.37
         result = theorem1(n, omega)
         assert result["analytic"] == pytest.approx(n / omega * 0.033 / (2.0 * math.log(n)), rel=1e-15)
+
+    def test_nan_omega(self):
+        with pytest.raises(ValueError, match="omega > 0"):
+            theorem1(20000, math.nan)
 
 
 class TestTheorem2:
@@ -87,6 +95,10 @@ class TestTheorem2:
             omega = 14.045 / n ** (1 / 6)
             result = theorem2(n, n * n, omega)
             assert result["chain_ok"]
+
+    def test_nan_omega(self):
+        with pytest.raises(ValueError, match="omega > 0"):
+            theorem2(3, 2, math.nan)
 
 
 class TestChainComparisons:

@@ -30,6 +30,10 @@ class TestSymsqLowerBound:
             symsq_lower_bound(100)
         with pytest.raises(ValueError, match="above the certified maximum"):
             symsq_lower_bound(MAX_CERTIFIED_N2 + 1)
+        # NaN fails both range comparisons; the exact-integer rule comes first
+        for n2 in (float("nan"), 1000.5, True):
+            with pytest.raises(ValueError, match=f"^n2 must be an exact integer, got {n2!r}$"):
+                symsq_lower_bound(n2)
 
     def test_strictly_decreasing(self):
         values = [symsq_lower_bound(n2) for n2 in N2_LADDER]
@@ -115,6 +119,9 @@ class TestEulerProductEstimate:
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             symsq_value_estimate(self.CURVE, 10**7)
+        for cutoff in (1, 0, -5):
+            with pytest.raises(ValueError, match="prime_cutoff"):
+                symsq_value_estimate(self.CURVE, cutoff)
 
     @pytest.mark.parametrize("label", EULER_CURVES)
     def test_is_the_euler_product_over_the_good_primes(self, label):

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -14,8 +13,8 @@ from hypothesis import strategies as st
 
 from moddeg.agm import lemma1_constants
 from moddeg.cli import _verification_rows, main
-from moddeg.curves import CurveModel, factorize, is_prime
-from moddeg.lvalue import lemma4_certify, symsq_value_estimate
+from moddeg.curves import factorize, is_prime
+from moddeg.lvalue import lemma4_certify
 from moddeg.report import (
     build_report,
     dumps_report,
@@ -31,26 +30,10 @@ from moddeg.zerofree import (
     certify_noncm,
 )
 
+from test_golden import DATASET, child_env, run_cli
 
-GOLDEN = Path(__file__).parent / "data"
-DATASET = resources.files("moddeg").joinpath("data/curves.jsonl")
-SRC = Path(__file__).resolve().parents[1] / "src"
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
-
-
-def child_env(**overrides: str) -> dict[str, str]:
-    """The environment of a child interpreter, with this checkout's src
-    first on PYTHONPATH: pytest's pythonpath setting reaches only the test
-    process itself."""
-    env = {**os.environ, **overrides}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    return env
-
-
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "moddeg", *args], capture_output=True, text=True, env=child_env()
-    )
+TESTS = Path(__file__).parent
+DEMOS = TESTS.parent / "demos"
 
 
 def _large_n_shapes(count: int, seed: int = 1) -> list[int]:
@@ -258,57 +241,19 @@ class TestBuildReport:
         walk(doc)
 
 
-class TestGolden:
-    """Output bytes pinned against files written by an earlier release."""
-
-    def test_bound_on_dataset(self, tmp_path):
-        dst = tmp_path / "out.jsonl"
-        assert main(["bound", "--input", str(DATASET), "--output", str(dst)]) == 0
-        assert dst.read_bytes() == (GOLDEN / "bound_curves.golden.jsonl").read_bytes()
-
-    def test_bound_on_local_factor_branches(self, tmp_path):
-        # 2^8 || N; p = 1, 11 mod 12; p = 5, 7 mod 12 with and without the
-        # c4/c6 divisibility; a declared non-minimal twist at p > 3; the
-        # failing chain at N = 7^2 * 863; an n2 digit string above 2^53
-        dst = tmp_path / "out.jsonl"
-        assert main(["bound", "--input", str(GOLDEN / "bound_branches.jsonl"), "--output", str(dst)]) == 0
-        assert dst.read_bytes() == (GOLDEN / "bound_branches.golden.jsonl").read_bytes()
-
-    def test_verify_lemmas_json(self, capsys):
-        assert main(["verify-lemmas", "--json"]) == 0
-        assert capsys.readouterr().out == (GOLDEN / "verify_lemmas.golden.json").read_text()
-
-    def test_verify_lemmas_text(self, capsys):
-        assert main(["verify-lemmas"]) == 0
-        assert capsys.readouterr().out == (GOLDEN / "verify_lemmas.golden.txt").read_text()
-
-    def test_invariants_on_table_curves(self, capsys, bundled_records):
-        out = []
-        for record in bundled_records:
-            if not record["label"].startswith("synthetic"):
-                assert main(["invariants", "--a", ",".join(map(str, record["a"]))]) == 0
-                out.append(capsys.readouterr().out)
-        assert "".join(out) == (GOLDEN / "invariants_tables.golden.jsonl").read_text()
-
-    def test_euler_estimates_on_table_curves(self, bundled_records):
-        labels = ("11a1", "37a1", "389a1", "14a1", "27a1", "32a1", "36a1", "49a1")
-        estimates = {
-            r["label"]: repr(symsq_value_estimate(CurveModel(*r["a"], conductor=r["conductor"]), 2000))
-            for r in bundled_records
-            if r["label"] in labels
-        }
-        assert json.dumps(estimates, indent=2) + "\n" == (GOLDEN / "euler_estimates.golden.json").read_text()
-
-
-# Test oracles only: the runtime is the standard library.
-TEST_ORACLES = ("numpy", "scipy", "mpmath", "sympy")
+# The test extras: the runtime is the standard library, and test_golden
+# runs where none of them is installed.
+TEST_EXTRAS = ("numpy", "scipy", "mpmath", "sympy", "hypothesis")
 
 
 def test_cli_import_loads_no_test_oracle():
-    code = f"import moddeg.cli, sys; print(sorted(m for m in {TEST_ORACLES!r} if m in sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    for module in ("moddeg.cli", "test_golden"):
+        code = f"import {module}, sys; print(sorted(m for m in {TEST_EXTRAS!r} if m in sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), cwd=TESTS
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
 
 
 @pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
@@ -354,7 +299,7 @@ class TestCliInvariants:
     def test_singular_exit_code(self):
         proc = run_cli("invariants", "--a", "0,0,0,0,0")
         assert proc.returncode == 2
-        assert "singular" in proc.stderr
+        assert b"singular" in proc.stderr
 
     TOO_LARGE = '"a" gives a model too large for double precision'
 
@@ -379,8 +324,8 @@ class TestCliInvariants:
         # in a double: one refusal naming "a", from invariants and bound
         proc = run_cli("invariants", "--a", f"0,0,0,{a4},{a6}")
         assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == f"error: {self.TOO_LARGE}\n"
+        assert proc.stdout == b""
+        assert proc.stderr == f"error: {self.TOO_LARGE}\n".encode()
         src = tmp_path / "in.jsonl"
         src.write_text(json.dumps({"a": [0, 0, 0, a4, a6], "conductor": 37}) + "\n")
         assert main(["bound", "--input", str(src), "--output", "-"]) == 0
@@ -401,21 +346,10 @@ class TestCliInvariants:
                      "1.0,0,1,-1,0", "true,0,1,-1,0"]:
             proc = run_cli("invariants", "--a", text)
             assert proc.returncode == 2, text
-            assert "--a" in proc.stderr and proc.stdout == "", text
+            assert b"--a" in proc.stderr and proc.stdout == b"", text
 
 
 class TestCliBound:
-    def test_dataset_roundtrip(self, tmp_path, bundled_records):
-        src = tmp_path / "in.jsonl"
-        dst = tmp_path / "out.jsonl"
-        src.write_text("\n".join(json.dumps(r) for r in bundled_records) + "\n")
-        assert main(["bound", "--input", str(src), "--output", str(dst)]) == 0
-        lines = dst.read_text().splitlines()
-        assert len(lines) == len(bundled_records)
-        for raw, record in zip(lines, bundled_records):
-            doc = json.loads(raw)
-            assert doc["label"] == record["label"]  # input order preserved
-
     def test_malformed_line_continues(self, tmp_path):
         src = tmp_path / "in.jsonl"
         dst = tmp_path / "out.jsonl"
@@ -561,13 +495,11 @@ class TestCliBound:
             main(["bound", "--input", str(src), "--output", str(dst)])
         assert [json.loads(line)["label"] for line in dst.read_text().splitlines()] == ["37a1"]
 
-    def test_deterministic_output(self, tmp_path, bundled_records):
-        src = tmp_path / "in.jsonl"
-        src.write_text("\n".join(json.dumps(r) for r in bundled_records) + "\n")
+    def test_deterministic_output(self, tmp_path):
         first = tmp_path / "out1.jsonl"
         second = tmp_path / "out2.jsonl"
-        main(["bound", "--input", str(src), "--output", str(first)])
-        main(["bound", "--input", str(src), "--output", str(second)])
+        main(["bound", "--input", str(DATASET), "--output", str(first)])
+        main(["bound", "--input", str(DATASET), "--output", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
     def test_missing_input(self, tmp_path):
@@ -590,23 +522,6 @@ class TestCliBound:
 
 
 class TestCliVerifyLemmas:
-    def test_default_passes(self):
-        proc = run_cli("verify-lemmas")
-        assert proc.returncode == 0
-        assert "PASS  overall" in proc.stdout
-        assert "FAIL" not in proc.stdout
-
-    def test_json_output(self):
-        proc = run_cli("verify-lemmas", "--json")
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
-        assert doc["pass"] is True
-        names = {row["name"] for row in doc["waypoints"]}
-        assert "noncm.sigma_max" in names
-        assert "lvalue.error_integral" in names
-        assert "theorem2.crossover_log_n" in names
-        assert all(row["pass"] for row in doc["waypoints"])
-
     def test_rows_are_the_library_waypoints(self):
         n2 = MIN_CERTIFIED_N2
         library = (

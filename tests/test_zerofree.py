@@ -217,6 +217,8 @@ class TestCertifications:
             certify(MIN_CERTIFIED_N2 - 1)
         with pytest.raises(ValueError, match="above the certified maximum"):
             certify(MAX_CERTIFIED_N2 + 1)
+        with pytest.raises(ValueError, match="^n2 must be an exact integer, got nan$"):
+            certify(float("nan"))
         assert all(w.passed for w in certify(MAX_CERTIFIED_N2))
 
 
