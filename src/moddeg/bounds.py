@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable
 
+from .curves import _require_int
 from .lvalue import L_VALUE_BOUND_NUMERATOR
 from .specfun import _bisect
 
@@ -48,6 +49,7 @@ def degree_formula_bound(
     conductor: int, omega: float, l_value_lower: float, fudge_inverses: Iterable[float] = ()
 ) -> float:
     """Exact-formula lower bound (N/(2 pi Omega)) * L_lower * prod u, c = 1."""
+    _require_int("conductor", conductor)
     if conductor <= 0 or not omega > 0.0 or not l_value_lower > 0.0:
         raise ValueError("conductor, omega and the L-value lower bound must be positive")
     product = 1.0
@@ -62,6 +64,7 @@ def theorem1(conductor: int, omega: float) -> dict[str, float]:
     """Semistable chain: analytic = (N/Omega) * 0.033/(2 log N) and
     closed_form = N^(7/6) / (5350 log N).  Below N = 20000 the values are
     still computed (the tables cover that range)."""
+    _require_int("conductor", conductor)
     if conductor < 2 or not omega > 0.0:
         raise ValueError("need conductor >= 2 and omega > 0")
     log_n = math.log(conductor)
@@ -91,6 +94,8 @@ def theorem2(
     p^(1/6) (1 - 1/p) >= 1, p >= 5); closed_form is the fully explicit
     display.
     """
+    _require_int("conductor", conductor)
+    _require_int("n2", n2)
     if conductor < 3 or n2 < 2 or not omega > 0.0:
         raise ValueError("need conductor >= 3, n2 >= 2 and omega > 0")
     log_n2 = math.log(n2)
@@ -114,6 +119,7 @@ def linear_bounds(conductor: int) -> dict[str, float]:
     """The linear comparison bounds, both entering consistency checking:
     abramovich = 7N/1600, unconditional, and abramovich_selberg = N/192,
     under the Selberg eigenvalue conjecture."""
+    _require_int("conductor", conductor)
     if conductor < 1:
         raise ValueError("conductor must be positive")
     return {"abramovich": 7.0 * conductor / 1600.0, "abramovich_selberg": conductor / 192.0}

@@ -4,10 +4,12 @@ Integer b/c-invariants and the discriminant, the roots of the 2-torsion
 polynomial ``4x^3 + b2 x^2 + 2 b4 x + b6`` (the polynomial appearing on
 the right side of ``y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6``) through the
 geometry of its isolated root and the exact discriminant, trial-division
-factorization and primality, naive point counts over small prime fields
-(one counting routine, which the Euler-product estimator calls with the
-invariants it derived once per curve), and CM detection by rational
-j-invariant.
+factorization and primality, point counts over prime fields (one counting
+routine, which the Euler-product estimator calls with the invariants it
+derived once per curve: Shanks-Mestre baby-step giant-step on the curve
+and its quadratic twist, with an O(p) Legendre-symbol sum for small p and
+whenever the points tried leave more than one candidate), and CM
+detection by rational j-invariant.
 
 The conductor is always an input, never computed; reports downstream
 carry a ``"conductor_provenance": "supplied"`` field.  Models are used exactly as
@@ -60,7 +62,9 @@ CM_J_INVARIANTS = {
     -163: -262537412640768000,
 }
 
-# Naive point counting is O(p); keep it at desk scale.
+# Baby-step giant-step takes O(p^(1/4)) group operations, but the
+# counter falls back to an O(p) sum when it leaves several candidates; the
+# cutoff keeps that fallback near half a second.
 POINT_COUNT_CUTOFF = 10**6
 
 
@@ -265,10 +269,14 @@ def is_prime(n: int) -> bool:
 
 
 def trace_of_frobenius(curve: CurveModel, p: int) -> int:
-    """a_p = p + 1 - #E(F_p) by exhaustive point enumeration.
+    """a_p = p + 1 - #E(F_p).
 
-    Requires p prime, p below the counting cutoff, and good reduction
-    (p does not divide the discriminant of the supplied model).
+    From p = 110 on, baby-step giant-step on points of the curve and of its
+    quadratic twist narrows a_p to the t in the Hasse interval that every
+    point admits, and returns it when one is left; below 110, or when six
+    points leave more than one, the points are counted by a Legendre-symbol
+    sum over F_p.  Requires p prime, p below the counting cutoff, and good
+    reduction (p does not divide the discriminant of the supplied model).
     """
     _require_int("p", p)
     if not is_prime(p):
@@ -283,7 +291,20 @@ def trace_of_frobenius(curve: CurveModel, p: int) -> int:
 
 def _count_trace(curve: CurveModel, inv: Invariants, p: int) -> int:
     """a_p at a prime p of good reduction, inv being curve's invariants;
-    the caller has checked p."""
+    the caller has checked p.  Baby-step giant-step from _BSGS_FROM on,
+    the naive sum below it and whenever the points tried leave more than
+    one candidate."""
+    a_p = _trace_by_bsgs(inv, p) if p >= _BSGS_FROM else None
+    if a_p is None:
+        a_p = _count_naive(curve, inv, p)
+    if a_p * a_p > 4 * p:
+        raise ArithmeticError(f"point count violates the Hasse bound at p = {p}")
+    return a_p
+
+
+def _count_naive(curve: CurveModel, inv: Invariants, p: int) -> int:
+    """a_p by an O(p) count: F_2 x F_2 enumerated at p = 2, a Legendre-symbol
+    sum over x in F_p at odd p."""
     if p == 2:
         a1, a2, a3, a4, a6 = curve.a_invariants
         count = 1  # point at infinity
@@ -293,24 +314,132 @@ def _count_trace(curve: CurveModel, inv: Invariants, p: int) -> int:
                 rhs = x**3 + a2 * x * x + a4 * x + a6
                 if (lhs - rhs) % 2 == 0:
                     count += 1
-        a_p = 2 + 1 - count
+        return 2 + 1 - count
+    # Completing the square turns the fibre count over x into
+    # 1 + chi(4x^3 + b2 x^2 + 2 b4 x + b6) with chi the Legendre symbol;
+    # i and p - i have the same square.
+    chi = bytearray(p)
+    for i in range(1, (p + 1) // 2):
+        chi[i * i % p] = 1
+    b2, b4, b6 = inv.b2 % p, inv.b4 % p, inv.b6 % p
+    total = 0
+    for x in range(p):
+        v = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
+        if v:
+            total += 1 if chi[v] else -1
+    return -total
+
+
+# Primes below _BSGS_FROM are counted naively: the O(p) sum and baby-step
+# giant-step cost the same, about 35 us, near p = 110 (CPython 3.11, one
+# Xeon core), and small p leave the Hasse interval wide against the group
+# order.  _BSGS_TRIES points, alternating curve and twist, are tried before
+# the naive count decides.
+_BSGS_FROM = 110
+_BSGS_TRIES = 6
+
+
+def _trace_by_bsgs(inv: Invariants, p: int) -> int | None:
+    """a_p by Shanks-Mestre baby-step giant-step, p >= 5 of good reduction,
+    or None when the points tried leave more than one candidate.
+
+    The model is taken to Y^2 = X^3 + a X + b with a = -27 c4, b = -54 c6
+    (X = 36x + 3b2, Y = 108(2y + a1 x + a3)).  For x with d = x^3 + a x + b
+    nonzero, (d x, d^2) lies on Y^2 = X^3 + a d^2 X + b d^3, which is the
+    curve when d is a square mod p and its quadratic twist when it is not;
+    so no square root is taken.  A point P of the curve admits the t with
+    (p + 1 - t) P = O, a point of the twist those with (p + 1 + t) P = O,
+    |t| <= isqrt(4p) by Hasse.  a_p is in every such set, so when the
+    intersection over the points tried is a single t, that t is a_p.
+    """
+    a, b = -27 * inv.c4 % p, -54 * inv.c6 % p
+    half = (p - 1) // 2
+    bound = math.isqrt(4 * p)
+    candidates: set[int] | None = None
+    x = -1
+    for attempt in range(_BSGS_TRIES):
+        # Euler's criterion reads 1 on the curve, p - 1 on the twist
+        side = 1 if attempt % 2 == 0 else p - 1
+        d = 0
+        while not d or pow(d, half, p) != side:
+            x += 1
+            if x == p:
+                return None
+            d = (x * x * x + a * x + b) % p
+        multiples = _hasse_multiples((d * x % p, d * d % p), a * d * d % p, p, bound)
+        found = multiples if side == 1 else {-u for u in multiples}
+        candidates = found if candidates is None else candidates & found
+        if len(candidates) == 1:
+            return candidates.pop()
+    return None
+
+
+def _hasse_multiples(point: tuple[int, int], a: int, p: int, bound: int) -> set[int]:
+    """Every u with |u| <= bound and (p + 1 - u) P = O, P = point on
+    Y^2 = X^3 + a X + b over F_p (b is implied by the point).
+
+    u = c + j with j in [-m, m] and centres c spaced w = 2m + 1 apart:
+    the giant step R = (p + 1 - c) P equals j P exactly for those u.  The
+    baby steps j P, j = 1..m, are kept by X-coordinate with every j that
+    has it, and the j with j P = O apart, so a point of small order yields
+    every match, not the first."""
+    m = math.isqrt(bound) + 1
+    w = 2 * m + 1
+    by_x: dict[int, list[tuple[int, int]]] = {}
+    zeros = [0]
+    step = None
+    for j in range(1, m + 1):
+        step = _ec_add(step, point, a, p)
+        if step is None:
+            zeros.append(j)
+        else:
+            by_x.setdefault(step[0], []).append((j, step[1]))
+    giant = _ec_add(_ec_add(step, step, a, p), point, a, p)
+    minus_giant = None if giant is None else (giant[0], -giant[1] % p)
+    c = m - bound
+    r = _ec_mul(p + 1 - c, point, a, p)
+    found = set()
+    while c - m <= bound:
+        if r is None:
+            for j in zeros:
+                found.update((c + j, c - j))
+        else:
+            for j, y in by_x.get(r[0], ()):
+                if y == r[1]:
+                    found.add(c + j)
+                if y == -r[1] % p:
+                    found.add(c - j)
+        r = _ec_add(r, minus_giant, a, p)
+        c += w
+    return {u for u in found if -bound <= u <= bound}
+
+
+def _ec_add(P: tuple[int, int] | None, Q: tuple[int, int] | None, a: int, p: int) -> tuple[int, int] | None:
+    """P + Q on Y^2 = X^3 + a X + b over F_p, None being the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
     else:
-        # Completing the square turns the fibre count over x into
-        # 1 + chi(4x^3 + b2 x^2 + 2 b4 x + b6) with chi the Legendre symbol;
-        # i and p - i have the same square.
-        chi = bytearray(p)
-        for i in range(1, (p + 1) // 2):
-            chi[i * i % p] = 1
-        b2, b4, b6 = inv.b2 % p, inv.b4 % p, inv.b6 % p
-        total = 0
-        for x in range(p):
-            v = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
-            if v:
-                total += 1 if chi[v] else -1
-        a_p = -total
-    if a_p * a_p > 4 * p:
-        raise ArithmeticError(f"point count violates the Hasse bound at p = {p}")
-    return a_p
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _ec_mul(k: int, P: tuple[int, int], a: int, p: int) -> tuple[int, int] | None:
+    """k P for k >= 1, by doubling and adding along the bits of k."""
+    result = P
+    for bit in bin(k)[3:]:
+        result = _ec_add(result, result, a, p)
+        if bit == "1":
+            result = _ec_add(result, P, a, p)
+    return result
 
 
 _CM_J_VALUES = frozenset(CM_J_INVARIANTS.values())

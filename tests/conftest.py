@@ -79,7 +79,9 @@ def random_curves(count: int, seed: int = 0, span: int = 50) -> list[CurveModel]
 
 
 # The eight fixed curves of the Euler-product benchmark, with conductors,
-# and three seeded models without one whose a1 and a3 are both nonzero.
+# 210e2, whose rational torsion Z/2 x Z/8 gives points of small order mod
+# p, and three seeded models without a conductor whose a1 and a3 are both
+# nonzero.
 EULER_CURVES = {
     "11a1": CurveModel(0, -1, 1, -10, -20, conductor=11),
     "37a1": CurveModel(0, 0, 1, -1, 0, conductor=37),
@@ -89,6 +91,7 @@ EULER_CURVES = {
     "32a1": CurveModel(0, 0, 0, 4, 0, conductor=32),
     "36a1": CurveModel(0, 0, 0, 0, 1, conductor=36),
     "49a1": CurveModel(1, -1, 0, -2, -1, conductor=49),
+    "210e2": CurveModel(1, 0, 0, -1070, 7812, conductor=210),
     **{
         f"seeded{i}": model
         for i, model in enumerate([c for c in random_curves(12, seed=20, span=20) if c.a1 and c.a3][:3])

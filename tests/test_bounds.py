@@ -135,3 +135,20 @@ class TestCrossover:
         # closed_form(N)/N strictly increasing well past e^10
         ratios = [theorem2_closed_form(math.exp(l)) / math.exp(l) for l in (40, 60, 80, 100)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
+
+
+@pytest.mark.parametrize("value", [math.nan, 37.0, True], ids=["nan", "float", "bool"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: degree_formula_bound(v, 1.0, 0.1), "conductor"),
+        (lambda v: theorem1(v, 1.0), "conductor"),
+        (lambda v: theorem2(v, 30000**2, 1.0), "conductor"),
+        (lambda v: theorem2(30000, v, 1.0), "n2"),
+        (linear_bounds, "conductor"),
+    ],
+    ids=["degree_formula_bound", "theorem1", "theorem2-conductor", "theorem2-n2", "linear_bounds"],
+)
+def test_non_integer_refused(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an exact integer, got {value!r}$"):
+        call(value)

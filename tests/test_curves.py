@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import moddeg.curves
 from moddeg import (
     CM_J_INVARIANTS,
     CurveModel,
@@ -15,7 +16,7 @@ from moddeg import (
     trace_of_frobenius,
     two_torsion_roots,
 )
-from moddeg.curves import Invariants, is_prime
+from moddeg.curves import POINT_COUNT_CUTOFF, Invariants, _count_naive, is_prime
 
 from conftest import EULER_CURVES, ap_by_euler_criterion, good_primes, inv_omega_oracle, random_curves
 
@@ -180,6 +181,29 @@ class TestTraceOfFrobenius:
         program = {p: trace_of_frobenius(curve, p) for p in good_primes(curve, 2000)}
         assert program == {p: ap_by_euler_criterion(curve, p) for p in program}
 
+    def test_rational_torsion_divides_the_count(self):
+        # Z/2 x Z/8 injects into E(F_p) at every good odd p
+        curve = EULER_CURVES["210e2"]
+        for p in good_primes(curve, 2000):
+            assert (p + 1 - trace_of_frobenius(curve, p)) % 16 == 0
+
+    def test_seeded_primes_to_20000_against_the_naive_count(self):
+        rng = np.random.RandomState(22)
+        primes = [p for p in range(2001, 20001) if is_prime(p)]
+        for curve in random_curves(20, seed=22):
+            inv = derive_invariants(curve)
+            good = [p for p in primes if inv.disc % p]
+            for p in rng.choice(good, 8, replace=False).tolist():
+                assert trace_of_frobenius(curve, p) == _count_naive(curve, inv, p)
+
+    @pytest.mark.parametrize("label", ["37a1", "389a1"])
+    def test_primes_below_the_cutoff_against_the_naive_count(self, label):
+        curve = EULER_CURVES[label]
+        inv = derive_invariants(curve)
+        primes = [p for p in range(POINT_COUNT_CUTOFF, POINT_COUNT_CUTOFF - 100, -1) if is_prime(p)]
+        for p in [p for p in primes if inv.disc % p][:2]:
+            assert trace_of_frobenius(curve, p) == _count_naive(curve, inv, p)
+
     # a_p of the newforms 11a and 37a, from their published q-expansions
     @pytest.mark.parametrize(
         "label, published",
@@ -194,6 +218,70 @@ class TestTraceOfFrobenius:
     )
     def test_published_q_expansions(self, label, published):
         assert {p: trace_of_frobenius(EULER_CURVES[label], p) for p in published} == published
+
+
+class TestAmbiguousCandidates:
+    """A point whose candidate set holds two or more t leads to another
+    point, and after the last one to the naive count, never to a guess."""
+
+    CURVE = EULER_CURVES["210e2"]
+
+    def test_a_second_candidate_sends_the_count_on(self, monkeypatch):
+        sets = []
+        hasse_multiples = moddeg.curves._hasse_multiples
+
+        def recorded(*args):
+            sets.append(hasse_multiples(*args))
+            return sets[-1]
+
+        monkeypatch.setattr(moddeg.curves, "_hasse_multiples", recorded)
+        inv = derive_invariants(self.CURVE)
+        ambiguous = 0
+        for p in good_primes(self.CURVE, 2000):
+            sets.clear()
+            a_p = trace_of_frobenius(self.CURVE, p)
+            assert a_p == _count_naive(self.CURVE, inv, p)
+            if sets and len(sets[0]) > 1:
+                ambiguous += 1
+                assert len(sets) > 1
+        # points of small order leave several t on many primes of 210e2
+        assert ambiguous >= 20
+
+    def test_every_multiple_in_the_hasse_interval_is_collected(self):
+        # each point of the short model of 210e2 at p = 113, small orders
+        # and 2-torsion included, against its multiples added up one by one
+        p, bound = 113, math.isqrt(4 * 113)
+        inv = derive_invariants(self.CURVE)
+        a, b = -27 * inv.c4 % p, -54 * inv.c6 % p
+        points = [(x, y) for x in range(p) for y in range(p) if (y * y - x**3 - a * x - b) % p == 0]
+        assert len(points) + 1 == p + 1 - _count_naive(self.CURVE, inv, p)
+        for point in points:
+            multiples = [None]
+            for _ in range(p + 1 + bound):
+                multiples.append(moddeg.curves._ec_add(multiples[-1], point, a, p))
+            expected = {u for u in range(-bound, bound + 1) if multiples[p + 1 - u] is None}
+            assert moddeg.curves._hasse_multiples(point, a, p, bound) == expected
+
+    def test_points_that_never_agree_fall_back_to_the_naive_count(self, monkeypatch):
+        # every point admits t = 1 and t = -1; a_p of 210e2 is even
+        p = 1999
+        inv = derive_invariants(self.CURVE)
+        a_p = _count_naive(self.CURVE, inv, p)
+        points, naive = [], []
+
+        def two_candidates(*args):
+            points.append(args[0])
+            return {-1, 1}
+
+        def counted(curve, inv, p):
+            naive.append(p)
+            return _count_naive(curve, inv, p)
+
+        monkeypatch.setattr(moddeg.curves, "_hasse_multiples", two_candidates)
+        monkeypatch.setattr(moddeg.curves, "_count_naive", counted)
+        assert trace_of_frobenius(self.CURVE, p) == a_p
+        assert naive == [p]
+        assert len(set(points)) == moddeg.curves._BSGS_TRIES
 
 
 class TestIsCm:
