@@ -35,7 +35,7 @@ the certification layer's ``Waypoint``: ``lemma1_check`` returns one, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curves import Invariants, RootData
 from .zerofree import Waypoint, _wp
@@ -61,20 +61,15 @@ AGM_MAX_ITER = 64
 AREA_BOUND_DENOMINATOR = 14.045
 
 
-@dataclass(frozen=True)
-class PeriodData:
+class PeriodData(namedtuple("PeriodData", "omega real_period imag_part inv_omega case_tag t_or_c")):
     """Area Omega with its two period factors.
 
-    t_or_c is the shape parameter of the case: t = (e1-e2)/(e1-e3) for
-    positive discriminant, c = r_tilde/Z for negative discriminant.
+    case_tag is "pos_disc" or "neg_disc", and t_or_c the shape parameter
+    of the case: t = (e1-e2)/(e1-e3) for positive discriminant,
+    c = r_tilde/Z for negative discriminant.
     """
 
-    omega: float
-    real_period: float
-    imag_part: float
-    inv_omega: float
-    case_tag: str  # "pos_disc" | "neg_disc"
-    t_or_c: float
+    __slots__ = ()
 
 
 def agm(x: float, y: float) -> float:

@@ -26,7 +26,7 @@ theorem1, theorem2 and linear_bounds each return their block of the
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+from collections.abc import Iterable
 
 from .curves import _require_int
 from .lvalue import L_VALUE_BOUND_NUMERATOR
@@ -83,8 +83,8 @@ def theorem2(
     conductor: int,
     n2: int,
     omega: float,
-    fudge_factors: Iterable[dict[str, Any]] = (),
-) -> dict[str, Any]:
+    fudge_factors: Iterable[dict[str, object]] = (),
+) -> dict[str, object]:
     """General chain: analytic, intermediate, closed_form and chain_ok.
 
     fudge_factors are fudge_factor_for blocks.  analytic uses their

@@ -20,7 +20,6 @@ import contextlib
 import json
 import os
 import sys
-from typing import Any
 
 from . import __version__
 from .agm import lemma1_constants
@@ -119,7 +118,7 @@ def _print_or_fail(text: str) -> bool:
     return True
 
 
-def _verification_rows(n2: int) -> list[dict[str, Any]]:
+def _verification_rows(n2: int) -> list[dict[str, object]]:
     """Every verify-lemmas row: a Waypoint, judged by _wp, as a dict."""
     waypoints = (
         *lemma1_constants(),

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 __all__ = [
     "SingularCurveError",
@@ -74,57 +73,48 @@ def _require_int(name: str, value: object) -> None:
         raise ValueError(f"{name} must be an exact integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(namedtuple("CurveModel", "a1 a2 a3 a4 a6 conductor", defaults=(None,))):
     """Integral Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
 
     Only model-level data lives here.  The conductor is optional so that
     invariants and periods can be computed without one; the Euler-product
     estimator reads it when given.  Dataset records (label, n2, known
     degree) and their contract belong to ``moddeg.report.parse_record``.
+    Every constructor, ``_make`` and ``_replace`` included, refuses a bool
+    or non-int a-invariant and a conductor that is not a positive int.
     """
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-    conductor: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            _require_int(name, getattr(self, name))
-        n = self.conductor
+    def __new__(cls, a1: int, a2: int, a3: int, a4: int, a6: int, conductor: int | None = None) -> CurveModel:
+        for name, value in zip(cls._fields, (a1, a2, a3, a4, a6)):
+            _require_int(name, value)
+        n = conductor
         if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
             raise ValueError(f"conductor must be a positive integer, got {n!r}")
+        return super().__new__(cls, a1, a2, a3, a4, a6, conductor)
+
+    @classmethod
+    def _make(cls, iterable) -> CurveModel:
+        # the namedtuple _make, which _replace calls, bypasses __new__
+        return cls(*iterable)
 
     @property
     def a_invariants(self) -> tuple[int, int, int, int, int]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+        return self[:5]
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(namedtuple("Invariants", "b2 b4 b6 b8 c4 c6 disc abs_disc disc_positive j_num j_den")):
     """Derived integer invariants of a Weierstrass model.
 
-    Satisfies 4*b8 = b2*b6 - b4^2 and 1728*disc = c4^3 - c6^2 exactly.
+    Satisfies 4*b8 = b2*b6 - b4^2 and 1728*disc = c4^3 - c6^2 exactly;
+    j = j_num/j_den = c4^3/disc in lowest terms with j_den > 0.
     """
 
-    b2: int
-    b4: int
-    b6: int
-    b8: int
-    c4: int
-    c6: int
-    disc: int
-    abs_disc: int
-    disc_positive: bool
-    j_num: int
-    j_den: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(namedtuple("RootData", "r r_tilde b_sq z e1 e2 e3", defaults=(None, None, None))):
     """Roots of the 2-torsion polynomial f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6.
 
     r is the isolated real root: the one real root when disc < 0, the real
@@ -132,16 +122,11 @@ class RootData:
     r_tilde = r + b2/12.  The other two roots are -b2/12 - r_tilde/2 plus
     or minus i z (disc < 0) or z (disc > 0), with z > 0, and
     b_sq = B^2 = f'(r)/4 is the product of r's distances to them, so that
-    |disc| = 64 B^4 z^2.  For disc > 0, e1 > e2 > e3 are the three roots.
+    |disc| = 64 B^4 z^2.  For disc > 0, e1 > e2 > e3 are the three roots;
+    for disc < 0 they are None.
     """
 
-    r: float
-    r_tilde: float
-    b_sq: float
-    z: float
-    e1: float | None = None
-    e2: float | None = None
-    e3: float | None = None
+    __slots__ = ()
 
 
 def derive_invariants(curve: CurveModel) -> Invariants:
@@ -156,7 +141,9 @@ def derive_invariants(curve: CurveModel) -> Invariants:
     disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     if disc == 0:
         raise SingularCurveError("singular curve: discriminant is zero")
-    j = Fraction(c4**3, disc)
+    c4_cubed = c4**3
+    # j = c4^3/disc in lowest terms, the sign carried by the numerator
+    g = math.gcd(c4_cubed, disc) if disc > 0 else -math.gcd(c4_cubed, disc)
     return Invariants(
         b2=b2,
         b4=b4,
@@ -167,8 +154,8 @@ def derive_invariants(curve: CurveModel) -> Invariants:
         disc=disc,
         abs_disc=abs(disc),
         disc_positive=disc > 0,
-        j_num=j.numerator,
-        j_den=j.denominator,
+        j_num=c4_cubed // g,
+        j_den=disc // g,
     )
 
 
@@ -245,6 +232,7 @@ def factorize(n: int) -> dict[int, int]:
     and P2 the second largest counted with multiplicity, whatever n's size:
     a largest prime near 1e12 with small cofactors costs about 50 ms
     (CPython 3.11, one Xeon core)."""
+    _require_int("n", n)
     if n < 1:
         raise ValueError("can only factor positive integers")
     factors: dict[int, int] = {}
@@ -265,6 +253,7 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_prime(n: int) -> bool:
+    _require_int("n", n)
     return n >= 2 and factorize(n) == {n: 1}
 
 

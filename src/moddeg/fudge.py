@@ -17,9 +17,7 @@ as a plain dict.
 
 from __future__ import annotations
 
-from typing import Any
-
-from .curves import Invariants, is_prime
+from .curves import Invariants, _require_int, is_prime
 
 __all__ = [
     "fudge_factor_for",
@@ -38,7 +36,7 @@ _EPSILON = {
 }
 
 
-def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: bool = True) -> dict[str, Any]:
+def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: bool = True) -> dict[str, object]:
     """U_p(1)^(-1), or its certified lower bound, at a prime p with p^2 | N,
     as {"p", "epsilon", "u_inverse_at_1", "determined"}.
 
@@ -52,6 +50,12 @@ def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: boo
     2-adic valuation takes the non-minimal-at-2 bound
     (2-1)(2+1-2)(2+1+2)/2^3 = 5/8.
     """
+    _require_int("p", p)
+    _require_int("conductor", conductor)
+    if conductor < 1:
+        raise ValueError(f"conductor must be positive, got {conductor}")
+    if not isinstance(twist_minimal, bool):
+        raise ValueError(f"twist_minimal must be True or False, got {twist_minimal!r}")
     if not is_prime(p):
         raise ValueError(f"p = {p} must be prime")
     if conductor % (p * p) != 0:

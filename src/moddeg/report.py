@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Any
+from collections import namedtuple
 
 from .agm import lemma1_check, period_data
 from .bounds import (
@@ -52,22 +51,25 @@ __all__ = [
 _MAX_EXACT_JSON_INT = 2**53
 
 
-@dataclass(frozen=True)
-class CurveRecord:
-    label: str | None
-    a: tuple[int, int, int, int, int]
-    conductor: int
-    n2: int | None = None
-    semistable: bool | None = None
-    twist_minimal: bool = True
-    deg_phi: int | None = None
+class CurveRecord(
+    namedtuple(
+        "CurveRecord",
+        "label a conductor n2 semistable twist_minimal deg_phi",
+        defaults=(None, None, True, None),
+    )
+):
+    """One dataset record as ``parse_record`` validates it: "a" is a tuple
+    of five ints, an absent "twist_minimal" is True and any other absent
+    field None."""
+
+    __slots__ = ()
 
 
 # The least value of each integer scalar of a record.
 _INT_MINIMUM = {"conductor": 3, "n2": 2, "deg_phi": 1}
 
 
-def int_field(name: str, value: Any) -> int | None:
+def int_field(name: str, value: object) -> int | None:
     """value as the record field name: an integer >= the field's minimum,
     or None for null.
 
@@ -87,7 +89,7 @@ def int_field(name: str, value: Any) -> int | None:
     return value
 
 
-def a_field(value: Any) -> tuple[int, int, int, int, int]:
+def a_field(value: object) -> tuple[int, int, int, int, int]:
     """value as the record field "a": a list of five JSON integers."""
     if not (
         isinstance(value, list)
@@ -98,7 +100,7 @@ def a_field(value: Any) -> tuple[int, int, int, int, int]:
     return tuple(value)
 
 
-def parse_record(obj: Any) -> CurveRecord:
+def parse_record(obj: object) -> CurveRecord:
     """Validate one input record; every error names the offending field."""
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
@@ -130,7 +132,7 @@ def squared_primes(n: int) -> list[int]:
     return sorted(p for p, e in factorize(n).items() if e >= 2)
 
 
-def _wire(value: Any) -> Any:
+def _wire(value: object) -> object:
     """value with reals rounded to 12 significant digits and integers
     above 2^53 turned into decimal strings, in one recursive walk."""
     if isinstance(value, float):
@@ -146,20 +148,20 @@ def _wire(value: Any) -> Any:
     return value
 
 
-def dumps_report(report: dict[str, Any]) -> str:
+def dumps_report(report: dict[str, object]) -> str:
     return json.dumps(_wire(report))
 
 
-def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, Any]:
+def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, object]:
     """Document for the `invariants` command: invariants, roots, periods,
     and the Lemma 1 check."""
     inv = derive_invariants(CurveModel(*a))
     roots = two_torsion_roots(inv)
     period = period_data(inv, roots)
     check = lemma1_check(inv, period)
-    period_fields = asdict(period)
+    period_fields = period._asdict()
     case_tag = period_fields.pop("case_tag")
-    doc: dict[str, Any] = {"a": list(a), **asdict(inv), "is_cm": is_cm(inv), "case_tag": case_tag}
+    doc: dict[str, object] = {"a": list(a), **inv._asdict(), "is_cm": is_cm(inv), "case_tag": case_tag}
     if inv.disc_positive:
         doc["roots"] = {"e1": roots.e1, "e2": roots.e2, "e3": roots.e3}
     else:
@@ -173,7 +175,7 @@ def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, Any]:
     return doc
 
 
-def build_report(record: CurveRecord) -> dict[str, Any]:
+def build_report(record: CurveRecord) -> dict[str, object]:
     """Full degree-bound report for one record."""
     inv = derive_invariants(CurveModel(*record.a))
     roots = two_torsion_roots(inv)

@@ -15,8 +15,8 @@ by pi) for the error constant 20 in the L-value chain to be valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 __all__ = [
     "ZETA_3_HALVES",
@@ -42,10 +42,11 @@ _DIGAMMA_SERIES = (
     1.0 / 12.0,
 )
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
+
+class QuadratureResult(namedtuple("QuadratureResult", "value abs_error_estimate")):
+    """A quadrature value with its estimated absolute error."""
+
+    __slots__ = ()
 
 
 def digamma(x: float) -> float:

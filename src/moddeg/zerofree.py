@@ -29,9 +29,8 @@ the certified bounds (1.74, 2.821, 153) are tight for this reading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable
 
 from .curves import _require_int
 from .specfun import _bisect, digamma
@@ -60,16 +59,16 @@ MAX_CERTIFIED_N2 = 10**300
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class Waypoint:
+class Waypoint(namedtuple("Waypoint", "name value op bound passed")):
     """One certified inequality of a contradiction chain; a certification
-    names it "<lemma>.<step>", the row name verify-lemmas prints."""
+    names it "<lemma>.<step>", the row name verify-lemmas prints.
 
-    name: str
-    value: float
-    op: str  # "<=", "<", ">=", "abs<=", "in", "abs_diff<="
-    bound: float | tuple[float, float]  # (lo, hi) for "in", (target, tol) for "abs_diff<="
-    passed: bool
+    op is one of "<=", "<", ">=", "abs<=", "in" and "abs_diff<="; bound
+    is a float, or the pair (lo, hi) for "in" and (target, tol) for
+    "abs_diff<=".
+    """
+
+    __slots__ = ()
 
 
 def _wp(name: str, value: float, op: str, bound) -> Waypoint:
@@ -93,8 +92,7 @@ def _wp(name: str, value: float, op: str, bound) -> Waypoint:
     return Waypoint(name=name, value=value, op=op, bound=bound, passed=ok)
 
 
-@dataclass(frozen=True)
-class RegionConstants:
+class RegionConstants(namedtuple("RegionConstants", "delta_max c_param quadratic")):
     """Zero-free region data for one case.
 
     quadratic(delta) gives the coefficients (a2, a1, a0) of the case
@@ -102,9 +100,7 @@ class RegionConstants:
     delta_max.
     """
 
-    delta_max: float
-    c_param: int
-    quadratic: Callable[[float], tuple[float, float, float]]
+    __slots__ = ()
 
 
 NONCM = RegionConstants(  # Lemma 2

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,15 +10,19 @@ from hypothesis import strategies as st
 import moddeg.curves
 from moddeg import (
     CM_J_INVARIANTS,
+    NONCM,
     CurveModel,
+    QuadratureResult,
     SingularCurveError,
     derive_invariants,
     is_cm,
+    lemma1_check,
+    parse_record,
     period_data,
     trace_of_frobenius,
     two_torsion_roots,
 )
-from moddeg.curves import POINT_COUNT_CUTOFF, Invariants, _count_naive, is_prime
+from moddeg.curves import POINT_COUNT_CUTOFF, Invariants, _count_naive, factorize, is_prime
 
 from conftest import EULER_CURVES, ap_by_euler_criterion, good_primes, inv_omega_oracle, random_curves
 
@@ -52,6 +58,37 @@ class TestInvariants:
         with pytest.raises(ValueError, match="conductor must be a positive integer"):
             CurveModel(0, 0, 1, -1, 0, conductor=37.0)
         assert CurveModel(0, 0, 1, -1, 0, conductor=37).conductor == 37
+        # a plain namedtuple's _make and _replace build the tuple without __new__
+        model = CurveModel(0, 0, 1, -1, 0)
+        with pytest.raises(ValueError, match="a1 must be an exact integer, got True"):
+            model._replace(a1=True)
+        with pytest.raises(ValueError, match="conductor must be a positive integer, got 0"):
+            model._replace(conductor=0)
+        with pytest.raises(ValueError, match="a1 must be an exact integer, got 0.5"):
+            CurveModel._make([0.5, 0, 1, -1, 0, True])
+        with pytest.raises(ValueError, match="a4 must be an exact integer, got True"):
+            CurveModel._make([0, 0, 1, True, 0])
+        with pytest.raises(ValueError, match="conductor must be a positive integer, got -37"):
+            CurveModel._make([0, 0, 1, -1, 0, -37])
+        assert model._replace(conductor=37) == C37A1 == CurveModel._make([0, 0, 1, -1, 0, 37])
+
+    def test_j_invariant_against_fraction(self):
+        # seeded models of small and large span, and models (0, 0, a3, 0, a6),
+        # whose c4 is 0; 1728 disc = c4^3 - c6^2 makes their disc negative
+        rng = random.Random(23)
+        models = [[rng.randint(-span, span) for _ in range(5)] for span in (20, 10**6) for _ in range(1000)]
+        models += [[0, 0, rng.randint(0, 1), 0, rng.randint(-10**6, 10**6)] for _ in range(100)]
+        seen = set()
+        for a in models:
+            try:
+                inv = derive_invariants(CurveModel(*a))
+            except SingularCurveError:
+                continue
+            j = Fraction(inv.c4**3, inv.disc)
+            assert (inv.j_num, inv.j_den) == (j.numerator, j.denominator), a
+            assert inv.j_den > 0
+            seen.add((inv.c4 == 0, inv.disc_positive))
+        assert seen == {(False, True), (False, False), (True, False)}
 
     def test_identities_random(self):
         rng = np.random.RandomState(1)
@@ -282,6 +319,35 @@ class TestAmbiguousCandidates:
         assert trace_of_frobenius(self.CURVE, p) == a_p
         assert naive == [p]
         assert len(set(points)) == moddeg.curves._BSGS_TRIES
+
+
+@pytest.mark.parametrize("value", [2.5, 7.0, math.nan, True], ids=["fraction", "float", "nan", "bool"])
+@pytest.mark.parametrize("call", [factorize, is_prime], ids=["factorize", "is_prime"])
+def test_factorize_and_is_prime_refuse_non_integers(call, value):
+    with pytest.raises(ValueError, match=f"^n must be an exact integer, got {value!r}$"):
+        call(value)
+
+
+def test_value_types_are_immutable():
+    inv = derive_invariants(C37A1)
+    roots = two_torsion_roots(inv)
+    period = period_data(inv, roots)
+    values = [
+        C37A1,
+        inv,
+        roots,
+        period,
+        parse_record({"a": [0, 0, 1, -1, 0], "conductor": 37}),
+        lemma1_check(inv, period),
+        NONCM,
+        QuadratureResult(1.0, 0.0),
+    ]
+    for value in values:
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], 0)
+        with pytest.raises(AttributeError):
+            value.extra = 0
+    assert len({type(value) for value in values}) == 8
 
 
 class TestIsCm:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -57,6 +58,20 @@ class TestEpsilonP:
         for p in (1, 4, 9, 25):
             with pytest.raises(ValueError, match="prime"):
                 fudge_factor_for(_inv(1, 1), p, p * p * 7)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            *(("p", v, f"p must be an exact integer, got {v!r}") for v in (5.0, math.nan, True)),
+            *(("conductor", v, f"conductor must be an exact integer, got {v!r}") for v in (25.0, math.nan, True)),
+            *(("conductor", v, f"conductor must be positive, got {v}") for v in (0, -25)),
+            *(("twist_minimal", v, f"twist_minimal must be True or False, got {v!r}") for v in ("no", 0, 1, None)),
+        ],
+    )
+    def test_rejects_bad_arguments(self, name, value, message):
+        args = {"inv": _inv(1, 1), "p": 5, "conductor": 25, name: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fudge_factor_for(**args)
 
 
 class TestUPSpecial:

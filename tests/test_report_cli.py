@@ -244,6 +244,8 @@ class TestBuildReport:
 # The test extras: the runtime is the standard library, and test_golden
 # runs where none of them is installed.
 TEST_EXTRAS = ("numpy", "scipy", "mpmath", "sympy", "hypothesis")
+# Standard-library modules that every CLI call would pay to import.
+HEAVY_STDLIB = ("dataclasses", "inspect", "typing")
 
 
 def test_cli_import_loads_no_test_oracle():
@@ -254,6 +256,14 @@ def test_cli_import_loads_no_test_oracle():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", module
+    # -S: a .pth hook that site runs may import typing before moddeg does
+    code = (
+        "import sys; before = set(sys.modules); import moddeg.cli; "
+        f"print(sorted(m for m in {HEAVY_STDLIB!r} if m in sys.modules and m not in before))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
