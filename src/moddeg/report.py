@@ -33,7 +33,7 @@ from .bounds import (
     theorem1,
     theorem2,
 )
-from .curves import CurveModel, derive_invariants, factorize, is_cm, two_torsion_roots
+from .curves import CurveModel, _trial_divide, derive_invariants, is_cm, two_torsion_roots
 from .fudge import fudge_factor_for
 from .lvalue import L_VALUE_BOUND_NUMERATOR
 from .zerofree import MIN_CERTIFIED_N2
@@ -128,8 +128,32 @@ def parse_record(obj: object) -> CurveRecord:
     )
 
 
+# Trial division for squared primes stops at this divisor.  What is left
+# then has every prime factor above it, so up to _TRIAL_LIMIT**3 it is 1, a
+# prime, a product of two distinct primes or a prime squared.
+_TRIAL_LIMIT = 10**7
+
+
 def squared_primes(n: int) -> list[int]:
-    return sorted(p for p, e in factorize(n).items() if e >= 2)
+    """The primes p with p^2 | n, in increasing order.
+
+    Trial division runs up to the square root of what is left of n, or up
+    to _TRIAL_LIMIT, after which math.isqrt tells whether the cofactor is
+    a prime squared; a cofactor above _TRIAL_LIMIT**3 = 1e21, which could
+    have three or more prime factors, is refused with ValueError naming
+    "conductor", so no n is trial-divided past 1e7.
+    """
+    factors, cofactor = _trial_divide(n, _TRIAL_LIMIT)
+    if cofactor > _TRIAL_LIMIT**3:
+        raise ValueError(
+            f'"conductor" {n} is refused: trial division up to 10^7 leaves a cofactor '
+            "above 10^21, whose squared primes it cannot decide"
+        )
+    square_ps = [p for p, e in factors.items() if e >= 2]
+    root = math.isqrt(cofactor)
+    if cofactor > 1 and root * root == cofactor:
+        square_ps.append(root)
+    return square_ps
 
 
 def _wire(value: object) -> object:

@@ -201,6 +201,9 @@ class TestTraceOfFrobenius:
     def test_over_cutoff(self):
         with pytest.raises(ValueError, match="cutoff"):
             trace_of_frobenius(C37A1, 10**6 + 3)
+        # a prime whose trial division would take years is refused at once
+        with pytest.raises(ValueError, match="cutoff"):
+            trace_of_frobenius(C37A1, 10**30 + 57)
 
     def test_hasse_bound_sample(self):
         primes = [p for p in range(2, 200) if is_prime(p)]

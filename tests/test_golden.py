@@ -52,7 +52,10 @@ class TestGolden:
     def test_bound_on_local_factor_branches(self, tmp_path):
         # 2^8 || N; p = 1, 11 mod 12; p = 5, 7 mod 12 with and without the
         # c4/c6 divisibility; a declared non-minimal twist at p > 3; the
-        # failing chain at N = 7^2 * 863; an n2 digit string above 2^53
+        # failing chain at N = 7^2 * 863; an n2 digit string above 2^53;
+        # cofactors past the trial-division limit 1e7: a prime (in
+        # 1e21 + 7 = 19 * 223 * q), a prime squared, two primes, and a
+        # 40-digit prime refused as the line's error
         dst = tmp_path / "out.jsonl"
         assert main(["bound", "--input", str(GOLDEN / "bound_branches.jsonl"), "--output", str(dst)]) == 0
         assert dst.read_bytes() == (GOLDEN / "bound_branches.golden.jsonl").read_bytes()

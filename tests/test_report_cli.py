@@ -47,6 +47,33 @@ def _large_n_shapes(count: int, seed: int = 1) -> list[int]:
     return shapes
 
 
+def _wheel_products(seed: int = 30) -> list[int]:
+    """One product for each of the eight residues prime to 30: two primes
+    of that residue below 1e4, and 2, 3 and 5, with exponents 1 to 3."""
+    rng = random.Random(seed)
+    products = []
+    for residue in (1, 7, 11, 13, 17, 19, 23, 29):
+        primes = [p for p in sympy.primerange(7, 10**4) if p % 30 == residue]
+        n = 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 3) * 5 ** rng.randint(0, 3)
+        for p in rng.sample(primes, 2):
+            n *= p ** rng.randint(1, 3)
+        products.append(n)
+    return products
+
+
+# Trial division for squared primes stops at 1e7; its last wheel block,
+# 9999997 to 10000021, holds the first prime above 1e7, so 10000079 and
+# 10000103 are the first primes that only the cofactor test reaches.
+_PAST_THE_LIMIT = [
+    sympy.nextprime(10**7) ** 2,
+    sympy.nextprime(10**7) * sympy.nextprime(sympy.nextprime(10**7)),
+    10000079**2,
+    10000079 * 10000103,
+    10000079**2 * 999983,
+    sympy.nextprime(10**14),
+]
+
+
 def _assert_factorization_matches_sympy(n: int) -> None:
     expected = {int(p): e for p, e in sympy.factorint(n).items()}
     assert factorize(n) == expected, n
@@ -63,10 +90,31 @@ class TestFactorize:
 
     @pytest.mark.parametrize(
         "n",
-        [*_large_n_shapes(4), 1000003**2 * 7, 1000003**3, 2**40, 3**25, 7**2 * 13**2 * 19**2, 42287],
+        [
+            *_large_n_shapes(4),
+            1000003**2 * 7,
+            1000003**3,
+            2**40,
+            3**25,
+            7**2 * 13**2 * 19**2,
+            42287,
+            *_wheel_products(),
+            *(p**e * sympy.nextprime(10**12) for p in sympy.primerange(7, 32) for e in (2, 3)),
+            *_PAST_THE_LIMIT,
+        ],
     )
     def test_against_sympy(self, n):
         _assert_factorization_matches_sympy(n)
+
+    def test_cofactor_above_1e21_refused(self):
+        # past the limit, a cofactor up to 1e21 has at most two prime
+        # factors; one above it could have three, and is refused
+        assert squared_primes(sympy.prevprime(10**21)) == []
+        assert squared_primes(sympy.prevprime(10**21) * 4) == [2]
+        with pytest.raises(ValueError, match='"conductor"'):
+            squared_primes(sympy.nextprime(10**21))
+        with pytest.raises(ValueError, match='"conductor"'):
+            squared_primes(sympy.nextprime(10**21) * 4)
 
     def test_against_sympy_on_random_n(self):
         rng = random.Random(20000)
