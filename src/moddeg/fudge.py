@@ -17,7 +17,7 @@ as a plain dict.
 
 from __future__ import annotations
 
-from .curves import Invariants, _require_int, is_prime
+from .curves import _PSI_13, Invariants, _require_int, is_prime
 
 __all__ = [
     "fudge_factor_for",
@@ -49,6 +49,9 @@ def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: boo
     p = 2: eps = +1 (factor 1/2) is possible only when 2^8 || N; any other
     2-adic valuation takes the non-minimal-at-2 bound
     (2-1)(2+1-2)(2+1+2)/2^3 = 5/8.
+
+    A p from 3317044064679887385961981 on, past the exact range of
+    ``is_prime``'s Miller-Rabin test, is refused with ValueError.
     """
     _require_int("p", p)
     _require_int("conductor", conductor)
@@ -56,6 +59,8 @@ def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: boo
         raise ValueError(f"conductor must be positive, got {conductor}")
     if not isinstance(twist_minimal, bool):
         raise ValueError(f"twist_minimal must be True or False, got {twist_minimal!r}")
+    if p >= _PSI_13:
+        raise ValueError(f"p = {p} is refused: primality is decided only below {_PSI_13}")
     if not is_prime(p):
         raise ValueError(f"p = {p} must be prime")
     if conductor % (p * p) != 0:

@@ -6,6 +6,8 @@ import pytest
 from moddeg.curves import Invariants, is_prime
 from moddeg.fudge import fudge_factor_for
 
+PSI_13 = 3317044064679887385961981
+
 
 def _inv(c4: int, c6: int) -> Invariants:
     # only c4/c6 matter for the local rules
@@ -58,6 +60,20 @@ class TestEpsilonP:
         for p in (1, 4, 9, 25):
             with pytest.raises(ValueError, match="prime"):
                 fudge_factor_for(_inv(1, 1), p, p * p * 7)
+
+    @pytest.mark.parametrize("p", [PSI_13, PSI_13 + 2, 10**30 + 57])
+    def test_rejects_p_past_the_exact_primality_range(self, p):
+        # PSI_13 = 1287836182261 * 2575672364521 passes Miller-Rabin on the
+        # first thirteen prime bases; from there on p is refused at once
+        # rather than trial-divided
+        with pytest.raises(ValueError, match=f"^p = {p} is refused: primality is decided only below {PSI_13}$"):
+            fudge_factor_for(_inv(1, 1), p, p * p)
+
+    def test_largest_prime_below_psi_13(self):
+        p = PSI_13 - 168  # 1 mod 12
+        assert fudge_factor_for(_inv(1, 1), p, p * p)["epsilon"] == 1
+        with pytest.raises(ValueError, match="must be prime"):
+            fudge_factor_for(_inv(1, 1), PSI_13 - 2, (PSI_13 - 2) ** 2)
 
     @pytest.mark.parametrize(
         "name, value, message",

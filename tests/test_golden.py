@@ -55,7 +55,9 @@ class TestGolden:
         # failing chain at N = 7^2 * 863; an n2 digit string above 2^53;
         # cofactors past the trial-division limit 1e7: a prime (in
         # 1e21 + 7 = 19 * 223 * q), a prime squared, two primes, and a
-        # 40-digit prime refused as the line's error
+        # 40-digit prime refused as the line's error; squared primes found
+        # by the gcd with the primes in (2^10, 2^17]: 1031^2 q, and
+        # 1031^2 131071^2 q, which factorize splits
         dst = tmp_path / "out.jsonl"
         assert main(["bound", "--input", str(GOLDEN / "bound_branches.jsonl"), "--output", str(dst)]) == 0
         assert dst.read_bytes() == (GOLDEN / "bound_branches.golden.jsonl").read_bytes()

@@ -11,11 +11,13 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moddeg import curves, report
 from moddeg.agm import lemma1_constants
 from moddeg.cli import _verification_rows, main
-from moddeg.curves import factorize, is_prime
+from moddeg.curves import _is_strong_probable_prime, _trial_divide, factorize, is_prime
 from moddeg.lvalue import lemma4_certify
 from moddeg.report import (
+    _prime_product,
     build_report,
     dumps_report,
     invariants_document,
@@ -74,6 +76,53 @@ _PAST_THE_LIMIT = [
 ]
 
 
+PSI_13 = 3317044064679887385961981
+
+
+def _squared_primes_by_trial_division(n: int) -> list[int] | None:
+    """The squared primes by trial division up to 1e7 alone, and None for a
+    cofactor above 1e21 there: the reference for squared_primes' refusals."""
+    factors, cofactor = _trial_divide(n, 10**7)
+    if cofactor > 10**21:
+        return None
+    root = math.isqrt(cofactor)
+    return [p for p, e in factors.items() if e >= 2] + ([root] if cofactor > 1 and root * root == cofactor else [])
+
+
+def _branch_cases(seed: int = 2017) -> list[tuple[str, int]]:
+    """Seeded conductors for each way squared_primes can go, with the name
+    of that way: a prime cofactor up to 1e21; p^2 q and p1^2 p2^2 q with
+    p, p1, p2 in (2^10, 2^17] and q near 1e12; past the gcd, a prime above
+    2^51, a prime or prime squared in (2^17, 1e7] times a q in [1e12,
+    1e13], a prime in (6e7, 1e8) squared (above 2^51), two primes above
+    1e7 and a refused pair above 1e21."""
+    rng = random.Random(seed)
+
+    def prime(lo: int, hi: int) -> int:
+        return int(sympy.nextprime(rng.randint(lo, hi)))
+
+    def gcd_prime() -> int:
+        return prime(2**10, 2**17 - 100)
+
+    cases = []
+    for _ in range(3):
+        q = prime(10**12, 10**13)
+        cases += [
+            ("prime", rng.randint(1, 10**3) * prime(2**20, 10**21 - 10**6)),
+            ("gcd", gcd_prime() ** 2 * q),
+            ("gcd-split", gcd_prime() ** 2 * gcd_prime() ** 2 * prime(10**3, 10**12)),
+            ("gcd-prime", gcd_prime() ** 2 * prime(2**51, 10**21 - 10**6)),
+            ("gcd-trial", gcd_prime() ** rng.randint(1, 3) * prime(2**17, 10**7 - 100) ** rng.randint(1, 2) * q),
+            ("trial", gcd_prime() * prime(6 * 10**7, 10**8) ** 2),
+            ("trial", prime(10**7, 10**8) * prime(10**10, 10**12)),
+            ("trial-refused", gcd_prime() ** 2 * prime(10**10, 10**11) * prime(10**11, 10**12)),
+        ]
+    # 10000019, the first prime above 1e7, is in the last wheel block that
+    # trial division up to 1e7 runs, so the prime above 1e20 is answered
+    cases += [("trial", 10000019 * int(sympy.nextprime(10**20))), ("trial-refused", int(sympy.nextprime(10**21)))]
+    return cases
+
+
 def _assert_factorization_matches_sympy(n: int) -> None:
     expected = {int(p): e for p, e in sympy.factorint(n).items()}
     assert factorize(n) == expected, n
@@ -116,6 +165,41 @@ class TestFactorize:
         with pytest.raises(ValueError, match='"conductor"'):
             squared_primes(sympy.nextprime(10**21) * 4)
 
+    @pytest.mark.parametrize("way, n", _branch_cases())
+    def test_each_way_against_trial_division_and_sympy(self, monkeypatch, way, n):
+        # the same answer as trial division up to 1e7 alone and as sympy,
+        # and the same refusal, through the way named: a gcd with the prime
+        # product ("gcd"), then factorize on its squared primes ("split"),
+        # then trial division up to 1e7 ("trial") only where a composite
+        # above 2^51 is left
+        ways = []
+        monkeypatch.setattr(report, "_trial_divide", lambda m, limit: ways.append(limit) or _trial_divide(m, limit))
+        monkeypatch.setattr(report, "factorize", lambda m: ways.append("split") or factorize(m))
+        monkeypatch.setattr(report, "_prime_product", lambda: ways.append("gcd") or _prime_product())
+        expected = _squared_primes_by_trial_division(n)
+        if expected is None:
+            with pytest.raises(ValueError, match=f'^"conductor" {n} is refused'):
+                squared_primes(n)
+        else:
+            assert squared_primes(n) == expected
+            assert expected == sorted(int(p) for p, e in sympy.factorint(n).items() if e >= 2)
+        assert ways[0] == 2**10
+        assert "-".join(str(w) for w in ways[1:]).replace(str(10**7), "trial") == {
+            "prime": "",
+            "gcd": "gcd",
+            "gcd-split": "gcd-split",
+            "gcd-prime": "gcd",
+            "gcd-trial": "gcd-trial",
+            "trial": "gcd-trial",
+            "trial-refused": "gcd-trial",
+        }[way]
+
+    def test_prime_product_is_made_on_first_use(self):
+        code = "import moddeg.cli, moddeg.report as r; print(r._prime_product.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+        assert proc.stdout == "0\n", proc.stderr
+        assert _prime_product() == math.prod(sympy.primerange(2**10, 2**17 + 1))
+
     def test_against_sympy_on_random_n(self):
         rng = random.Random(20000)
         for _ in range(2000):
@@ -123,6 +207,34 @@ class TestFactorize:
 
     def test_is_prime_against_sympy(self):
         assert [n for n in range(20000) if is_prime(n) != sympy.isprime(n)] == []
+
+    def test_is_prime_against_sympy_from_2_to_the_20(self):
+        # Miller-Rabin decides from 2^20 up to PSI_13: random integers,
+        # primes and products of two primes of each size, both sides of
+        # 2^20, and strong pseudoprimes to the first 4, 5, 6 and 8 bases
+        rng = random.Random(1320)
+        sample = [2**20 - 3, 2**20 - 1, 2**20, 2**20 + 7, 3215031751, 2152302898747, 3474749660383, 341550071728321]
+        for digits in range(7, 25):
+            for _ in range(8):
+                n = rng.randint(10 ** (digits - 1), min(10**digits, PSI_13) - 1)
+                half = rng.randint(10 ** (digits // 2 - 1), 10 ** (digits // 2))
+                sample += [n, int(sympy.prevprime(n)), int(sympy.nextprime(half)) * int(sympy.nextprime(n // half))]
+        sample = [n for n in sample if n < PSI_13]
+        assert [n for n in sample if is_prime(n) != sympy.isprime(n)] == []
+
+    def test_strong_pseudoprimes_to_eleven_twelve_and_thirteen_bases(self, monkeypatch):
+        # psi_11 passes the first 11 prime bases and psi_12 the first 12,
+        # so is_prime needs the 12th and 13th; PSI_13 passes all 13, which
+        # is why the test is used only below it, and PSI_13 goes to
+        # factorize (a stand-in here: trial division would run to 1.3e12)
+        psi_11, psi_12 = 3825123056546413051, 318665857834031151167461
+        assert psi_11 == 149491 * 747451 * 34233211
+        assert psi_12 == 399165290221 * 798330580441
+        assert PSI_13 == 1287836182261 * 2575672364521
+        assert not is_prime(psi_11) and not is_prime(psi_12)
+        assert _is_strong_probable_prime(PSI_13)
+        monkeypatch.setattr(curves, "factorize", lambda n: {1287836182261: 1, 2575672364521: 1})
+        assert not is_prime(PSI_13)
 
 
 class TestParseRecord:
