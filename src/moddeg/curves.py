@@ -3,13 +3,17 @@
 Integer b/c-invariants and the discriminant, the roots of the 2-torsion
 polynomial ``4x^3 + b2 x^2 + 2 b4 x + b6`` (the polynomial appearing on
 the right side of ``y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6``) through the
-geometry of its isolated root and the exact discriminant, trial-division
-factorization and primality, point counts over prime fields (one counting
-routine, which the Euler-product estimator calls with the invariants it
-derived once per curve: Shanks-Mestre baby-step giant-step on the curve
-and its quadratic twist, with an O(p) Legendre-symbol sum for small p and
-whenever the points tried leave more than one candidate), and CM
-detection by rational j-invariant.
+geometry of its isolated root and the exact discriminant, factoring (the
+one module that holds its policy: trial division by the 30-wheel,
+primality by Miller-Rabin where it is exact, below
+3317044064679887385961981, one sieve, and the squared primes of a
+conductor, all that a report needs of its factorization), point counts
+over prime fields (one counting routine, which the Euler-product
+estimator calls with the invariants it derived once per curve:
+Shanks-Mestre baby-step giant-step on the curve and its quadratic twist,
+with an O(p) Legendre-symbol sum for small p and whenever the points
+tried leave more than one candidate), and CM detection by rational
+j-invariant.
 
 The conductor is always an input, never computed; reports downstream
 carry a ``"conductor_provenance": "supplied"`` field.  Models are used exactly as
@@ -19,6 +23,8 @@ discriminant feeding the area bound, belongs to the supplied model.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from collections import namedtuple
@@ -36,6 +42,7 @@ __all__ = [
     "is_cm",
     "factorize",
     "is_prime",
+    "squared_primes",
 ]
 
 
@@ -277,8 +284,7 @@ def factorize(n: int) -> dict[int, int]:
     prime factor and P2 the second largest counted with multiplicity,
     whatever n's size: a largest prime near 1e12 with small cofactors
     costs about 15 ms (CPython 3.11, one Xeon core).  The squared primes
-    of a conductor need no full factorization; see
-    ``moddeg.report.squared_primes``."""
+    of a conductor need no full factorization; see ``squared_primes``."""
     factors, cofactor = _trial_divide(n)
     if cofactor > 1:
         factors[cofactor] = 1
@@ -317,14 +323,96 @@ def _is_strong_probable_prime(n: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """Whether n is prime: trial division below 2^20, and Miller-Rabin on
-    the first thirteen prime bases, exact, from 2^20 up to _PSI_13 =
-    3317044064679887385961981 (excluded).  At and above _PSI_13 it falls back
-    on factorize, whose cost grows with the square root of n's second
-    largest prime factor."""
+    the first thirteen prime bases, exact, from 2^20 up to
+    3317044064679887385961981 (excluded).  From there on, where no fixed
+    set of bases is known to be exact, n is refused with ValueError at
+    once."""
     _require_int("n", n)
-    if _WHEEL_BELOW <= n < _PSI_13:
-        return n % 2 == 1 and _is_strong_probable_prime(n)
-    return n >= 2 and factorize(n) == {n: 1}
+    if n < _WHEEL_BELOW:
+        return n >= 2 and factorize(n) == {n: 1}
+    if n >= _PSI_13:
+        raise ValueError(
+            f"primality is decided only below {_PSI_13}, "
+            "where Miller-Rabin on the first thirteen prime bases is exact"
+        )
+    return n % 2 == 1 and _is_strong_probable_prime(n)
+
+
+def _primes_up_to(limit: int) -> list[int]:
+    """The primes up to limit, by a bytearray sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(itertools.compress(range(2, limit + 1), sieve[2:]))
+
+
+# squared_primes trial-divides up to _WHEEL_LIMIT, takes the primes in
+# (_WHEEL_LIMIT, _GCD_LIMIT] by one gcd, and trial-divides a composite
+# cofactor above _GCD_LIMIT**3 up to _TRIAL_LIMIT.
+_WHEEL_LIMIT = 2**10
+_GCD_LIMIT = 2**17
+_TRIAL_LIMIT = 10**7
+
+
+@functools.cache
+def _prime_product() -> int:
+    """The product of the primes in (_WHEEL_LIMIT, _GCD_LIMIT], made on first
+    use by a pairwise product tree."""
+    level = [p for p in _primes_up_to(_GCD_LIMIT) if p > _WHEEL_LIMIT]
+    while len(level) > 1:
+        level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1 :]
+    return level[0]
+
+
+def squared_primes(n: int) -> list[int]:
+    """The primes p with p^2 | n, in increasing order, in three exact steps.
+
+    Trial division runs up to 2^10 or to the square root of what is left.
+    A cofactor c above 2^20, unless it is a prime up to 2^51, takes one
+    gcd g with the product of the primes in (2^10, 2^17]; gcd(g, c/g)
+    holds the squared ones, and g's primes are divided out of c.  What is
+    left up to 2^51 has at most two prime factors, all above 2^17, and so
+    has a prime up to 1e21; math.isqrt then tells whether either is a
+    prime squared.  ``is_prime`` (Miller-Rabin, exact there) is called at
+    most once: on c before the gcd when c is at most 2^51, so that a
+    prime conductor that size never makes the product, and on what the
+    gcd leaves when that is above 2^51.  Only a larger composite is
+    trial-divided up to 1e7 (about 0.2 s), and refused with ValueError
+    naming "conductor" when what is left there is still above 1e21 and
+    could have three or more prime factors.  The gcd removes only primes
+    that this trial division would, so the refusals are those of trial
+    division up to 1e7 alone.  A prime near 1e12 takes about 0.09 ms and
+    a p^2 q with p near 5e4 and q near 1e12 about 0.13 ms, after about
+    11 ms once per process to make the prime product (CPython 3.11, one
+    Xeon core).
+    """
+    factors, c = _trial_divide(n, _WHEEL_LIMIT)
+    square_ps = [p for p, e in factors.items() if e >= 2]
+    if c > _WHEEL_LIMIT**2 and not (c <= _GCD_LIMIT**3 and is_prime(c)):
+        g = math.gcd(c, _prime_product() % c)
+        if g > 1:
+            h = math.gcd(g, c // g)
+            # two primes above 2^10 make more than 2^20: a smaller h is prime
+            if h >= _WHEEL_LIMIT**2:
+                square_ps += sorted(factorize(h))
+            elif h > 1:
+                square_ps.append(h)
+            while g > 1:
+                c //= g
+                g = math.gcd(c, g)
+        if c > _GCD_LIMIT**3 and not (c <= _TRIAL_LIMIT**3 and is_prime(c)):
+            factors, c = _trial_divide(c, _TRIAL_LIMIT)
+            if c > _TRIAL_LIMIT**3:
+                raise ValueError(
+                    f'"conductor" {n} is refused: trial division up to 10^7 leaves a cofactor '
+                    "above 10^21, whose squared primes it cannot decide"
+                )
+            square_ps += [p for p, e in factors.items() if e >= 2]
+    root = math.isqrt(c)
+    if c > 1 and root * root == c:
+        square_ps.append(root)
+    return square_ps
 
 
 def trace_of_frobenius(curve: CurveModel, p: int) -> int:
@@ -338,8 +426,8 @@ def trace_of_frobenius(curve: CurveModel, p: int) -> int:
     reduction (p does not divide the discriminant of the supplied model).
     """
     _require_int("p", p)
-    # the cutoff first: trial division of a large p would take longer
-    # than the count it guards
+    # the cutoff first, so that a p past it gets that message, not the
+    # refusal is_prime gives from 3317044064679887385961981 on
     if p > POINT_COUNT_CUTOFF:
         raise ValueError(f"p = {p} exceeds the point-counting cutoff {POINT_COUNT_CUTOFF}")
     if not is_prime(p):

@@ -17,7 +17,7 @@ as a plain dict.
 
 from __future__ import annotations
 
-from .curves import _PSI_13, Invariants, _require_int, is_prime
+from .curves import Invariants, _require_int, is_prime
 
 __all__ = [
     "fudge_factor_for",
@@ -51,7 +51,8 @@ def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: boo
     (2-1)(2+1-2)(2+1+2)/2^3 = 5/8.
 
     A p from 3317044064679887385961981 on, past the exact range of
-    ``is_prime``'s Miller-Rabin test, is refused with ValueError.
+    ``is_prime``'s Miller-Rabin test, is refused with ``is_prime``'s
+    ValueError.
     """
     _require_int("p", p)
     _require_int("conductor", conductor)
@@ -59,8 +60,6 @@ def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: boo
         raise ValueError(f"conductor must be positive, got {conductor}")
     if not isinstance(twist_minimal, bool):
         raise ValueError(f"twist_minimal must be True or False, got {twist_minimal!r}")
-    if p >= _PSI_13:
-        raise ValueError(f"p = {p} is refused: primality is decided only below {_PSI_13}")
     if not is_prime(p):
         raise ValueError(f"p = {p} must be prime")
     if conductor % (p * p) != 0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .curves import POINT_COUNT_CUTOFF, CurveModel, _count_trace, _require_int, derive_invariants
+from .curves import POINT_COUNT_CUTOFF, CurveModel, _count_trace, _primes_up_to, _require_int, derive_invariants
 from .specfun import lemma4_error_integral
 from .zerofree import Waypoint, _n2_value, _wp
 
@@ -84,9 +84,10 @@ def symsq_value_estimate(curve: CurveModel, prime_cutoff: int) -> float:
     [(1 - alpha^2/p^2)(1 - 1/p)(1 - beta^2/p^2)]^(-1) with alpha, beta the
     Frobenius roots (alpha+beta = a_p, alpha*beta = p); this is the local
     factor at the symmetry-normalized edge point.  Primes dividing the
-    conductor or the model discriminant are skipped.  The invariants are
-    derived once, and each a_p comes from the counting routine behind
-    trace_of_frobenius.  Sanity only; no truncation error control.
+    conductor or the model discriminant are skipped.  The primes and each
+    a_p come from ``moddeg.curves`` (a_p from the counting routine behind
+    trace_of_frobenius), and the invariants are derived once.  Sanity
+    only; no truncation error control.
     """
     _require_int("prime_cutoff", prime_cutoff)
     if prime_cutoff < 2:
@@ -96,12 +97,7 @@ def symsq_value_estimate(curve: CurveModel, prime_cutoff: int) -> float:
     inv = derive_invariants(curve)
     bad = abs(inv.disc) * (curve.conductor or 1)
     product = 1.0
-    sieve = bytearray([1]) * (prime_cutoff + 1)
-    for p in range(2, prime_cutoff + 1):
-        if not sieve[p]:
-            continue
-        for m in range(p * p, prime_cutoff + 1, p):
-            sieve[m] = 0
+    for p in _primes_up_to(prime_cutoff):
         if bad % p == 0:
             continue
         a_p = _count_trace(curve, inv, p)

@@ -21,8 +21,6 @@ significant digits and writes integers above 2^53 as decimal strings.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import math
 from collections import namedtuple
@@ -35,15 +33,7 @@ from .bounds import (
     theorem1,
     theorem2,
 )
-from .curves import (
-    CurveModel,
-    _is_strong_probable_prime,
-    _trial_divide,
-    derive_invariants,
-    factorize,
-    is_cm,
-    two_torsion_roots,
-)
+from .curves import CurveModel, derive_invariants, is_cm, squared_primes, two_torsion_roots
 from .fudge import fudge_factor_for
 from .lvalue import L_VALUE_BOUND_NUMERATOR
 from .zerofree import MIN_CERTIFIED_N2
@@ -55,7 +45,6 @@ __all__ = [
     "build_report",
     "invariants_document",
     "dumps_report",
-    "squared_primes",
 ]
 
 _MAX_EXACT_JSON_INT = 2**53
@@ -84,15 +73,16 @@ def int_field(name: str, value: object) -> int | None:
     or None for null.
 
     A JSON integer or a string of ASCII digits is accepted; a boolean,
-    a sign, a space, an underscore or a non-ASCII digit is not.
+    a sign, a space, an underscore or a non-ASCII digit is not, nor a
+    digit string longer than int() converts (4300 digits by default).
     """
     if value is None:
         return None
     if isinstance(value, str) and value.isascii() and value.isdigit():
         try:
             value = int(value)
-        except ValueError:  # more digits than int() converts; named below
-            pass
+        except ValueError:  # past sys.get_int_max_str_digits(); not echoed
+            raise ValueError(f'"{name}" is too long: {len(value)} digits, more than int() converts') from None
     minimum = _INT_MINIMUM[name]
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValueError(f'"{name}" must be an integer >= {minimum}, got {json.dumps(value)}')
@@ -136,79 +126,6 @@ def parse_record(obj: object) -> CurveRecord:
         twist_minimal=twist_minimal,
         deg_phi=int_field("deg_phi", obj.get("deg_phi")),
     )
-
-
-# squared_primes trial-divides up to _WHEEL_LIMIT, takes the primes in
-# (_WHEEL_LIMIT, _GCD_LIMIT] by one gcd, and trial-divides a composite
-# cofactor above _GCD_LIMIT**3 up to _TRIAL_LIMIT.
-_WHEEL_LIMIT = 2**10
-_GCD_LIMIT = 2**17
-_TRIAL_LIMIT = 10**7
-
-
-@functools.cache
-def _prime_product() -> int:
-    """The product of the primes in (_WHEEL_LIMIT, _GCD_LIMIT], made on first
-    use by a bytearray sieve and a pairwise product tree."""
-    sieve = bytearray([1]) * (_GCD_LIMIT + 1)
-    for p in range(2, math.isqrt(_GCD_LIMIT) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, _GCD_LIMIT + 1, p)))
-    level = list(itertools.compress(range(_WHEEL_LIMIT + 1, _GCD_LIMIT + 1), sieve[_WHEEL_LIMIT + 1 :]))
-    while len(level) > 1:
-        level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1 :]
-    return level[0]
-
-
-def _is_prime_to_1e21(c: int) -> bool:
-    """Whether c, odd and above 2^20, is a prime up to _TRIAL_LIMIT**3."""
-    return c <= _TRIAL_LIMIT**3 and _is_strong_probable_prime(c)
-
-
-def squared_primes(n: int) -> list[int]:
-    """The primes p with p^2 | n, in increasing order.
-
-    Trial division runs up to 2^10 or to the square root of what is left.
-    A cofactor c above 2^20 that is not a prime up to 1e21 (Miller-Rabin
-    on the first thirteen prime bases, exact there) takes one gcd g with
-    the product of the primes in (2^10, 2^17]; gcd(g, c/g) holds the
-    squared ones, and g's primes are divided out of c.  math.isqrt then
-    tells the square of what is left when it is at most 2^51 (at most two
-    prime factors, all above 2^17) or a prime up to 1e21.  Only a larger
-    composite is trial-divided up to 1e7 (about 0.2 s), and refused with
-    ValueError naming "conductor" when what is left there is still above
-    1e21 and could have three or more prime factors.  The gcd removes only
-    primes that this trial division would, so the refusals are those of
-    trial division up to 1e7 alone.  A p^2 q with p near 5e4 and q near
-    1e12 takes about 0.13 ms, after about 11 ms once per process to make
-    the prime product (CPython 3.11, one Xeon core).
-    """
-    factors, c = _trial_divide(n, _WHEEL_LIMIT)
-    square_ps = [p for p, e in factors.items() if e >= 2]
-    if c > _WHEEL_LIMIT**2 and not _is_prime_to_1e21(c):
-        g = math.gcd(c, _prime_product() % c)
-        if g > 1:
-            h = math.gcd(g, c // g)
-            # two primes above 2^10 make more than 2^20: a smaller h is prime
-            if h >= _WHEEL_LIMIT**2:
-                square_ps += sorted(factorize(h))
-            elif h > 1:
-                square_ps.append(h)
-            while g > 1:
-                c //= g
-                g = math.gcd(c, g)
-        if c > _GCD_LIMIT**3 and not _is_prime_to_1e21(c):
-            factors, c = _trial_divide(c, _TRIAL_LIMIT)
-            if c > _TRIAL_LIMIT**3:
-                raise ValueError(
-                    f'"conductor" {n} is refused: trial division up to 10^7 leaves a cofactor '
-                    "above 10^21, whose squared primes it cannot decide"
-                )
-            square_ps += [p for p, e in factors.items() if e >= 2]
-    root = math.isqrt(c)
-    if c > 1 and root * root == c:
-        square_ps.append(root)
-    return square_ps
 
 
 def _wire(value: object) -> object:

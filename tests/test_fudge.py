@@ -64,9 +64,10 @@ class TestEpsilonP:
     @pytest.mark.parametrize("p", [PSI_13, PSI_13 + 2, 10**30 + 57])
     def test_rejects_p_past_the_exact_primality_range(self, p):
         # PSI_13 = 1287836182261 * 2575672364521 passes Miller-Rabin on the
-        # first thirteen prime bases; from there on p is refused at once
-        # rather than trial-divided
-        with pytest.raises(ValueError, match=f"^p = {p} is refused: primality is decided only below {PSI_13}$"):
+        # first thirteen prime bases; from there on is_prime refuses p at
+        # once rather than trial-divide it
+        message = f"primality is decided only below {PSI_13}, where Miller-Rabin on the first thirteen prime bases is exact"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             fudge_factor_for(_inv(1, 1), p, p * p)
 
     def test_largest_prime_below_psi_13(self):

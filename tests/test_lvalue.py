@@ -123,6 +123,14 @@ class TestEulerProductEstimate:
             with pytest.raises(ValueError, match="prime_cutoff"):
                 symsq_value_estimate(self.CURVE, cutoff)
 
+    def test_a_prime_cutoff_takes_its_own_factor(self):
+        p = 1999
+        a_p = trace_of_frobenius(self.CURVE, p)
+        factor = (1.0 - (a_p * a_p - 2.0 * p) / (p * p) + 1.0 / (p * p)) * (1.0 - 1.0 / p)
+        assert symsq_value_estimate(self.CURVE, p) * factor == pytest.approx(
+            symsq_value_estimate(self.CURVE, p - 1), rel=1e-12
+        )
+
     @pytest.mark.parametrize("label", EULER_CURVES)
     def test_is_the_euler_product_over_the_good_primes(self, label):
         # rebuilt in ascending order from the public a_p, over exactly the

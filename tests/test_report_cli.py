@@ -11,19 +11,20 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moddeg import curves, report
+from moddeg import curves
 from moddeg.agm import lemma1_constants
 from moddeg.cli import _verification_rows, main
-from moddeg.curves import _is_strong_probable_prime, _trial_divide, factorize, is_prime
-from moddeg.lvalue import lemma4_certify
-from moddeg.report import (
+from moddeg.curves import (
+    _is_strong_probable_prime,
     _prime_product,
-    build_report,
-    dumps_report,
-    invariants_document,
-    parse_record,
+    _primes_up_to,
+    _trial_divide,
+    factorize,
+    is_prime,
     squared_primes,
 )
+from moddeg.lvalue import lemma4_certify
+from moddeg.report import build_report, dumps_report, invariants_document, parse_record
 from moddeg.zerofree import (
     MAX_CERTIFIED_N2,
     MIN_CERTIFIED_N2,
@@ -91,11 +92,12 @@ def _squared_primes_by_trial_division(n: int) -> list[int] | None:
 
 def _branch_cases(seed: int = 2017) -> list[tuple[str, int]]:
     """Seeded conductors for each way squared_primes can go, with the name
-    of that way: a prime cofactor up to 1e21; p^2 q and p1^2 p2^2 q with
-    p, p1, p2 in (2^10, 2^17] and q near 1e12; past the gcd, a prime above
-    2^51, a prime or prime squared in (2^17, 1e7] times a q in [1e12,
-    1e13], a prime in (6e7, 1e8) squared (above 2^51), two primes above
-    1e7 and a refused pair above 1e21."""
+    of that way: a prime cofactor up to 1e21 (which takes the gcd too);
+    p^2 q and p1^2 p2^2 q with p, p1, p2 in (2^10, 2^17] and q near 1e12;
+    past the gcd, a prime above 2^51, a prime or prime squared in
+    (2^17, 1e7] times a q in [1e12, 1e13], a prime in (6e7, 1e8) squared
+    (above 2^51), two primes above 1e7 and a refused pair above 1e21; and
+    a prime and a composite cofactor up to 2^51."""
     rng = random.Random(seed)
 
     def prime(lo: int, hi: int) -> int:
@@ -120,6 +122,13 @@ def _branch_cases(seed: int = 2017) -> list[tuple[str, int]]:
     # 10000019, the first prime above 1e7, is in the last wheel block that
     # trial division up to 1e7 runs, so the prime above 1e20 is answered
     cases += [("trial", 10000019 * int(sympy.nextprime(10**20))), ("trial-refused", int(sympy.nextprime(10**21)))]
+    # up to 2^51 a prime cofactor takes no gcd, and a composite one takes
+    # it with no test after
+    cases += [
+        ("small-prime", 1000 * int(sympy.nextprime(2**20))),
+        ("small-prime", int(sympy.prevprime(2**51))),
+        ("gcd", 1031**2 * 131071),
+    ]
     return cases
 
 
@@ -171,11 +180,19 @@ class TestFactorize:
         # and the same refusal, through the way named: a gcd with the prime
         # product ("gcd"), then factorize on its squared primes ("split"),
         # then trial division up to 1e7 ("trial") only where a composite
-        # above 2^51 is left
-        ways = []
-        monkeypatch.setattr(report, "_trial_divide", lambda m, limit: ways.append(limit) or _trial_divide(m, limit))
-        monkeypatch.setattr(report, "factorize", lambda m: ways.append("split") or factorize(m))
-        monkeypatch.setattr(report, "_prime_product", lambda: ways.append("gcd") or _prime_product())
+        # above 2^51 is left; is_prime is called at most once
+        ways, primality = [], []
+
+        def trial_divide(m, limit=None):
+            # factorize's own call has no limit and is not a way
+            if limit is not None:
+                ways.append(limit)
+            return _trial_divide(m, limit)
+
+        monkeypatch.setattr(curves, "_trial_divide", trial_divide)
+        monkeypatch.setattr(curves, "factorize", lambda m: ways.append("split") or factorize(m))
+        monkeypatch.setattr(curves, "_prime_product", lambda: ways.append("gcd") or _prime_product())
+        monkeypatch.setattr(curves, "is_prime", lambda m: primality.append(m) or is_prime(m))
         expected = _squared_primes_by_trial_division(n)
         if expected is None:
             with pytest.raises(ValueError, match=f'^"conductor" {n} is refused'):
@@ -184,8 +201,10 @@ class TestFactorize:
             assert squared_primes(n) == expected
             assert expected == sorted(int(p) for p, e in sympy.factorint(n).items() if e >= 2)
         assert ways[0] == 2**10
+        assert len(primality) <= 1
         assert "-".join(str(w) for w in ways[1:]).replace(str(10**7), "trial") == {
-            "prime": "",
+            "small-prime": "",
+            "prime": "gcd",
             "gcd": "gcd",
             "gcd-split": "gcd-split",
             "gcd-prime": "gcd",
@@ -195,10 +214,14 @@ class TestFactorize:
         }[way]
 
     def test_prime_product_is_made_on_first_use(self):
-        code = "import moddeg.cli, moddeg.report as r; print(r._prime_product.cache_info().currsize)"
+        code = "import moddeg.cli, moddeg.curves as c; print(c._prime_product.cache_info().currsize)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
         assert proc.stdout == "0\n", proc.stderr
         assert _prime_product() == math.prod(sympy.primerange(2**10, 2**17 + 1))
+
+    @pytest.mark.parametrize("limit", [2, 3, 4, 2000, 2**17])
+    def test_primes_up_to_against_sympy(self, limit):
+        assert _primes_up_to(limit) == list(sympy.primerange(limit + 1))
 
     def test_against_sympy_on_random_n(self):
         rng = random.Random(20000)
@@ -222,19 +245,25 @@ class TestFactorize:
         sample = [n for n in sample if n < PSI_13]
         assert [n for n in sample if is_prime(n) != sympy.isprime(n)] == []
 
-    def test_strong_pseudoprimes_to_eleven_twelve_and_thirteen_bases(self, monkeypatch):
+    def test_strong_pseudoprimes_to_eleven_twelve_and_thirteen_bases(self):
         # psi_11 passes the first 11 prime bases and psi_12 the first 12,
         # so is_prime needs the 12th and 13th; PSI_13 passes all 13, which
-        # is why the test is used only below it, and PSI_13 goes to
-        # factorize (a stand-in here: trial division would run to 1.3e12)
+        # is why the test is used only below it, and PSI_13 is refused
         psi_11, psi_12 = 3825123056546413051, 318665857834031151167461
         assert psi_11 == 149491 * 747451 * 34233211
         assert psi_12 == 399165290221 * 798330580441
         assert PSI_13 == 1287836182261 * 2575672364521
         assert not is_prime(psi_11) and not is_prime(psi_12)
         assert _is_strong_probable_prime(PSI_13)
-        monkeypatch.setattr(curves, "factorize", lambda n: {1287836182261: 1, 2575672364521: 1})
-        assert not is_prime(PSI_13)
+        with pytest.raises(ValueError, match=f"^primality is decided only below {PSI_13},"):
+            is_prime(PSI_13)
+
+    @pytest.mark.parametrize("n", [PSI_13, PSI_13 + 2, 10**30 + 57])
+    def test_is_prime_refuses_from_psi_13_at_once(self, n):
+        # no fixed set of bases is known to be exact from PSI_13 on, and
+        # trial division of 10^30 + 57 would not end
+        with pytest.raises(ValueError, match=f"^primality is decided only below {PSI_13},"):
+            is_prime(n)
 
 
 class TestParseRecord:
@@ -296,6 +325,15 @@ class TestParseRecord:
         )
         assert record.conductor == 999999999989
         assert record.n2 == 999999999989**2
+
+    @pytest.mark.parametrize("field", ["conductor", "n2", "deg_phi"])
+    def test_digit_string_past_int_limit_is_too_long(self, field):
+        # a valid digit string longer than int() converts is named as too
+        # long, and the 5000 digits are not echoed
+        obj = {"a": [0, 0, 1, -1, 0], "conductor": 37, field: "3" * 5000}
+        with pytest.raises(ValueError) as info:
+            parse_record(obj)
+        assert str(info.value) == f'"{field}" is too long: 5000 digits, more than int() converts'
 
 
 class TestInvariantsDocument:
