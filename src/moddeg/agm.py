@@ -38,7 +38,7 @@ import math
 from collections import namedtuple
 
 from .curves import Invariants, RootData
-from .zerofree import Waypoint, _wp
+from .zerofree import Waypoint
 
 __all__ = [
     "AGM_TOL",
@@ -175,8 +175,8 @@ def lemma1_constants() -> tuple[Waypoint, Waypoint]:
         * agm(1.0, math.sqrt(0.5 - math.sqrt(3.0) / 4.0))
     )
     return (
-        _wp("lemma1.case_pos_constant", k1, "<=", AREA_BOUND_DENOMINATOR),
-        _wp("lemma1.case_neg_constant", k2, "<=", AREA_BOUND_DENOMINATOR),
+        Waypoint("lemma1.case_pos_constant", k1, "<=", AREA_BOUND_DENOMINATOR),
+        Waypoint("lemma1.case_neg_constant", k2, "<=", AREA_BOUND_DENOMINATOR),
     )
 
 
@@ -184,4 +184,4 @@ def lemma1_check(inv: Invariants, period: PeriodData) -> Waypoint:
     """The waypoint 1/Omega >= D^(1/6)/14.045 for the model with these
     invariants and period data."""
     rhs = inv.abs_disc ** (1.0 / 6.0) / AREA_BOUND_DENOMINATOR
-    return _wp("lemma1", period.inv_omega, ">=", rhs)
+    return Waypoint("lemma1", period.inv_omega, ">=", rhs)

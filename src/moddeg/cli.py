@@ -28,7 +28,7 @@ from .lvalue import lemma4_certify
 from .report import a_field, build_report, dumps_report, invariants_document, parse_record
 from .zerofree import (
     MIN_CERTIFIED_N2,
-    _wp,
+    Waypoint,
     certify_cm_qi,
     certify_cm_zeta3,
     certify_noncm,
@@ -119,15 +119,15 @@ def _print_or_fail(text: str) -> bool:
 
 
 def _verification_rows(n2: int) -> list[dict[str, object]]:
-    """Every verify-lemmas row: a Waypoint, judged by _wp, as a dict."""
+    """Every verify-lemmas row: a Waypoint and its verdict, as a dict."""
     waypoints = (
         *lemma1_constants(),
         *certify_noncm(n2),
         *certify_cm_qi(n2),
         *certify_cm_zeta3(n2),
         *lemma4_certify(n2),
-        _wp("zeta3.beta_star", quintic_beta_optimum(), "abs_diff<=", (2.629152166, 1e-8)),
-        _wp("theorem2.crossover_log_n", crossover_check(), "in", (86.0, 87.5)),
+        Waypoint("zeta3.beta_star", quintic_beta_optimum(), "abs_diff<=", (2.629152166, 1e-8)),
+        Waypoint("theorem2.crossover_log_n", crossover_check(), "in", (86.0, 87.5)),
     )
     return [{"name": w.name, "value": w.value, "op": w.op, "bound": w.bound, "pass": w.passed} for w in waypoints]
 

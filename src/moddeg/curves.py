@@ -380,12 +380,13 @@ def squared_primes(n: int) -> list[int]:
     gcd leaves when that is above 2^51.  Only a larger composite is
     trial-divided up to 1e7 (about 0.2 s), and refused with ValueError
     naming "conductor" when what is left there is still above 1e21 and
-    could have three or more prime factors.  The gcd removes only primes
-    that this trial division would, so the refusals are those of trial
-    division up to 1e7 alone.  A prime near 1e12 takes about 0.09 ms and
-    a p^2 q with p near 5e4 and q near 1e12 about 0.13 ms, after about
-    11 ms once per process to make the prime product (CPython 3.11, one
-    Xeon core).
+    could have three or more prime factors; the message gives a conductor
+    of up to 64 digits in full and a longer one by its size in bits.  The
+    gcd removes only primes that this trial division would, so the
+    refusals are those of trial division up to 1e7 alone.  A prime near
+    1e12 takes about 0.09 ms and a p^2 q with p near 5e4 and q near 1e12
+    about 0.13 ms, after about 11 ms once per process to make the prime
+    product (CPython 3.11, one Xeon core).
     """
     factors, c = _trial_divide(n, _WHEEL_LIMIT)
     square_ps = [p for p, e in factors.items() if e >= 2]
@@ -404,8 +405,11 @@ def squared_primes(n: int) -> list[int]:
         if c > _GCD_LIMIT**3 and not (c <= _TRIAL_LIMIT**3 and is_prime(c)):
             factors, c = _trial_divide(c, _TRIAL_LIMIT)
             if c > _TRIAL_LIMIT**3:
+                # past 64 digits, digits would swamp the line's error, and
+                # str() refuses an int of more than 4300: name the size
+                named = n if n < 10**64 else f"of {n.bit_length()} bits"
                 raise ValueError(
-                    f'"conductor" {n} is refused: trial division up to 10^7 leaves a cofactor '
+                    f'"conductor" {named} is refused: trial division up to 10^7 leaves a cofactor '
                     "above 10^21, whose squared primes it cannot decide"
                 )
             square_ps += [p for p, e in factors.items() if e >= 2]

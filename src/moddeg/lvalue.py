@@ -20,7 +20,7 @@ import math
 
 from .curves import POINT_COUNT_CUTOFF, CurveModel, _count_trace, _primes_up_to, _require_int, derive_invariants
 from .specfun import lemma4_error_integral
-from .zerofree import Waypoint, _n2_value, _wp
+from .zerofree import Waypoint, _n2_value
 
 __all__ = [
     "L_VALUE_BOUND_NUMERATOR",
@@ -66,14 +66,14 @@ def lemma4_certify(n2: int) -> tuple[Waypoint, ...]:
     chain_value = (math.exp(-1e-6) - 0.01) / (x_power * gamma_1mb)
 
     return (
-        _wp("lvalue.b_lower", b, ">=", 0.99),
-        _wp("lvalue.log_x", log_x, "<=", 4.2 * log_n2),
-        _wp("lvalue.x_power", x_power, "<=", 1.19),
-        _wp("lvalue.gamma_one_minus_b", gamma_1mb, "<=", 25.0 * log_n2),
-        _wp("lvalue.error_integral", integral.value, "<", 62.0),
-        _wp("lvalue.error_integral_quad_error", integral.abs_error_estimate, "<=", 1e-6),
-        _wp("lvalue.error_constant", integral.value / math.pi, "<=", 20.0),
-        _wp("lvalue.chain_slack", chain_value - lower, ">=", 0.0),
+        Waypoint("lvalue.b_lower", b, ">=", 0.99),
+        Waypoint("lvalue.log_x", log_x, "<=", 4.2 * log_n2),
+        Waypoint("lvalue.x_power", x_power, "<=", 1.19),
+        Waypoint("lvalue.gamma_one_minus_b", gamma_1mb, "<=", 25.0 * log_n2),
+        Waypoint("lvalue.error_integral", integral.value, "<", 62.0),
+        Waypoint("lvalue.error_integral_quad_error", integral.abs_error_estimate, "<=", 1e-6),
+        Waypoint("lvalue.error_constant", integral.value / math.pi, "<=", 20.0),
+        Waypoint("lvalue.chain_slack", chain_value - lower, ">=", 0.0),
     )
 
 

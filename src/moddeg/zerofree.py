@@ -29,6 +29,7 @@ the certified bounds (1.74, 2.821, 153) are tight for this reading.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -59,37 +60,36 @@ MAX_CERTIFIED_N2 = 10**300
 SQRT2 = math.sqrt(2.0)
 
 
-class Waypoint(namedtuple("Waypoint", "name value op bound passed")):
+# The one pass rule of every certified inequality: each op's comparison of
+# a value with its bound, with no slack.
+_PASS_RULE = {
+    "<=": operator.le,
+    "<": operator.lt,
+    ">=": operator.ge,
+    "abs<=": lambda value, bound: abs(value) <= bound,
+    "in": lambda value, lo_hi: lo_hi[0] <= value <= lo_hi[1],
+    "abs_diff<=": lambda value, target_tol: abs(value - target_tol[0]) <= target_tol[1],
+}
+
+
+class Waypoint(namedtuple("Waypoint", "name value op bound")):
     """One certified inequality of a contradiction chain; a certification
     names it "<lemma>.<step>", the row name verify-lemmas prints.
 
     op is one of "<=", "<", ">=", "abs<=", "in" and "abs_diff<="; bound
     is a float, or the pair (lo, hi) for "in" and (target, tol) for
-    "abs_diff<=".
+    "abs_diff<=".  ``passed`` applies op to value and bound with no slack,
+    and raises ValueError for any other op.
     """
 
     __slots__ = ()
 
-
-def _wp(name: str, value: float, op: str, bound) -> Waypoint:
-    """The one pass rule of every certified inequality; it allows no slack."""
-    if op == "<=":
-        ok = value <= bound
-    elif op == "<":
-        ok = value < bound
-    elif op == ">=":
-        ok = value >= bound
-    elif op == "abs<=":
-        ok = abs(value) <= bound
-    elif op == "in":
-        lo, hi = bound
-        ok = lo <= value <= hi
-    elif op == "abs_diff<=":
-        target, tol = bound
-        ok = abs(value - target) <= tol
-    else:
-        raise ValueError(f"unknown waypoint op {op!r}")
-    return Waypoint(name=name, value=value, op=op, bound=bound, passed=ok)
+    @property
+    def passed(self) -> bool:
+        rule = _PASS_RULE.get(self.op)
+        if rule is None:
+            raise ValueError(f"unknown waypoint op {self.op!r}")
+        return rule(self.value, self.bound)
 
 
 class RegionConstants(namedtuple("RegionConstants", "delta_max c_param quadratic")):
@@ -177,12 +177,12 @@ def certify_noncm(n2: int) -> tuple[Waypoint, ...]:
     total = -0.84 - log_32_pi8 + 1.74 + 2.5 * math.log(96.0)
 
     return (
-        _wp("noncm.sigma_max", sigma, "<=", 1.46),
-        _wp("noncm.quadratic_disc_rel", abs(disc) / scale, "abs<=", 1e-12),
-        _wp("noncm.gamma_factor_sum", gamma_sum, "<=", 1.74),
-        _wp("noncm.middle_term", middle, "<=", -0.84),
-        _wp("noncm.log_32_pi8", log_32_pi8, "in", (12.62, 12.63)),
-        _wp("noncm.contradiction_total", total, "<=", -0.30),
+        Waypoint("noncm.sigma_max", sigma, "<=", 1.46),
+        Waypoint("noncm.quadratic_disc_rel", abs(disc) / scale, "abs<=", 1e-12),
+        Waypoint("noncm.gamma_factor_sum", gamma_sum, "<=", 1.74),
+        Waypoint("noncm.middle_term", middle, "<=", -0.84),
+        Waypoint("noncm.log_32_pi8", log_32_pi8, "in", (12.62, 12.63)),
+        Waypoint("noncm.contradiction_total", total, "<=", -0.30),
     )
 
 
@@ -207,12 +207,12 @@ def certify_cm_qi(n2: int) -> tuple[Waypoint, ...]:
     total = -0.612 - 9.448 + 2.821 + SQRT2 * math.log(100.0)
 
     return (
-        _wp("cm_qi.sigma_max", sigma, "<=", 1.8),
-        _wp("cm_qi.endpoint_disc", endpoint_disc, "abs<=", 1e-12),
-        _wp("cm_qi.gamma_factor_sum", gamma_sum, "<=", 2.821),
-        _wp("cm_qi.middle_term", middle, "<=", -0.612),
-        _wp("cm_qi.constant_block", const_block, "in", (9.448 - 0.001, 9.448 + 0.001)),
-        _wp("cm_qi.contradiction_total", total, "<=", -0.726),
+        Waypoint("cm_qi.sigma_max", sigma, "<=", 1.8),
+        Waypoint("cm_qi.endpoint_disc", endpoint_disc, "abs<=", 1e-12),
+        Waypoint("cm_qi.gamma_factor_sum", gamma_sum, "<=", 2.821),
+        Waypoint("cm_qi.middle_term", middle, "<=", -0.612),
+        Waypoint("cm_qi.constant_block", const_block, "in", (9.448 - 0.001, 9.448 + 0.001)),
+        Waypoint("cm_qi.contradiction_total", total, "<=", -0.726),
     )
 
 
@@ -245,14 +245,14 @@ def certify_cm_zeta3(n2: int) -> tuple[Waypoint, ...]:
     total = -59.0 + const_block + half_261_log64 + 153.0
 
     return (
-        _wp("cm_zeta3.sigma_max", sigma, "<=", 1.28),
-        _wp("cm_zeta3.quadratic_disc_rel", abs(disc) / scale, "abs<=", 1e-12),
-        _wp("cm_zeta3.gamma_factor_sum", gamma_sum, "<", 153.0),
-        _wp("cm_zeta3.middle_term", middle, "<=", -59.0),
-        _wp("cm_zeta3.constant_block", const_block, "in", (-645.0, -644.0)),
-        _wp("cm_zeta3.half_261_log_64", half_261_log64, "in", (542.0, 543.0)),
-        _wp("cm_zeta3.trig_poly_exact", 1.0 if trig_exact else 0.0, ">=", 1.0),
-        _wp("cm_zeta3.contradiction_total", total, "<=", -7.0),
+        Waypoint("cm_zeta3.sigma_max", sigma, "<=", 1.28),
+        Waypoint("cm_zeta3.quadratic_disc_rel", abs(disc) / scale, "abs<=", 1e-12),
+        Waypoint("cm_zeta3.gamma_factor_sum", gamma_sum, "<", 153.0),
+        Waypoint("cm_zeta3.middle_term", middle, "<=", -59.0),
+        Waypoint("cm_zeta3.constant_block", const_block, "in", (-645.0, -644.0)),
+        Waypoint("cm_zeta3.half_261_log_64", half_261_log64, "in", (542.0, 543.0)),
+        Waypoint("cm_zeta3.trig_poly_exact", 1.0 if trig_exact else 0.0, ">=", 1.0),
+        Waypoint("cm_zeta3.contradiction_total", total, "<=", -7.0),
     )
 
 

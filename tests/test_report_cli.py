@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,20 @@ class TestFactorize:
             squared_primes(sympy.nextprime(10**21))
         with pytest.raises(ValueError, match='"conductor"'):
             squared_primes(sympy.nextprime(10**21) * 4)
+
+    def test_long_conductor_refused_by_its_size(self):
+        # up to 64 digits a refused conductor is echoed, past that it is
+        # named by its size in bits, never by its digits
+        n = int(sympy.nextprime(10**99))
+        with pytest.raises(ValueError, match='"conductor"') as refusal:
+            squared_primes(n)
+        message = str(refusal.value)
+        assert len(message) < 150
+        assert re.search(r"\d{65}", message) is None
+        assert message.startswith(f'"conductor" of {n.bit_length()} bits is refused')
+        n = int(sympy.prevprime(10**64))
+        with pytest.raises(ValueError, match=f'^"conductor" {n} is refused'):
+            squared_primes(n)
 
     @pytest.mark.parametrize("way, n", _branch_cases())
     def test_each_way_against_trial_division_and_sympy(self, monkeypatch, way, n):

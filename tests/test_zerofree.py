@@ -12,9 +12,9 @@ from moddeg.zerofree import (
     MAX_CERTIFIED_N2,
     MIN_CERTIFIED_N2,
     NONCM,
+    Waypoint,
     _endpoint_disc,
     _endpoint_eta,
-    _wp,
     certify_cm_qi,
     certify_cm_zeta3,
     certify_noncm,
@@ -123,18 +123,77 @@ class TestRegionConstants:
             assert products[-1] == pytest.approx(eta_delta_max(region), rel=1e-7)
 
 
+def _frozen_rule(value, op, bound):
+    """The pass rule written as six branches, the reference the op table
+    behind Waypoint.passed is compared with."""
+    if op == "<=":
+        return value <= bound
+    if op == "<":
+        return value < bound
+    if op == ">=":
+        return value >= bound
+    if op == "abs<=":
+        return abs(value) <= bound
+    if op == "in":
+        lo, hi = bound
+        return lo <= value <= hi
+    if op == "abs_diff<=":
+        target, tol = bound
+        return abs(value - target) <= tol
+    raise ValueError(f"unknown waypoint op {op!r}")
+
+
+def _around(x):
+    """x, one ulp either side of it, and NaN."""
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf), math.nan)
+
+
+# each op with a bound and the values to judge: each end of the bound, one
+# ulp either side of it, and NaN; then a NaN inside the bound
+_RULE_CASES = [
+    *((op, 1.5, _around(1.5)) for op in ("<=", "<", ">=")),
+    ("abs<=", 1.5, _around(1.5) + _around(-1.5)),
+    ("in", (-1.0, 2.5), _around(-1.0) + _around(2.5)),
+    ("abs_diff<=", (2.5, 1e-8), _around(2.5 - 1e-8) + _around(2.5 + 1e-8) + _around(2.5)),
+    *((op, math.nan, (0.0, 1.0, math.inf)) for op in ("<=", "<", ">=", "abs<=")),
+    ("in", (math.nan, 2.5), (0.0, 1.0)),
+    ("in", (-1.0, math.nan), (0.0, 1.0)),
+    ("abs_diff<=", (math.nan, 1e-8), (0.0, 2.5)),
+    ("abs_diff<=", (2.5, math.nan), (2.5, 3.0)),
+]
+
+
 class TestPassRule:
+    @pytest.mark.parametrize("op, bound, values", _RULE_CASES)
+    def test_each_op_as_the_frozen_branches(self, op, bound, values):
+        verdicts = [Waypoint("x", value, op, bound).passed for value in values]
+        assert verdicts == [_frozen_rule(value, op, bound) for value in values]
+
+    def test_fields_and_verdict_follow_a_replaced_value(self):
+        w = Waypoint("x", 1.0, "<=", 1.0)
+        assert Waypoint._fields == ("name", "value", "op", "bound")
+        assert w.passed
+        assert not w._replace(value=math.nextafter(1.0, 2.0)).passed
+        assert not w._replace(value=math.nan).passed
+        assert w._replace(value=2.0, bound=2.0).passed
+        assert not w._replace(op="<").passed
+
+    def test_unknown_op(self):
+        w = Waypoint("x", 1.0, "==", 1.0)
+        with pytest.raises(ValueError, match="^unknown waypoint op '=='$"):
+            w.passed
+
     def test_no_slack(self):
-        assert _wp("x", 1.0, "<=", 1.0).passed
-        assert not _wp("x", 1.0 + 1e-13, "<=", 1.0).passed
-        assert _wp("x", 1.0, ">=", 1.0).passed
-        assert not _wp("x", 1.0 - 1e-13, ">=", 1.0).passed
+        assert Waypoint("x", 1.0, "<=", 1.0).passed
+        assert not Waypoint("x", 1.0 + 1e-13, "<=", 1.0).passed
+        assert Waypoint("x", 1.0, ">=", 1.0).passed
+        assert not Waypoint("x", 1.0 - 1e-13, ">=", 1.0).passed
 
     def test_abs_diff(self):
         for value in (2.5 - 1e-9, 2.5 + 1e-9):
-            assert _wp("x", value, "abs_diff<=", (2.5, 1e-8)).passed
+            assert Waypoint("x", value, "abs_diff<=", (2.5, 1e-8)).passed
         for value in (2.5 - 2e-8, 2.5 + 2e-8):
-            assert not _wp("x", value, "abs_diff<=", (2.5, 1e-8)).passed
+            assert not Waypoint("x", value, "abs_diff<=", (2.5, 1e-8)).passed
 
 
 class TestCertifications:
