@@ -25,7 +25,7 @@ from . import __version__
 from .agm import lemma1_constants
 from .bounds import crossover_check
 from .lvalue import lemma4_certify
-from .report import a_field, build_report, dumps_report, invariants_document, parse_record
+from .report import _real, a_field, build_report, dumps_report, invariants_document, parse_record
 from .zerofree import (
     MIN_CERTIFIED_N2,
     Waypoint,
@@ -132,11 +132,22 @@ def _verification_rows(n2: int) -> list[dict[str, object]]:
     return [{"name": w.name, "value": w.value, "op": w.op, "bound": w.bound, "pass": w.passed} for w in waypoints]
 
 
+def _wire_row(row: dict[str, object]) -> dict[str, object]:
+    """A verify-lemmas row as the JSON document writes it: its value and
+    bound rounded by the report's rule, its verdict as judged before."""
+    bound = row["bound"]
+    return {
+        **row,
+        "value": _real(row["value"]),
+        "bound": [_real(b) for b in bound] if isinstance(bound, tuple) else _real(bound),
+    }
+
+
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     rows = _verification_rows(MIN_CERTIFIED_N2)
     all_pass = all(row["pass"] for row in rows)
     if args.json:
-        text = dumps_report({"n2": MIN_CERTIFIED_N2, "waypoints": rows, "pass": all_pass})
+        text = dumps_report({"n2": MIN_CERTIFIED_N2, "waypoints": [_wire_row(row) for row in rows], "pass": all_pass})
     else:
         width = max(len(row["name"]) for row in rows)
         lines = []

@@ -167,6 +167,10 @@ def derive_invariants(curve: CurveModel) -> Invariants:
 
 
 _DOUBLE_MAX = int(sys.float_info.max)
+# two_torsion_roots refuses a model with 4 c4^3 above the first (disc > 0)
+# or c6^2 above the second (disc < 0); see the comment there.
+_C4_CUBED_LIMIT = 3 * 48**3 * _DOUBLE_MAX**2
+_C6_SQUARED_LIMIT = 1728**2 * _DOUBLE_MAX
 
 
 def _newton_polish(p: float, q: float, y: float) -> float:
@@ -202,9 +206,9 @@ def two_torsion_roots(inv: Invariants) -> RootData:
     # for three real roots, and for one real root (q/2)^2 = (c6/1728)^2,
     # which keeps c = r_tilde/z of agm.area_neg_disc in double range.
     if inv.disc_positive:
-        too_large = 4 * inv.c4**3 > 3 * 48**3 * _DOUBLE_MAX**2
+        too_large = 4 * inv.c4**3 > _C4_CUBED_LIMIT
     else:
-        too_large = inv.c6**2 > 1728**2 * _DOUBLE_MAX
+        too_large = inv.c6**2 > _C6_SQUARED_LIMIT
     if too_large or max(inv.abs_disc, abs(inv.b2), abs(inv.b4), abs(inv.b6), abs(inv.c6)) > _DOUBLE_MAX:
         raise ValueError('"a" gives a model too large for double precision')
     p = -inv.c4 / 48.0
@@ -297,18 +301,41 @@ def factorize(n: int) -> dict[int, int]:
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 
+# (psi_k, k): below psi_k, the least strong pseudoprime to the first k
+# prime bases (OEIS A014233), those k bases are exact.  psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11, so 8, 10 and 11 bases never enter.  Jaeschke,
+# Math. Comp. 61 (1993) 915-926, for k <= 8; Jiang and Deng, Math. Comp.
+# 83 (2014) 2915-2924, for k = 9 to 11; Sorenson and Webster for k = 12.
+_MILLER_RABIN_BANDS = (
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+)
+
 # is_prime trial-divides below this bound, at most 34 wheel blocks.
 _WHEEL_BELOW = 2**20
 
 
 def _is_strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin on the first thirteen prime bases, for an odd n > 41:
-    False proves n composite, and True proves n prime below _PSI_13.  About
-    0.09 ms for a prime near 1e12 (CPython 3.11, one Xeon core)."""
+    """Miller-Rabin for an odd n > 41 on the first k prime bases, k the
+    least that _MILLER_RABIN_BANDS makes exact for n's size, and on all
+    thirteen from psi_12 = 318665857834031151167461 on: False proves n
+    composite, and True proves n prime below _PSI_13.  A prime near 1e12
+    takes five bases, about 0.035 ms (CPython 3.11, one Xeon core)."""
+    count = len(_MILLER_RABIN_BASES)
+    for psi, k in _MILLER_RABIN_BANDS:
+        if n < psi:
+            count = k
+            break
     # n - 1 = d 2^s with d odd; (n - 1) & (1 - n) is the lowest set bit
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for a in _MILLER_RABIN_BASES:
+    for a in _MILLER_RABIN_BASES[:count]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -323,10 +350,10 @@ def _is_strong_probable_prime(n: int) -> bool:
 
 def is_prime(n: int) -> bool:
     """Whether n is prime: trial division below 2^20, and Miller-Rabin on
-    the first thirteen prime bases, exact, from 2^20 up to
-    3317044064679887385961981 (excluded).  From there on, where no fixed
-    set of bases is known to be exact, n is refused with ValueError at
-    once."""
+    at most the first thirteen prime bases, as many as are exact for n's
+    size, from 2^20 up to 3317044064679887385961981 (excluded).  From
+    there on, where no fixed set of bases is known to be exact, n is
+    refused with ValueError at once."""
     _require_int("n", n)
     if n < _WHEEL_BELOW:
         return n >= 2 and factorize(n) == {n: 1}
@@ -384,7 +411,7 @@ def squared_primes(n: int) -> list[int]:
     of up to 64 digits in full and a longer one by its size in bits.  The
     gcd removes only primes that this trial division would, so the
     refusals are those of trial division up to 1e7 alone.  A prime near
-    1e12 takes about 0.09 ms and a p^2 q with p near 5e4 and q near 1e12
+    1e12 takes about 0.04 ms and a p^2 q with p near 5e4 and q near 1e12
     about 0.13 ms, after about 11 ms once per process to make the prime
     product (CPython 3.11, one Xeon core).
     """

@@ -15,8 +15,14 @@ a record's "n2" is the only source of its n2.
 
 ``bound`` writes one JSON object per input line, in input order, as soon
 as it is made: a report, or ``{"line": k, "error": ...}`` for a line that
-cannot be decoded, parsed or reported.  ``dumps_report`` gives reals 12
-significant digits and writes integers above 2^53 as decimal strings.
+cannot be decoded, parsed or reported.
+
+``build_report`` and ``invariants_document`` return their documents in
+wire form: each real rounded once to 12 significant digits, and each
+integer above 2^53 in absolute value, which a double-based JSON reader
+would round, as a decimal string.  Every verdict ("ok", "chain_ok",
+"consistency_ok") is decided on the values before rounding.
+``dumps_report`` is then a plain ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -128,51 +134,58 @@ def parse_record(obj: object) -> CurveRecord:
     )
 
 
-def _wire(value: object) -> object:
-    """value with reals rounded to 12 significant digits and integers
-    above 2^53 turned into decimal strings, in one recursive walk."""
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) > _MAX_EXACT_JSON_INT else value
-    if isinstance(value, dict):
-        return {k: _wire(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_wire(v) for v in value]
-    return value
+def _real(x: float) -> float:
+    """x rounded to the 12 significant digits of the wire format."""
+    return float(f"{x:.12g}")
+
+
+def _integer(n: int) -> int | str:
+    """n as the wire format writes it: a decimal string above 2^53 in
+    absolute value, else n itself (a bool included)."""
+    return str(n) if abs(n) > _MAX_EXACT_JSON_INT else n
+
+
+def _reals(block: dict[str, float]) -> dict[str, float]:
+    """A block of reals, each rounded by ``_real``."""
+    return {name: _real(value) for name, value in block.items()}
+
+
+# A document is a fresh tree without cycles, so the encoder skips that check.
+_encode = json.JSONEncoder(check_circular=False).encode
 
 
 def dumps_report(report: dict[str, object]) -> str:
-    return json.dumps(_wire(report))
+    """report, already in wire form, as one line of JSON: ``json.dumps``."""
+    return _encode(report)
 
 
 def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, object]:
-    """Document for the `invariants` command: invariants, roots, periods,
-    and the Lemma 1 check."""
+    """Document for the `invariants` command, in wire form: invariants,
+    roots, periods, and the Lemma 1 check."""
     inv = derive_invariants(CurveModel(*a))
     roots = two_torsion_roots(inv)
     period = period_data(inv, roots)
     check = lemma1_check(inv, period)
-    period_fields = period._asdict()
-    case_tag = period_fields.pop("case_tag")
-    doc: dict[str, object] = {"a": list(a), **inv._asdict(), "is_cm": is_cm(inv), "case_tag": case_tag}
-    if inv.disc_positive:
-        doc["roots"] = {"e1": roots.e1, "e2": roots.e2, "e3": roots.e3}
-    else:
-        doc["roots"] = {"r": roots.r, "z": roots.z, "r_tilde": roots.r_tilde}
-    doc.update(
-        period_fields,
-        lemma1_rhs=check.bound,
-        lemma1_margin=check.value - check.bound,
-        lemma1_ok=check.passed,
-    )
-    return doc
+    root_names = ("e1", "e2", "e3") if inv.disc_positive else ("r", "z", "r_tilde")
+    return {
+        "a": [_integer(x) for x in a],
+        **{name: _integer(value) for name, value in zip(inv._fields, inv)},
+        "is_cm": is_cm(inv),
+        "case_tag": period.case_tag,
+        "roots": {name: _real(getattr(roots, name)) for name in root_names},
+        "omega": _real(period.omega),
+        "real_period": _real(period.real_period),
+        "imag_part": _real(period.imag_part),
+        "inv_omega": _real(period.inv_omega),
+        "t_or_c": _real(period.t_or_c),
+        "lemma1_rhs": _real(check.bound),
+        "lemma1_margin": _real(check.value - check.bound),
+        "lemma1_ok": check.passed,
+    }
 
 
 def build_report(record: CurveRecord) -> dict[str, object]:
-    """Full degree-bound report for one record."""
+    """Full degree-bound report for one record, in wire form."""
     inv = derive_invariants(CurveModel(*record.a))
     roots = two_torsion_roots(inv)
     period = period_data(inv, roots)
@@ -215,26 +228,31 @@ def build_report(record: CurveRecord) -> dict[str, object]:
 
     return {
         "label": record.label,
-        "conductor": n,
-        "n2": {"value": n2, "source": n2_source},
+        "conductor": _integer(n),
+        "n2": {"value": _integer(n2), "source": n2_source},
         "conductor_provenance": "supplied",
         "semistable": {"declared": record.semistable, "squarefree": squarefree},
         "twist_minimal": record.twist_minimal,
         "cm": is_cm(inv),
-        "disc": inv.disc,
-        "abs_disc": inv.abs_disc,
-        "omega": period.omega,
-        "inv_omega": period.inv_omega,
+        "disc": _integer(inv.disc),
+        "abs_disc": _integer(inv.abs_disc),
+        "omega": _real(period.omega),
+        "inv_omega": _real(period.inv_omega),
         "case_tag": period.case_tag,
-        "lemma1": {"rhs": check.bound, "margin": check.value - check.bound, "ok": check.passed},
-        "fudge": fudge,
-        "l_value_lower": l_lower,
-        "formula_bound": formula,
-        "theorem1": {**th1, "applicable": squarefree},
-        "theorem2": th2,
-        "linear": lin,
-        "known_degree": record.deg_phi,
+        "lemma1": {"rhs": _real(check.bound), "margin": _real(check.value - check.bound), "ok": check.passed},
+        # squared_primes gives p <= 10^10.5, so only the real needs rounding
+        "fudge": [{**f, "u_inverse_at_1": _real(f["u_inverse_at_1"])} for f in fudge],
+        "l_value_lower": _real(l_lower),
+        "formula_bound": _real(formula),
+        "theorem1": {**_reals(th1), "applicable": squarefree},
+        "theorem2": {
+            "analytic": _real(th2["analytic"]),
+            "intermediate": _real(th2["intermediate"]),
+            "closed_form": _real(th2["closed_form"]),
+            "chain_ok": th2["chain_ok"],
+        },
+        "linear": _reals(lin),
+        "known_degree": None if record.deg_phi is None else _integer(record.deg_phi),
         "consistency_ok": consistency_ok,
         "warnings": warnings,
     }
-

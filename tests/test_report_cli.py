@@ -11,6 +11,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.primetest import mr as sympy_mr
 
 from moddeg import curves
 from moddeg.agm import lemma1_constants
@@ -79,6 +80,23 @@ _PAST_THE_LIMIT = [
 
 
 PSI_13 = 3317044064679887385961981
+
+# psi_k for k = 2 to 12 (OEIS A014233): the least strong pseudoprime to
+# each of the first k prime bases.
+PSI_K = {
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    7: 341550071728321,
+    8: 341550071728321,
+    9: 3825123056546413051,
+    10: 3825123056546413051,
+    11: 3825123056546413051,
+    12: 318665857834031151167461,
+}
+MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
 
 def _squared_primes_by_trial_division(n: int) -> list[int] | None:
@@ -272,6 +290,34 @@ class TestFactorize:
         assert _is_strong_probable_prime(PSI_13)
         with pytest.raises(ValueError, match=f"^primality is decided only below {PSI_13},"):
             is_prime(PSI_13)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_psi_k_needs_more_than_k_bases(self, k):
+        # psi_k is composite and a strong probable prime to the first k
+        # prime bases (to as many more as the next psi equals it), so
+        # is_prime, which takes only the bases exact below each psi, must
+        # take more of them there
+        psi = PSI_K[k]
+        passes = max(j for j in range(2, 13) if PSI_K[j] == psi)
+        assert not sympy.isprime(psi)
+        assert sympy_mr(psi, MR_BASES[:passes]) and not sympy_mr(psi, MR_BASES[: passes + 1])
+        assert passes >= k and not is_prime(psi)
+
+    def test_is_prime_against_sympy_in_each_band(self):
+        # seeded odd numbers, primes and products of two primes in each band
+        # of base counts, from 2^20 up to PSI_13, and each band's ends
+        rng = random.Random(2014)
+        edges = [2**20, *sorted(set(PSI_K.values())), PSI_13]
+        sample = []
+        for lo, hi in zip(edges, edges[1:]):
+            sample += [lo, lo + 1, hi - 2, hi - 1]
+            for _ in range(20):
+                n = rng.randrange(lo, hi) | 1
+                p = int(sympy.prevprime(rng.randrange(lo, hi)))
+                half = int(sympy.nextprime(rng.randint(2, math.isqrt(lo))))
+                sample += [n, p, half * int(sympy.nextprime(rng.randrange(lo, hi) // half))]
+        sample = [n for n in sample if 2**20 <= n < PSI_13]
+        assert [n for n in sample if is_prime(n) != sympy.isprime(n)] == []
 
     @pytest.mark.parametrize("n", [PSI_13, PSI_13 + 2, 10**30 + 57])
     def test_is_prime_refuses_from_psi_13_at_once(self, n):
