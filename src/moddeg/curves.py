@@ -7,7 +7,9 @@ geometry of its isolated root and the exact discriminant, factoring (the
 one module that holds its policy: trial division by the 30-wheel,
 primality by Miller-Rabin where it is exact, below
 3317044064679887385961981, one sieve, and the squared primes of a
-conductor, all that a report needs of its factorization), point counts
+conductor, all that a report needs of its factorization, found by two
+gcds with prime products before any long trial division: about 3 us
+for a random conductor up to 1e6), point counts
 over prime fields (one counting routine, which the Euler-product
 estimator calls with the invariants it derived once per curve:
 Shanks-Mestre baby-step giant-step on the curve and its quadratic twist,
@@ -245,8 +247,10 @@ def _trial_divide(n: int, limit: int | None = None) -> tuple[dict[int, int], int
     f+24, at once before it touches the dict.  It stops once f passes the
     square root of what is left, taken once per division, so the cofactor
     is 1 or a prime; or once f passes limit, when every prime factor of
-    the cofactor exceeds limit.  A limit of 2^10 costs 34 blocks, 10^7
-    costs 333 334 blocks (about 0.2 s on CPython 3.11, one Xeon core)."""
+    the cofactor exceeds limit.  Trial division up to 2^10 costs 34 blocks,
+    about 15-20 us, which is why squared_primes takes those primes by one
+    gcd instead; 10^7 costs 333 334 blocks (about 0.2 s on CPython 3.11,
+    one Xeon core)."""
     _require_int("n", n)
     if n < 1:
         raise ValueError("can only factor positive integers")
@@ -374,19 +378,23 @@ def _primes_up_to(limit: int) -> list[int]:
     return list(itertools.compress(range(2, limit + 1), sieve[2:]))
 
 
-# squared_primes trial-divides up to _WHEEL_LIMIT, takes the primes in
-# (_WHEEL_LIMIT, _GCD_LIMIT] by one gcd, and trial-divides a composite
-# cofactor above _GCD_LIMIT**3 up to _TRIAL_LIMIT.
-_WHEEL_LIMIT = 2**10
+# squared_primes takes the primes up to _SMALL_LIMIT by one gcd with their
+# product, those in (_SMALL_LIMIT, _GCD_LIMIT] by one gcd with
+# _prime_product(), and trial-divides a composite cofactor above
+# _GCD_LIMIT**3 up to _TRIAL_LIMIT.
+_SMALL_LIMIT = 2**10
 _GCD_LIMIT = 2**17
 _TRIAL_LIMIT = 10**7
+
+# The product of the 172 primes up to _SMALL_LIMIT, 1420 bits.
+_SMALL_PRIME_PRODUCT = math.prod(_primes_up_to(_SMALL_LIMIT))
 
 
 @functools.cache
 def _prime_product() -> int:
-    """The product of the primes in (_WHEEL_LIMIT, _GCD_LIMIT], made on first
+    """The product of the primes in (_SMALL_LIMIT, _GCD_LIMIT], made on first
     use by a pairwise product tree."""
-    level = [p for p in _primes_up_to(_GCD_LIMIT) if p > _WHEEL_LIMIT]
+    level = [p for p in _primes_up_to(_GCD_LIMIT) if p > _SMALL_LIMIT]
     while len(level) > 1:
         level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1 :]
     return level[0]
@@ -395,34 +403,50 @@ def _prime_product() -> int:
 def squared_primes(n: int) -> list[int]:
     """The primes p with p^2 | n, in increasing order, in three exact steps.
 
-    Trial division runs up to 2^10 or to the square root of what is left.
-    A cofactor c above 2^20, unless it is a prime up to 2^51, takes one
-    gcd g with the product of the primes in (2^10, 2^17]; gcd(g, c/g)
-    holds the squared ones, and g's primes are divided out of c.  What is
-    left up to 2^51 has at most two prime factors, all above 2^17, and so
-    has a prime up to 1e21; math.isqrt then tells whether either is a
-    prime squared.  ``is_prime`` (Miller-Rabin, exact there) is called at
-    most once: on c before the gcd when c is at most 2^51, so that a
-    prime conductor that size never makes the product, and on what the
-    gcd leaves when that is above 2^51.  Only a larger composite is
-    trial-divided up to 1e7 (about 0.2 s), and refused with ValueError
-    naming "conductor" when what is left there is still above 1e21 and
-    could have three or more prime factors; the message gives a conductor
-    of up to 64 digits in full and a longer one by its size in bits.  The
-    gcd removes only primes that this trial division would, so the
-    refusals are those of trial division up to 1e7 alone.  A prime near
-    1e12 takes about 0.04 ms and a p^2 q with p near 5e4 and q near 1e12
-    about 0.13 ms, after about 11 ms once per process to make the prime
-    product (CPython 3.11, one Xeon core).
+    One gcd g of n with the product of the primes up to 2^10 finds the
+    small primes of n; g is squarefree, so ``factorize`` splits it after
+    about one wheel block, and each of its primes is divided out of n with
+    its exponent.  What is left, c, has every prime factor above 2^10.  A
+    c above 2^20, unless it is a prime up to 2^51, takes one gcd g with
+    the product of the primes in (2^10, 2^17]; gcd(g, c/g) holds the
+    squared ones, and g's primes are divided out of c.  What is left up to
+    2^51 has at most two prime factors, all above 2^17, and so has a prime
+    up to 1e21; math.isqrt then tells whether either is a prime squared.
+    ``is_prime`` (Miller-Rabin, exact there) is called at most once: on c
+    before the gcd when c is at most 2^51, so that a prime conductor that
+    size never makes the product, and on what the gcd leaves when that is
+    above 2^51.  Only a larger composite is trial-divided up to 1e7 (about
+    0.2 s), and refused with ValueError naming "conductor" when what is
+    left there is still above 1e21 and could have three or more prime
+    factors; the message gives a conductor of up to 64 digits in full and
+    a longer one by its size in bits.  The gcds remove only primes that
+    this trial division would, so the refusals are those of trial
+    division up to 1e7 alone.  A random n up to 1e6 takes about 3 us, a
+    prime near 1e12 about 0.04 ms and a p^2 q with p near 5e4 and q near
+    1e12 about 0.15 ms, after about 11 ms once per process to make the
+    product of the primes in (2^10, 2^17] (CPython 3.11, one Xeon core).
     """
-    factors, c = _trial_divide(n, _WHEEL_LIMIT)
-    square_ps = [p for p, e in factors.items() if e >= 2]
-    if c > _WHEEL_LIMIT**2 and not (c <= _GCD_LIMIT**3 and is_prime(c)):
+    _require_int("n", n)
+    if n < 1:
+        raise ValueError("can only factor positive integers")
+    square_ps = []
+    c = n
+    g = math.gcd(n, _SMALL_PRIME_PRODUCT)
+    if g > 1:
+        for p in factorize(g):
+            c //= p
+            if c % p == 0:
+                square_ps.append(p)
+                c //= p
+                while c % p == 0:
+                    c //= p
+    # every prime factor of c is above 2^10, so a c up to 2^20 is 1 or prime
+    if c > _SMALL_LIMIT**2 and not (c <= _GCD_LIMIT**3 and is_prime(c)):
         g = math.gcd(c, _prime_product() % c)
         if g > 1:
             h = math.gcd(g, c // g)
             # two primes above 2^10 make more than 2^20: a smaller h is prime
-            if h >= _WHEEL_LIMIT**2:
+            if h >= _SMALL_LIMIT**2:
                 square_ps += sorted(factorize(h))
             elif h > 1:
                 square_ps.append(h)

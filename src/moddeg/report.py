@@ -13,6 +13,11 @@ strings of ASCII digits, never booleans; "twist_minimal" is a boolean
 null.  ``parse_record`` is the one place that holds this contract, and
 a record's "n2" is the only source of its n2.
 
+``build_report`` holds one range rule before it looks for squared
+primes: an n2 above 10**300, supplied or the fallback N^2, is refused
+naming "n2", and a conductor above 10**257, or with N/Omega above
+10^300, naming "conductor", so that every bound is a finite double.
+
 ``bound`` writes one JSON object per input line, in input order, as soon
 as it is made: a report, or ``{"line": k, "error": ...}`` for a line that
 cannot be decoded, parsed or reported.
@@ -42,7 +47,7 @@ from .bounds import (
 from .curves import CurveModel, derive_invariants, is_cm, squared_primes, two_torsion_roots
 from .fudge import fudge_factor_for
 from .lvalue import L_VALUE_BOUND_NUMERATOR
-from .zerofree import MIN_CERTIFIED_N2
+from .zerofree import MAX_CERTIFIED_N2, MIN_CERTIFIED_N2
 
 __all__ = [
     "CurveRecord",
@@ -54,6 +59,11 @@ __all__ = [
 ]
 
 _MAX_EXACT_JSON_INT = 2**53
+
+# The bounds are doubles: up to this conductor N^(7/6) stays below 10^300,
+# and build_report holds N/Omega, the other large factor, to _MAX_BOUND.
+_MAX_CONDUCTOR = 10**257
+_MAX_BOUND = 1e300
 
 
 class CurveRecord(
@@ -193,6 +203,16 @@ def build_report(record: CurveRecord) -> dict[str, object]:
     n = record.conductor
 
     n2, n2_source = (n * n, "fallback_N_squared") if record.n2 is None else (record.n2, "supplied")
+    # the range rule, before squared_primes, whose cost grows with N: an n2
+    # that Lemma 4 certifies, and a conductor whose bounds are finite doubles
+    if n2 > MAX_CERTIFIED_N2:
+        fallback = " (the fallback N^2)" if record.n2 is None else ""
+        raise ValueError(f'"n2"{fallback} of {n2.bit_length()} bits is above the certified maximum 10**300')
+    if n > _MAX_CONDUCTOR or n * period.inv_omega > _MAX_BOUND:
+        raise ValueError(
+            f'"conductor" of {n.bit_length()} bits is refused: the bounds are doubles, '
+            "and need N^(7/6) and N/Omega below 10^300"
+        )
 
     warnings: list[str] = []
     if n < CONDUCTOR_THRESHOLD:

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -210,10 +211,12 @@ class TestFactorize:
     @pytest.mark.parametrize("way, n", _branch_cases())
     def test_each_way_against_trial_division_and_sympy(self, monkeypatch, way, n):
         # the same answer as trial division up to 1e7 alone and as sympy,
-        # and the same refusal, through the way named: a gcd with the prime
-        # product ("gcd"), then factorize on its squared primes ("split"),
-        # then trial division up to 1e7 ("trial") only where a composite
-        # above 2^51 is left; is_prime is called at most once
+        # and the same refusal, through the way named: a gcd with the primes
+        # up to 2^10, whose result factorize splits ("small") when n has
+        # such a prime, then a gcd with the prime product ("gcd"), then
+        # factorize on its squared primes ("split"), then trial division up
+        # to 1e7 ("trial") only where a composite above 2^51 is left;
+        # is_prime is called at most once
         ways, primality = [], []
 
         def trial_divide(m, limit=None):
@@ -222,8 +225,13 @@ class TestFactorize:
                 ways.append(limit)
             return _trial_divide(m, limit)
 
+        def split(m):
+            factors = factorize(m)
+            ways.append("small" if max(factors) <= 2**10 else "split")
+            return factors
+
         monkeypatch.setattr(curves, "_trial_divide", trial_divide)
-        monkeypatch.setattr(curves, "factorize", lambda m: ways.append("split") or factorize(m))
+        monkeypatch.setattr(curves, "factorize", split)
         monkeypatch.setattr(curves, "_prime_product", lambda: ways.append("gcd") or _prime_product())
         monkeypatch.setattr(curves, "is_prime", lambda m: primality.append(m) or is_prime(m))
         expected = _squared_primes_by_trial_division(n)
@@ -233,9 +241,10 @@ class TestFactorize:
         else:
             assert squared_primes(n) == expected
             assert expected == sorted(int(p) for p, e in sympy.factorint(n).items() if e >= 2)
-        assert ways[0] == 2**10
+        small = ["small"] if math.gcd(n, math.prod(sympy.primerange(2**10 + 1))) > 1 else []
+        assert ways[: len(small)] == small
         assert len(primality) <= 1
-        assert "-".join(str(w) for w in ways[1:]).replace(str(10**7), "trial") == {
+        assert "-".join(str(w) for w in ways[len(small) :]).replace(str(10**7), "trial") == {
             "small-prime": "",
             "prime": "gcd",
             "gcd": "gcd",
@@ -245,6 +254,27 @@ class TestFactorize:
             "trial": "gcd-trial",
             "trial-refused": "gcd-trial",
         }[way]
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1021,
+            1031,
+            1021**2 * 999999999989,
+            1031**2 * 999999999989,
+            1019 * 1021,
+            3**20 * 1021**2,
+            1021**3,
+            1031**3,
+            *(2**k for k in range(80)),
+        ],
+    )
+    def test_small_prime_edge_against_trial_division_and_sympy(self, n):
+        # 1021 is the last prime below 2^10, which the first gcd takes, and
+        # 1031 the first above, which the second gcd takes
+        expected = _squared_primes_by_trial_division(n)
+        assert squared_primes(n) == expected
+        assert expected == sorted(int(p) for p, e in sympy.factorint(n).items() if e >= 2)
 
     def test_prime_product_is_made_on_first_use(self):
         code = "import moddeg.cli, moddeg.curves as c; print(c._prime_product.cache_info().currsize)"
@@ -437,12 +467,37 @@ class TestBuildReport:
         report = build_report(record)
         assert report["n2"]["source"] == "supplied"
 
-    @pytest.mark.parametrize("n2", [2, 10 * MAX_CERTIFIED_N2])
-    def test_record_n2_from_two_without_upper_limit(self, n2):
-        # bound never runs the certification chains, so their limit is not its own
+    @pytest.mark.parametrize("n2", [2, pytest.param(MAX_CERTIFIED_N2, id="10**300")])
+    def test_record_n2_from_two_to_the_certified_maximum(self, n2):
         record = parse_record({"a": [0, 0, 1, -1, 0], "conductor": 37, "n2": str(n2)})
         doc = json.loads(dumps_report(build_report(record)))
         assert doc["n2"] == {"value": n2 if n2 <= 2**53 else str(n2), "source": "supplied"}
+
+    @pytest.mark.parametrize(
+        "n2",
+        [
+            pytest.param(MAX_CERTIFIED_N2 + 1, id="10**300+1"),
+            pytest.param(10 * MAX_CERTIFIED_N2, id="10**301"),
+            pytest.param(10**4299, id="10**4299"),
+        ],
+    )
+    def test_n2_above_the_maximum_is_refused(self, n2):
+        # Lemma 4 certifies 0.033/log n2 only up to 10**300
+        record = parse_record({"a": [0, 0, 1, -1, 0], "conductor": 37, "n2": str(n2)})
+        with pytest.raises(ValueError, match=f'^"n2" of {n2.bit_length()} bits is above the certified maximum'):
+            build_report(record)
+
+    def test_fallback_n2_at_and_above_the_certified_maximum(self):
+        # N = 10**150 gives N^2 = 10**300, the certified maximum; N = 1001 *
+        # 10**147 gives N^2 above it, and N^2 = 10**300 + 1 has no integer N
+        report = build_report(parse_record({"a": [0, 0, 1, -1, 0], "conductor": 10**150}))
+        assert report["n2"] == {"value": str(MAX_CERTIFIED_N2), "source": "fallback_N_squared"}
+        assert all(math.isfinite(x) for x in report["theorem2"].values())
+        n = 1001 * 10**147
+        with pytest.raises(ValueError, match='^"n2" \\(the fallback N\\^2\\) of 997 bits is above'):
+            build_report(parse_record({"a": [0, 0, 1, -1, 0], "conductor": n}))
+        record = parse_record({"a": [0, 0, 1, -1, 0], "conductor": n, "n2": MAX_CERTIFIED_N2})
+        assert build_report(record)["n2"] == {"value": str(MAX_CERTIFIED_N2), "source": "supplied"}
 
     def test_semistable_mismatch(self):
         record = parse_record({"a": [0, 0, 1, -1, 0], "conductor": 36, "semistable": True})
@@ -788,6 +843,51 @@ class TestCliBound:
         doc = json.loads(dst.read_text().splitlines()[0])
         assert doc["consistency_ok"] is False
         assert code == 1
+
+    def test_large_conductors_get_a_report_or_a_named_error(self, tmp_path, capsys):
+        # primorials of 150 to 4000 digits on 11a1, with the N^2 fallback
+        # and with n2 = 142, a 5000-digit conductor, a 150-digit prime past
+        # the trial-division limit, and N/Omega past 10^300 on a model with
+        # 1/Omega near 3e97: each line is a report or an error naming its
+        # field, never a float's overflow, and each record takes under 1 s
+        # unless it goes through trial division up to 1e7
+        primes = curves._primes_up_to(20000)
+        records = []
+        for digits in (150, 160, 220, 257, 262, 276, 290, 1000, 4000):
+            n = 1
+            for p in primes:
+                n *= p
+                if n >= 10 ** (digits - 1):
+                    break
+            records += [
+                {"a": [0, -1, 1, -10, -20], "conductor": n},
+                {"a": [0, -1, 1, -10, -20], "conductor": n, "n2": 142},
+            ]
+        records.append({"a": [0, -1, 1, -10, -20], "conductor": "9" * 5000})
+        t = 10**100
+        records.append({"a": [0, 0, 0, -3 * t * t, 2 * t**3 - 1], "conductor": 10**210, "n2": 142})
+        for record in records:
+            start = time.perf_counter()
+            try:
+                build_report(parse_record(record))
+            except ValueError:
+                pass
+            assert time.perf_counter() - start < 1.0
+        records.append({"a": [0, -1, 1, -10, -20], "conductor": int(sympy.nextprime(10**149)), "n2": 142})
+        src = tmp_path / "in.jsonl"
+        src.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["bound", "--input", str(src), "--output", "-"]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(lines) == len(records)
+        errors = [line["error"] for line in lines if "error" in line]
+        reports = [line for line in lines if "error" not in line]
+        # n2 = 142 reports at 151, 162 and 220 digits (the primorials
+        # reached); each fallback N^2 is above 10**300
+        assert len(reports) == 3
+        assert all(re.match('^"(n2|conductor)"', error) for error in errors), errors
+        assert errors[-1].startswith('"conductor" of 495 bits is refused: trial division up to 10^7')
+        assert errors[-2].startswith('"conductor" of 698 bits is refused: the bounds are doubles')
+        assert errors[-3].startswith('"conductor" is too long: 5000 digits')
 
 
 class TestCliVerifyLemmas:
