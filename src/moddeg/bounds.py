@@ -20,7 +20,11 @@ asserted only in its regime N >= 20000; chain_ok records the pointwise
 comparison honestly for every input.
 
 theorem1, theorem2 and linear_bounds each return their block of the
-``bound`` report as a plain dict, keys in report order.
+``bound`` report as a plain dict, keys in report order.  Every bound is a
+finite double: where N^(7/6) would leave double range the call raises
+ValueError naming conductor, and where N/Omega takes a bound there,
+ValueError naming conductor and omega (``moddeg.report.build_report``
+refuses such records before it calls them).
 """
 
 from __future__ import annotations
@@ -45,6 +49,23 @@ __all__ = [
 CONDUCTOR_THRESHOLD = 20000
 
 
+def _seven_sixths(conductor: float) -> float:
+    """N^(7/6), with a ValueError naming conductor in place of the
+    OverflowError of a power past double range."""
+    try:
+        return conductor ** (7.0 / 6.0)
+    except OverflowError:
+        raise ValueError("conductor puts N^(7/6) past double range") from None
+
+
+def _finite(bound: float) -> float:
+    """bound, or a ValueError naming conductor and omega when N/Omega has
+    taken it past double range."""
+    if not math.isfinite(bound):
+        raise ValueError("conductor / omega puts the bound past double range")
+    return bound
+
+
 def degree_formula_bound(
     conductor: int, omega: float, l_value_lower: float, fudge_inverses: Iterable[float] = ()
 ) -> float:
@@ -57,7 +78,11 @@ def degree_formula_bound(
         if not u > 0.0:
             raise ValueError("fudge inverses must be positive")
         product *= u
-    return conductor / (2.0 * math.pi * omega) * l_value_lower * product
+    try:
+        bound = conductor / (2.0 * math.pi * omega) * l_value_lower * product
+    except OverflowError:  # a conductor past the largest double
+        bound = math.inf
+    return _finite(bound)
 
 
 def theorem1(conductor: int, omega: float) -> dict[str, float]:
@@ -68,15 +93,16 @@ def theorem1(conductor: int, omega: float) -> dict[str, float]:
     if conductor < 2 or not omega > 0.0:
         raise ValueError("need conductor >= 2 and omega > 0")
     log_n = math.log(conductor)
-    analytic = conductor / omega * L_VALUE_BOUND_NUMERATOR / (2.0 * log_n)
-    closed = conductor ** (7.0 / 6.0) / (5350.0 * log_n)
+    # N^(7/6) first: once it is a double, so is N
+    closed = _seven_sixths(conductor) / (5350.0 * log_n)
+    analytic = _finite(conductor / omega * L_VALUE_BOUND_NUMERATOR / (2.0 * log_n))
     return {"analytic": analytic, "closed_form": closed}
 
 
 def theorem2_closed_form(conductor: float) -> float:
     """(N^(7/6)/log N) * (1/10300) / sqrt(0.02 + log log N)."""
     log_n = math.log(conductor)
-    return conductor ** (7.0 / 6.0) / log_n / 10300.0 / math.sqrt(0.02 + math.log(log_n))
+    return _seven_sixths(conductor) / log_n / 10300.0 / math.sqrt(0.02 + math.log(log_n))
 
 
 def theorem2(
@@ -99,13 +125,16 @@ def theorem2(
     if conductor < 3 or n2 < 2 or not omega > 0.0:
         raise ValueError("need conductor >= 3, n2 >= 2 and omega > 0")
     log_n2 = math.log(n2)
+    # N^(7/6) first: once it is a double, so is N
+    power = _seven_sixths(conductor)
     analytic = conductor / omega * L_VALUE_BOUND_NUMERATOR / log_n2
     worst = 1.0
     for f in fudge_factors:
         analytic *= f["u_inverse_at_1"]
         if f["p"] % 3 == 1:
             worst *= 1.0 - 1.0 / f["p"]
-    intermediate = conductor ** (7.0 / 6.0) / (7150.0 * log_n2) * worst
+    _finite(analytic)
+    intermediate = power / (7150.0 * log_n2) * worst
     closed = theorem2_closed_form(conductor)
     return {
         "analytic": analytic,
@@ -122,7 +151,13 @@ def linear_bounds(conductor: int) -> dict[str, float]:
     _require_int("conductor", conductor)
     if conductor < 1:
         raise ValueError("conductor must be positive")
-    return {"abramovich": 7.0 * conductor / 1600.0, "abramovich_selberg": conductor / 192.0}
+    try:
+        abramovich = 7.0 * conductor / 1600.0
+    except OverflowError:  # a conductor past the largest double
+        abramovich = math.inf
+    if not math.isfinite(abramovich):
+        raise ValueError("conductor puts the linear bounds past double range")
+    return {"abramovich": abramovich, "abramovich_selberg": conductor / 192.0}
 
 
 def crossover_check() -> float:

@@ -33,7 +33,7 @@ from . import __version__
 from .agm import lemma1_constants
 from .bounds import crossover_check
 from .lvalue import lemma4_certify
-from .report import _real, a_field, build_report, dumps_report, invariants_document, parse_record
+from .report import _json_int, _real, a_field, build_report, dumps_report, invariants_document, parse_record
 from .zerofree import (
     MIN_CERTIFIED_N2,
     Waypoint,
@@ -74,7 +74,15 @@ def cmd_bound(args: argparse.Namespace) -> int:
                     line = raw.decode("utf-8")
                     if not line.strip():
                         continue
-                    record = parse_record(json.loads(line))
+                    try:
+                        obj = json.loads(line)
+                    except ValueError:
+                        # an integer past int()'s digit limit fails the read:
+                        # read again with it kept as text, so that
+                        # parse_record names its field (a malformed line
+                        # fails again, with the same error)
+                        obj = json.loads(line, parse_int=_json_int)
+                    record = parse_record(obj)
                     report = build_report(record)
                     text = dumps_report(report)
                 # UnicodeDecodeError included; json.loads raises RecursionError

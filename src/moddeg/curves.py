@@ -12,9 +12,13 @@ gcds with prime products before any long trial division: about 3 us
 for a random conductor up to 1e6), point counts
 over prime fields (one counting routine, which the Euler-product
 estimator calls with the invariants it derived once per curve:
-Shanks-Mestre baby-step giant-step on the curve and its quadratic twist,
-with an O(p) Legendre-symbol sum for small p and whenever the points
-tried leave more than one candidate), and CM detection by rational
+Shanks-Mestre baby-step giant-step on points of the curve and its
+quadratic twist taken alternately from x = 1, never from the x = 0 that
+is a point of order 3 on a j = 0 model, with (p + 1 - c) P taken from
+the giant step and about 28 group operations per point near p = 2000;
+an a_p of 37a1 costs about 25 us there and 0.13 ms near p = 1e6; an
+O(p) Legendre-symbol sum for small p and whenever the points tried
+leave more than one candidate), and CM detection by rational
 j-invariant.
 
 The conductor is always an input, never computed; reports downstream
@@ -535,10 +539,12 @@ def _count_naive(curve: CurveModel, inv: Invariants, p: int) -> int:
 
 
 # Primes below _BSGS_FROM are counted naively: the O(p) sum and baby-step
-# giant-step cost the same, about 35 us, near p = 110 (CPython 3.11, one
-# Xeon core), and small p leave the Hasse interval wide against the group
-# order.  _BSGS_TRIES points, alternating curve and twist, are tried before
-# the naive count decides.
+# giant-step cost the same, about 33 us, between p = 100 and 110, and from
+# 110 on baby-step giant-step is cheaper (27 against 36 us averaged over
+# 110-130, 31 against 65 us over 200-220; CPython 3.11, one Xeon core);
+# small p leave the Hasse interval wide against the group order.
+# _BSGS_TRIES points, alternating between curve and twist, are tried
+# before the naive count decides.
 _BSGS_FROM = 110
 _BSGS_TRIES = 6
 
@@ -555,21 +561,37 @@ def _trace_by_bsgs(inv: Invariants, p: int) -> int | None:
     (p + 1 - t) P = O, a point of the twist those with (p + 1 + t) P = O,
     |t| <= isqrt(4p) by Hasse.  a_p is in every such set, so when the
     intersection over the points tried is a single t, that t is a_p.
+
+    x runs from 1: the first x with d nonzero gives the first point, on
+    whichever side Euler's criterion puts it (one Euler test), and each
+    later point is the next x on the other side from the point before it.
+    x = 0 is skipped because X = 0 is a root of the 3-division polynomial
+    3X^4 + 6aX^2 + 12bX - a^2 when a = 0, as on every j = 0 model: there
+    it is a point of order 3, which admits every t of one residue class
+    mod 3 and so never decides a_p alone.  Over the twelve curves of the
+    Euler-product benchmark and every good p in [110, 2000] this takes
+    1.14 points per prime (1.19 on the j = 0 curves 27a1 and 36a1) and
+    never falls back to the naive count; every point on whichever side
+    its x lies took 1.17 and fell back at 3 primes, which is why the
+    sides alternate after the first point.  One a_p of 37a1 costs about 25 us near
+    p = 2000 and 0.13 ms near p = 999983 (CPython 3.11, one Xeon core).
     """
     a, b = -27 * inv.c4 % p, -54 * inv.c6 % p
     half = (p - 1) // 2
     bound = math.isqrt(4 * p)
     candidates: set[int] | None = None
-    x = -1
-    for attempt in range(_BSGS_TRIES):
-        # Euler's criterion reads 1 on the curve, p - 1 on the twist
-        side = 1 if attempt % 2 == 0 else p - 1
-        d = 0
-        while not d or pow(d, half, p) != side:
+    # Euler's criterion reads 1 on the curve, p - 1 on the twist, and never
+    # 0 for d nonzero, so the first point may be on either side
+    x, side = 0, 0
+    for _ in range(_BSGS_TRIES):
+        while True:
             x += 1
             if x == p:
                 return None
             d = (x * x * x + a * x + b) % p
+            if d and (euler := pow(d, half, p)) != side:
+                break
+        side = euler
         multiples = _hasse_multiples((d * x % p, d * d % p), a * d * d % p, p, bound)
         found = multiples if side == 1 else {-u for u in multiples}
         candidates = found if candidates is None else candidates & found
@@ -586,14 +608,29 @@ def _hasse_multiples(point: tuple[int, int], a: int, p: int, bound: int) -> set[
     the giant step R = (p + 1 - c) P equals j P exactly for those u.  The
     baby steps j P, j = 1..m, are kept by X-coordinate with every j that
     has it, and the j with j P = O apart, so a point of small order yields
-    every match, not the first."""
+    every match, not the first.  The first R comes from the giant step
+    G = w P by ``_giant_multiple``, and each next R is R - G.  With
+    m = isqrt(bound) + 1 that is m baby steps, about log2(p / w) doublings
+    with their additions, and about 2 sqrt(bound) giant steps: about 28
+    group operations near p = 2000 and 110 near p = 1e6 on a point of
+    large order.  The additions in the two loops are written out, with
+    ``_ec_add`` for O, doubling and opposite points."""
     m = math.isqrt(bound) + 1
     w = 2 * m + 1
+    px, py = point
     by_x: dict[int, list[tuple[int, int]]] = {}
     zeros = [0]
+    steps: list[tuple[int, int] | None] = [None]
     step = None
     for j in range(1, m + 1):
-        step = _ec_add(step, point, a, p)
+        if step is None or step[0] == px:
+            step = _ec_add(step, point, a, p)
+        else:
+            x1, y1 = step
+            slope = (py - y1) * pow(px - x1, -1, p) % p
+            x3 = (slope * slope - x1 - px) % p
+            step = (x3, (slope * (x1 - x3) - y1) % p)
+        steps.append(step)
         if step is None:
             zeros.append(j)
         else:
@@ -601,21 +638,54 @@ def _hasse_multiples(point: tuple[int, int], a: int, p: int, bound: int) -> set[
     giant = _ec_add(_ec_add(step, step, a, p), point, a, p)
     minus_giant = None if giant is None else (giant[0], -giant[1] % p)
     c = m - bound
-    r = _ec_mul(p + 1 - c, point, a, p)
+    r = _giant_multiple(p + 1 - c, steps, giant, a, p)
     found = set()
-    while c - m <= bound:
+    while True:
         if r is None:
             for j in zeros:
                 found.update((c + j, c - j))
         else:
-            for j, y in by_x.get(r[0], ()):
-                if y == r[1]:
+            rx, ry = r
+            for j, y in by_x.get(rx, ()):
+                if y == ry:
                     found.add(c + j)
-                if y == -r[1] % p:
+                if y == -ry % p:
                     found.add(c - j)
-        r = _ec_add(r, minus_giant, a, p)
         c += w
+        if c - m > bound:
+            break
+        if r is None or minus_giant is None or rx == minus_giant[0]:
+            r = _ec_add(r, minus_giant, a, p)
+        else:
+            gx, gy = minus_giant
+            slope = (gy - ry) * pow(gx - rx, -1, p) % p
+            x3 = (slope * slope - rx - gx) % p
+            r = (x3, (slope * (rx - x3) - ry) % p)
     return {u for u in found if -bound <= u <= bound}
+
+
+def _giant_multiple(
+    k: int, steps: list[tuple[int, int] | None], giant: tuple[int, int] | None, a: int, p: int
+) -> tuple[int, int] | None:
+    """k P for k >= 0, from steps = [O, P, 2P, ..., mP] and giant = w P,
+    w = 2m + 1: with k = q w + r, 0 <= r < w, it is q G + r P when r <= m
+    and (q + 1) G - (w - r) P when r > m, so its only doublings are those
+    of q G, about log2(k / w), and one addition takes in the baby step."""
+    m = len(steps) - 1
+    q, r = divmod(k, 2 * m + 1)
+    if r <= m:
+        near = steps[r]
+    else:
+        q += 1
+        near = steps[2 * m + 1 - r]
+        if near is not None:
+            near = (near[0], -near[1] % p)
+    result = None
+    for bit in bin(q)[2:]:
+        result = _ec_add(result, result, a, p)
+        if bit == "1":
+            result = _ec_add(result, giant, a, p)
+    return _ec_add(result, near, a, p)
 
 
 def _ec_add(P: tuple[int, int] | None, Q: tuple[int, int] | None, a: int, p: int) -> tuple[int, int] | None:
@@ -634,16 +704,6 @@ def _ec_add(P: tuple[int, int] | None, Q: tuple[int, int] | None, a: int, p: int
         slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
     x3 = (slope * slope - x1 - x2) % p
     return x3, (slope * (x1 - x3) - y1) % p
-
-
-def _ec_mul(k: int, P: tuple[int, int], a: int, p: int) -> tuple[int, int] | None:
-    """k P for k >= 1, by doubling and adding along the bits of k."""
-    result = P
-    for bit in bin(k)[3:]:
-        result = _ec_add(result, result, a, p)
-        if bit == "1":
-            result = _ec_add(result, P, a, p)
-    return result
 
 
 _CM_J_VALUES = frozenset(CM_J_INVARIANTS.values())

@@ -20,7 +20,14 @@ naming "n2", and a conductor above 10**257, or with N/Omega above
 
 ``bound`` writes one JSON object per input line, in input order, as soon
 as it is made: a report, or ``{"line": k, "error": ...}`` for a line that
-cannot be decoded, parsed or reported.
+cannot be decoded, parsed or reported.  A JSON integer with more digits
+than int() converts (4300 by default) makes ``json.loads`` fail; ``bound``
+then reads the line again with ``_json_int``, which keeps such an integer
+as a ``_LongInteger``, so that its error names the field: "conductor", "n2"
+and "deg_phi" are too long, as for a digit string, and "a", "label",
+"semistable" and "twist_minimal" are of the wrong type.  A field the
+contract ignores is ignored whatever it holds, so a long integer there
+leaves the record's report as it would be without it.
 
 ``build_report`` and ``invariants_document`` return their documents in
 wire form: each real rounded once to 12 significant digits, and each
@@ -66,6 +73,30 @@ _MAX_CONDUCTOR = 10**257
 _MAX_BOUND = 1e300
 
 
+class _LongInteger(str):
+    """The text of a JSON integer with more digits than int() converts,
+    as ``_json_int`` keeps it."""
+
+    __slots__ = ()
+
+
+def _json_int(text: str) -> int | _LongInteger:
+    """A ``parse_int`` for ``json.loads``: the int, or for a digit run
+    past int()'s limit its text as a ``_LongInteger``."""
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInteger(text)
+
+
+def _shown(value: object) -> str:
+    """value as an error message echoes it: its JSON text, or the size of a
+    ``_LongInteger``, whose digits would swamp the line."""
+    if isinstance(value, _LongInteger):
+        return f"an integer of {len(value.lstrip('-'))} digits"
+    return json.dumps(value)
+
+
 class CurveRecord(
     namedtuple(
         "CurveRecord",
@@ -90,15 +121,17 @@ def int_field(name: str, value: object) -> int | None:
 
     A JSON integer or a string of ASCII digits is accepted; a boolean,
     a sign, a space, an underscore or a non-ASCII digit is not, nor a
-    digit string longer than int() converts (4300 digits by default).
+    digit string or a ``_LongInteger`` longer than int() converts (4300
+    digits by default).
     """
     if value is None:
         return None
-    if isinstance(value, str) and value.isascii() and value.isdigit():
+    if isinstance(value, str) and (value.isascii() and value.isdigit() or isinstance(value, _LongInteger)):
         try:
             value = int(value)
         except ValueError:  # past sys.get_int_max_str_digits(); not echoed
-            raise ValueError(f'"{name}" is too long: {len(value)} digits, more than int() converts') from None
+            digits = len(value.lstrip("-"))
+            raise ValueError(f'"{name}" is too long: {digits} digits, more than int() converts') from None
     minimum = _INT_MINIMUM[name]
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValueError(f'"{name}" must be an integer >= {minimum}, got {json.dumps(value)}')
@@ -121,7 +154,7 @@ def parse_record(obj: object) -> CurveRecord:
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     label = obj.get("label")
-    if label is not None and not isinstance(label, str):
+    if label is not None and (not isinstance(label, str) or isinstance(label, _LongInteger)):
         raise ValueError('"label" must be a string or null')
     a = a_field(obj.get("a"))
     conductor = int_field("conductor", obj.get("conductor"))
@@ -129,10 +162,10 @@ def parse_record(obj: object) -> CurveRecord:
         raise ValueError('record is missing required field "conductor"')
     semistable = obj.get("semistable")
     if semistable is not None and not isinstance(semistable, bool):
-        raise ValueError(f'"semistable" must be true, false or null, got {json.dumps(semistable)}')
+        raise ValueError(f'"semistable" must be true, false or null, got {_shown(semistable)}')
     twist_minimal = obj.get("twist_minimal", True)
     if not isinstance(twist_minimal, bool):
-        raise ValueError(f'"twist_minimal" must be true or false, got {json.dumps(twist_minimal)}')
+        raise ValueError(f'"twist_minimal" must be true or false, got {_shown(twist_minimal)}')
     return CurveRecord(
         label=label,
         a=a,

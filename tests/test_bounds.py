@@ -152,3 +152,50 @@ class TestCrossover:
 def test_non_integer_refused(call, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an exact integer, got {value!r}$"):
         call(value)
+
+
+# N = 10^215 over 1/Omega = 2.7e97 (the model [0, 0, 0, -3e200, 2e300 - 1])
+# leaves N^(7/6) a double but N/Omega past double range
+_TINY_OMEGA = 1.0 / 2.7e97
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: degree_formula_bound(10**400, 1.0, 0.01), "conductor / omega"),
+        (lambda: degree_formula_bound(10**215, _TINY_OMEGA, 0.01), "conductor / omega"),
+        (lambda: theorem1(10**300, 1.0), "conductor puts N"),
+        (lambda: theorem1(10**400, 1.0), "conductor puts N"),
+        (lambda: theorem1(10**215, _TINY_OMEGA), "conductor / omega"),
+        (lambda: theorem2(10**300, 10**10, 1.0), "conductor puts N"),
+        (lambda: theorem2(10**400, 10**10, 1.0), "conductor puts N"),
+        (lambda: theorem2(10**215, 10**10, _TINY_OMEGA), "conductor / omega"),
+        (lambda: theorem2_closed_form(10**400), "conductor puts N"),
+        (lambda: linear_bounds(10**309), "conductor puts the linear"),
+        (lambda: linear_bounds(int(1.7e308)), "conductor puts the linear"),
+    ],
+    ids=[
+        "formula-huge-N",
+        "formula-N-over-omega",
+        "theorem1-power",
+        "theorem1-huge-N",
+        "theorem1-N-over-omega",
+        "theorem2-power",
+        "theorem2-huge-N",
+        "theorem2-N-over-omega",
+        "closed-form-huge-N",
+        "linear-huge-N",
+        "linear-7N",
+    ],
+)
+def test_past_double_range_is_a_value_error_naming_conductor(call, message):
+    # not an OverflowError, and never an inf returned as a bound
+    with pytest.raises(ValueError, match=f"^{message}.* past double range$"):
+        call()
+
+
+def test_the_largest_finite_bounds_are_still_returned():
+    assert math.isfinite(theorem1(10**260, 1.0)["closed_form"])
+    assert math.isfinite(theorem2(10**260, 10**300, 1.0)["analytic"])
+    assert math.isfinite(linear_bounds(10**300)["abramovich"])
+    assert math.isfinite(degree_formula_bound(10**300, 1.0, 1.0))

@@ -427,6 +427,52 @@ class TestParseRecord:
         assert str(info.value) == f'"{field}" is too long: 5000 digits, more than int() converts'
 
 
+class TestIntegersPastTheDigitLimit:
+    """A JSON integer longer than int() converts fails json.loads; bound
+    reads the line again with it kept as text, so its error names the
+    field, and a field the contract ignores is ignored."""
+
+    DIGITS = "7" * 4400
+
+    @pytest.mark.parametrize(
+        "field, text, error",
+        [
+            ("conductor", DIGITS, '"conductor" is too long: 4400 digits, more than int() converts'),
+            ("conductor", "-" + DIGITS, '"conductor" is too long: 4400 digits, more than int() converts'),
+            ("n2", DIGITS, '"n2" is too long: 4400 digits, more than int() converts'),
+            ("deg_phi", DIGITS, '"deg_phi" is too long: 4400 digits, more than int() converts'),
+            ("label", DIGITS, '"label" must be a string or null'),
+            ("semistable", DIGITS, '"semistable" must be true, false or null, got an integer of 4400 digits'),
+            ("twist_minimal", "-" + DIGITS, '"twist_minimal" must be true or false, got an integer of 4400 digits'),
+        ],
+    )
+    def test_the_error_names_the_field(self, tmp_path, capsys, field, text, error):
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"a": [0, 0, 1, -1, 0], "conductor": 37, "%s": %s}\n' % (field, text))
+        assert main(["bound", "--input", str(src), "--output", "-"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"line": 1, "error": error}
+
+    def test_inside_a(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"a": [0, 0, 1, -1, %s], "conductor": 37}\n' % self.DIGITS)
+        assert main(["bound", "--input", str(src), "--output", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["error"] == '"a" must be a list of 5 exact integers'
+
+    def test_an_ignored_field_leaves_the_report(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        plain = '{"a": [0, 0, 1, -1, 0], "conductor": 37}\n'
+        src.write_text(plain + '{"a": [0, 0, 1, -1, 0], "conductor": 37, "note": [%s]}\n' % self.DIGITS)
+        assert main(["bound", "--input", str(src), "--output", "-"]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second and "error" not in json.loads(first)
+
+    def test_a_malformed_line_keeps_its_decoder_error(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"a": [0, 0, 1, -1, 0], "conductor": %s,\n' % self.DIGITS)
+        assert main(["bound", "--input", str(src), "--output", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["error"].startswith("Expecting property name")
+
+
 class TestInvariantsDocument:
     def test_37a1(self):
         doc = invariants_document((0, 0, 1, -1, 0))
