@@ -5,11 +5,11 @@ polynomial ``4x^3 + b2 x^2 + 2 b4 x + b6`` (the polynomial appearing on
 the right side of ``y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6``) through the
 geometry of its isolated root and the exact discriminant, factoring (the
 one module that holds its policy: trial division by the 30-wheel,
-primality by Miller-Rabin where it is exact, below
-3317044064679887385961981, one sieve, and the squared primes of a
-conductor, all that a report needs of its factorization, found by two
-gcds with prime products before any long trial division: about 3 us
-for a random conductor up to 1e6), point counts
+primality by Miller-Rabin alone, exact below 3317044064679887385961981,
+one sieve, and the squared primes of a conductor, all that a report
+needs of its factorization, found by one gcd step run for the primes up
+to 2^10 and again for those in (2^10, 2^17] before any long trial
+division), point counts
 over prime fields (one counting routine, which the Euler-product
 estimator calls with the invariants it derived once per curve:
 Shanks-Mestre baby-step giant-step on points of the curve and its
@@ -251,10 +251,8 @@ def _trial_divide(n: int, limit: int | None = None) -> tuple[dict[int, int], int
     f+24, at once before it touches the dict.  It stops once f passes the
     square root of what is left, taken once per division, so the cofactor
     is 1 or a prime; or once f passes limit, when every prime factor of
-    the cofactor exceeds limit.  Trial division up to 2^10 costs 34 blocks,
-    about 15-20 us, which is why squared_primes takes those primes by one
-    gcd instead; 10^7 costs 333 334 blocks (about 0.2 s on CPython 3.11,
-    one Xeon core)."""
+    the cofactor exceeds limit.  Up to 10^7 it costs 333 334 blocks (about
+    0.2 s on CPython 3.11, one Xeon core)."""
     _require_int("n", n)
     if n < 1:
         raise ValueError("can only factor positive integers")
@@ -315,6 +313,7 @@ _PSI_13 = 3317044064679887385961981
 # Math. Comp. 61 (1993) 915-926, for k <= 8; Jiang and Deng, Math. Comp.
 # 83 (2014) 2915-2924, for k = 9 to 11; Sorenson and Webster for k = 12.
 _MILLER_RABIN_BANDS = (
+    (2047, 1),
     (1373653, 2),
     (25326001, 3),
     (3215031751, 4),
@@ -324,9 +323,6 @@ _MILLER_RABIN_BANDS = (
     (3825123056546413051, 9),
     (318665857834031151167461, 12),
 )
-
-# is_prime trial-divides below this bound, at most 34 wheel blocks.
-_WHEEL_BELOW = 2**20
 
 
 def _is_strong_probable_prime(n: int) -> bool:
@@ -357,14 +353,15 @@ def _is_strong_probable_prime(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime: trial division below 2^20, and Miller-Rabin on
-    at most the first thirteen prime bases, as many as are exact for n's
-    size, from 2^20 up to 3317044064679887385961981 (excluded).  From
-    there on, where no fixed set of bases is known to be exact, n is
-    refused with ValueError at once."""
+    """Whether n is prime: up to 41, whether n is one of the Miller-Rabin
+    bases, the primes up to 41; above, Miller-Rabin on as many of the
+    first thirteen prime bases as are exact for n's size, base 2 alone
+    below 2047, up to 3317044064679887385961981 (excluded).  From there
+    on, where no fixed set of bases is known to be exact, n is refused
+    with ValueError at once."""
     _require_int("n", n)
-    if n < _WHEEL_BELOW:
-        return n >= 2 and factorize(n) == {n: 1}
+    if n <= 41:
+        return n in _MILLER_RABIN_BASES
     if n >= _PSI_13:
         raise ValueError(
             f"primality is decided only below {_PSI_13}, "
@@ -382,81 +379,69 @@ def _primes_up_to(limit: int) -> list[int]:
     return list(itertools.compress(range(2, limit + 1), sieve[2:]))
 
 
-# squared_primes takes the primes up to _SMALL_LIMIT by one gcd with their
-# product, those in (_SMALL_LIMIT, _GCD_LIMIT] by one gcd with
-# _prime_product(), and trial-divides a composite cofactor above
-# _GCD_LIMIT**3 up to _TRIAL_LIMIT.
+# squared_primes takes the primes up to _SMALL_LIMIT, then those in
+# (_SMALL_LIMIT, _GCD_LIMIT], by one gcd with their product each, and
+# trial-divides a composite cofactor above _GCD_LIMIT**3 up to _TRIAL_LIMIT.
 _SMALL_LIMIT = 2**10
 _GCD_LIMIT = 2**17
 _TRIAL_LIMIT = 10**7
 
-# The product of the 172 primes up to _SMALL_LIMIT, 1420 bits.
-_SMALL_PRIME_PRODUCT = math.prod(_primes_up_to(_SMALL_LIMIT))
-
 
 @functools.cache
-def _prime_product() -> int:
-    """The product of the primes in (_SMALL_LIMIT, _GCD_LIMIT], made on first
-    use by a pairwise product tree."""
-    level = [p for p in _primes_up_to(_GCD_LIMIT) if p > _SMALL_LIMIT]
+def _prime_product(lo: int, hi: int) -> int:
+    """The product of the primes in (lo, hi], made on first use by a
+    pairwise product tree."""
+    level = [p for p in _primes_up_to(hi) if p > lo]
     while len(level) > 1:
         level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1 :]
     return level[0]
 
 
+def _squared_part(c: int, lo: int, hi: int) -> tuple[list[int], int]:
+    """The primes in (lo, hi] whose square divides c, in increasing order,
+    and c with every prime in (lo, hi] divided out.
+
+    g = gcd(c, P) with P the product of those primes is squarefree, and
+    gcd(g, c/g) is the product of the squared ones; two primes above lo
+    make more than lo^2, so a smaller one is 1 or the one prime, and
+    ``factorize`` splits a larger one."""
+    g = math.gcd(c, _prime_product(lo, hi) % c)
+    h = math.gcd(g, c // g)
+    square_ps = [] if h == 1 else [h] if h < lo * lo else sorted(factorize(h))
+    while g > 1:
+        c //= g
+        g = math.gcd(c, g)
+    return square_ps, c
+
+
 def squared_primes(n: int) -> list[int]:
     """The primes p with p^2 | n, in increasing order, in three exact steps.
 
-    One gcd g of n with the product of the primes up to 2^10 finds the
-    small primes of n; g is squarefree, so ``factorize`` splits it after
-    about one wheel block, and each of its primes is divided out of n with
-    its exponent.  What is left, c, has every prime factor above 2^10.  A
-    c above 2^20, unless it is a prime up to 2^51, takes one gcd g with
-    the product of the primes in (2^10, 2^17]; gcd(g, c/g) holds the
-    squared ones, and g's primes are divided out of c.  What is left up to
-    2^51 has at most two prime factors, all above 2^17, and so has a prime
-    up to 1e21; math.isqrt then tells whether either is a prime squared.
-    ``is_prime`` (Miller-Rabin, exact there) is called at most once: on c
-    before the gcd when c is at most 2^51, so that a prime conductor that
-    size never makes the product, and on what the gcd leaves when that is
-    above 2^51.  Only a larger composite is trial-divided up to 1e7 (about
-    0.2 s), and refused with ValueError naming "conductor" when what is
-    left there is still above 1e21 and could have three or more prime
-    factors; the message gives a conductor of up to 64 digits in full and
-    a longer one by its size in bits.  The gcds remove only primes that
-    this trial division would, so the refusals are those of trial
-    division up to 1e7 alone.  A random n up to 1e6 takes about 3 us, a
-    prime near 1e12 about 0.04 ms and a p^2 q with p near 5e4 and q near
-    1e12 about 0.15 ms, after about 11 ms once per process to make the
-    product of the primes in (2^10, 2^17] (CPython 3.11, one Xeon core).
+    ``_squared_part`` takes the primes up to 2^10 from n by one gcd with
+    their product, and then those in (2^10, 2^17] by one gcd with theirs;
+    the second product is made on first use, about 11 ms once per
+    process.  Each step runs only on a cofactor c that its primes could
+    still split: c's primes all exceed the step's lower end lo, so a c up
+    to lo^3 has at most two of them and math.isqrt tells whether it is a
+    prime squared, and a prime c up to the step's upper end cubed is
+    passed by ``is_prime`` (Miller-Rabin, exact there), called at most
+    once.  Only a composite c above 2^51 is trial-divided up to 1e7
+    (about 0.2 s), and refused with ValueError naming "conductor" when
+    what is left there is still above 1e21 and could have three or more
+    prime factors; the message gives a conductor of up to 64 digits in
+    full and a longer one by its size in bits.  The gcds remove only
+    primes that this trial division would, so the refusals are those of
+    trial division up to 1e7 alone.  A random n up to 1e6 takes about
+    2.3 us and a prime near 1e12 about 0.04 ms (CPython 3.11, one Xeon
+    core).
     """
     _require_int("n", n)
     if n < 1:
         raise ValueError("can only factor positive integers")
-    square_ps = []
-    c = n
-    g = math.gcd(n, _SMALL_PRIME_PRODUCT)
-    if g > 1:
-        for p in factorize(g):
-            c //= p
-            if c % p == 0:
-                square_ps.append(p)
-                c //= p
-                while c % p == 0:
-                    c //= p
-    # every prime factor of c is above 2^10, so a c up to 2^20 is 1 or prime
-    if c > _SMALL_LIMIT**2 and not (c <= _GCD_LIMIT**3 and is_prime(c)):
-        g = math.gcd(c, _prime_product() % c)
-        if g > 1:
-            h = math.gcd(g, c // g)
-            # two primes above 2^10 make more than 2^20: a smaller h is prime
-            if h >= _SMALL_LIMIT**2:
-                square_ps += sorted(factorize(h))
-            elif h > 1:
-                square_ps.append(h)
-            while g > 1:
-                c //= g
-                g = math.gcd(c, g)
+    square_ps, c = _squared_part(n, 1, _SMALL_LIMIT)
+    if c > _SMALL_LIMIT**3 and not (c <= _GCD_LIMIT**3 and is_prime(c)):
+        more, c = _squared_part(c, _SMALL_LIMIT, _GCD_LIMIT)
+        square_ps += more
         if c > _GCD_LIMIT**3 and not (c <= _TRIAL_LIMIT**3 and is_prime(c)):
             factors, c = _trial_divide(c, _TRIAL_LIMIT)
             if c > _TRIAL_LIMIT**3:

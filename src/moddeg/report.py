@@ -90,11 +90,23 @@ def _json_int(text: str) -> int | _LongInteger:
 
 
 def _shown(value: object) -> str:
-    """value as an error message echoes it: its JSON text, or the size of a
-    ``_LongInteger``, whose digits would swamp the line."""
+    """value as an error message echoes it: its JSON text up to 64
+    characters, and past that, where the text would swamp the line, its
+    kind and size: "an integer of 4000 digits" (the sign not counted; a
+    ``_LongInteger`` always), "a string of 5000 characters", "an array
+    of 3000 items" or "an object of 70 members"."""
     if isinstance(value, _LongInteger):
         return f"an integer of {len(value.lstrip('-'))} digits"
-    return json.dumps(value)
+    text = json.dumps(value)
+    if len(text) <= 64:
+        return text
+    if isinstance(value, int):
+        return f"an integer of {len(text.lstrip('-'))} digits"
+    if isinstance(value, str):
+        return f"a string of {len(value)} characters"
+    if isinstance(value, list):
+        return f"an array of {len(value)} items"
+    return f"an object of {len(value)} members"
 
 
 class CurveRecord(
@@ -134,7 +146,7 @@ def int_field(name: str, value: object) -> int | None:
             raise ValueError(f'"{name}" is too long: {digits} digits, more than int() converts') from None
     minimum = _INT_MINIMUM[name]
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f'"{name}" must be an integer >= {minimum}, got {json.dumps(value)}')
+        raise ValueError(f'"{name}" must be an integer >= {minimum}, got {_shown(value)}')
     return value
 
 

@@ -212,11 +212,10 @@ class TestFactorize:
     def test_each_way_against_trial_division_and_sympy(self, monkeypatch, way, n):
         # the same answer as trial division up to 1e7 alone and as sympy,
         # and the same refusal, through the way named: a gcd with the primes
-        # up to 2^10, whose result factorize splits ("small") when n has
-        # such a prime, then a gcd with the prime product ("gcd"), then
-        # factorize on its squared primes ("split"), then trial division up
-        # to 1e7 ("trial") only where a composite above 2^51 is left;
-        # is_prime is called at most once
+        # up to 2^10 ("small"), always, then a gcd with the primes in
+        # (2^10, 2^17] ("gcd"), then factorize on its squared primes
+        # ("split"), then trial division up to 1e7 ("trial") only where a
+        # composite above 2^51 is left; is_prime is called at most once
         ways, primality = [], []
 
         def trial_divide(m, limit=None):
@@ -226,13 +225,19 @@ class TestFactorize:
             return _trial_divide(m, limit)
 
         def split(m):
+            # splitting the squared primes up to 2^10 is part of "small"
             factors = factorize(m)
-            ways.append("small" if max(factors) <= 2**10 else "split")
+            if max(factors) > 2**10:
+                ways.append("split")
             return factors
+
+        def product(lo, hi):
+            ways.append("small" if hi == 2**10 else "gcd")
+            return _prime_product(lo, hi)
 
         monkeypatch.setattr(curves, "_trial_divide", trial_divide)
         monkeypatch.setattr(curves, "factorize", split)
-        monkeypatch.setattr(curves, "_prime_product", lambda: ways.append("gcd") or _prime_product())
+        monkeypatch.setattr(curves, "_prime_product", product)
         monkeypatch.setattr(curves, "is_prime", lambda m: primality.append(m) or is_prime(m))
         expected = _squared_primes_by_trial_division(n)
         if expected is None:
@@ -241,10 +246,9 @@ class TestFactorize:
         else:
             assert squared_primes(n) == expected
             assert expected == sorted(int(p) for p, e in sympy.factorint(n).items() if e >= 2)
-        small = ["small"] if math.gcd(n, math.prod(sympy.primerange(2**10 + 1))) > 1 else []
-        assert ways[: len(small)] == small
+        assert ways[:1] == ["small"]
         assert len(primality) <= 1
-        assert "-".join(str(w) for w in ways[len(small) :]).replace(str(10**7), "trial") == {
+        assert "-".join(str(w) for w in ways[1:]).replace(str(10**7), "trial") == {
             "small-prime": "",
             "prime": "gcd",
             "gcd": "gcd",
@@ -280,7 +284,7 @@ class TestFactorize:
         code = "import moddeg.cli, moddeg.curves as c; print(c._prime_product.cache_info().currsize)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
         assert proc.stdout == "0\n", proc.stderr
-        assert _prime_product() == math.prod(sympy.primerange(2**10, 2**17 + 1))
+        assert _prime_product(2**10, 2**17) == math.prod(sympy.primerange(2**10, 2**17 + 1))
 
     @pytest.mark.parametrize("limit", [2, 3, 4, 2000, 2**17])
     def test_primes_up_to_against_sympy(self, limit):
@@ -471,6 +475,46 @@ class TestIntegersPastTheDigitLimit:
         src.write_text('{"a": [0, 0, 1, -1, 0], "conductor": %s,\n' % self.DIGITS)
         assert main(["bound", "--input", str(src), "--output", "-"]) == 0
         assert json.loads(capsys.readouterr().out)["error"].startswith("Expecting property name")
+
+
+class TestLongValuesAreNamedBySize:
+    """An error echoes a record value's JSON text up to 64 characters, and
+    past that names its kind and size, so that the line stays short."""
+
+    @pytest.mark.parametrize(
+        "field, text, error",
+        [
+            ("semistable", "7" * 4000, '"semistable" must be true, false or null, got an integer of 4000 digits'),
+            ("n2", "-" + "7" * 4000, '"n2" must be an integer >= 2, got an integer of 4000 digits'),
+            ("semistable", '"%s"' % ("x" * 5000), '"semistable" must be true, false or null, got a string of 5000 characters'),
+            ("n2", "[%s]" % ", ".join(["1"] * 3000), '"n2" must be an integer >= 2, got an array of 3000 items'),
+            ("deg_phi", "{%s}" % ", ".join(f'"k{i}": 0' for i in range(70)), '"deg_phi" must be an integer >= 1, got an object of 70 members'),
+            ("twist_minimal", "-" + "9" * 63, '"twist_minimal" must be true or false, got -' + "9" * 63),
+            ("twist_minimal", "9" * 65, '"twist_minimal" must be true or false, got an integer of 65 digits'),
+            ("semistable", '"%s"' % ("x" * 62), '"semistable" must be true, false or null, got "%s"' % ("x" * 62)),
+            ("semistable", '"%s"' % ("x" * 63), '"semistable" must be true, false or null, got a string of 63 characters'),
+            ("conductor", "[1, 2]", '"conductor" must be an integer >= 3, got [1, 2]'),
+        ],
+        ids=[
+            "int-4000",
+            "negative-int-4000",
+            "string-5000",
+            "array-3000",
+            "object-70",
+            "negative-int-64-chars",
+            "int-65",
+            "string-64-chars",
+            "string-65-chars",
+            "short-array",
+        ],
+    )
+    def test_the_error_line(self, tmp_path, capsys, field, text, error):
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"a": [0, 0, 1, -1, 0], "conductor": 37, "%s": %s}\n' % (field, text))
+        assert main(["bound", "--input", str(src), "--output", "-"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out) == {"line": 1, "error": error}
+        assert len(out) < 150
 
 
 class TestInvariantsDocument:
