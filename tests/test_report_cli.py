@@ -27,7 +27,7 @@ from moddeg.curves import (
     squared_primes,
 )
 from moddeg.lvalue import lemma4_certify
-from moddeg.report import build_report, dumps_report, invariants_document, parse_record
+from moddeg.report import _shown, build_report, dumps_report, invariants_document, parse_record
 from moddeg.zerofree import (
     MAX_CERTIFIED_N2,
     MIN_CERTIFIED_N2,
@@ -449,6 +449,15 @@ class TestIntegersPastTheDigitLimit:
             ("semistable", DIGITS, '"semistable" must be true, false or null, got an integer of 4400 digits'),
             ("twist_minimal", "-" + DIGITS, '"twist_minimal" must be true or false, got an integer of 4400 digits'),
         ],
+        ids=[
+            "conductor",
+            "negative-conductor",
+            "n2",
+            "deg_phi",
+            "label",
+            "semistable",
+            "negative-twist_minimal",
+        ],
     )
     def test_the_error_names_the_field(self, tmp_path, capsys, field, text, error):
         src = tmp_path / "in.jsonl"
@@ -515,6 +524,32 @@ class TestLongValuesAreNamedBySize:
         out = capsys.readouterr().out
         assert json.loads(out) == {"line": 1, "error": error}
         assert len(out) < 150
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("n2", -(10**5000), '"n2" must be an integer >= 2, got an integer of 5001 digits'),
+            ("conductor", 1 - 10**4300, '"conductor" must be an integer >= 3, got an integer of 4300 digits'),
+            ("semistable", 10**9000, '"semistable" must be true, false or null, got an integer of 9001 digits'),
+            ("twist_minimal", -(2**20000), '"twist_minimal" must be true or false, got an integer of 6021 digits'),
+        ],
+        ids=["n2-5001-digits", "conductor-4300-digits", "semistable-9001-digits", "twist_minimal-2^20000"],
+    )
+    def test_an_int_past_the_digit_limit_from_the_library(self, field, value, error):
+        # str() refuses an int of more than 4300 digits; a library caller can
+        # pass one where bound, reading JSON, has a _LongInteger instead
+        record = {"a": [0, 0, 1, -1, 0], "conductor": 37, field: value}
+        with pytest.raises(ValueError) as info:
+            parse_record(record)
+        assert str(info.value) == error
+
+    def test_the_digit_count_matches_str_at_powers_of_ten_and_two(self):
+        for k in [*range(60, 400), 1000, 2000, 4299]:
+            for n in (10**k - 1, 10**k, 2**k):
+                for value in (n, -n):
+                    text = str(value)
+                    shown = text if len(text) <= 64 else f"an integer of {len(text.lstrip('-'))} digits"
+                    assert _shown(value) == shown, value
 
 
 class TestInvariantsDocument:
