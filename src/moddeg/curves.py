@@ -9,7 +9,9 @@ primality by Miller-Rabin alone, exact below 3317044064679887385961981,
 one sieve, and the squared primes of a conductor, all that a report
 needs of its factorization, found by one gcd step run for the primes up
 to 2^10 and again for those in (2^10, 2^17] before any long trial
-division), point counts over prime fields (one counting routine, which
+division, each product kept as digits of 2^14 bits and reduced mod the
+cofactor by products with small numbers rather than by a long division
+of it), point counts over prime fields (one counting routine, which
 the Euler-product estimator calls with the invariants it derived once
 per curve: on a curve with CM, from p = 5 on, the CM field first, a_p =
 0 at a prime inert in it (Deuring) and Gauss's closed forms at the split
@@ -402,6 +404,44 @@ def _prime_product(lo: int, hi: int) -> int:
     return level[0]
 
 
+# _product_mod reads a prime product as digits of this many bits: one digit
+# for the primes up to 2^10 (1 420 bits) and 12 for those in (2^10, 2^17]
+# (187 104 bits).
+_DIGIT_BITS = 2**14
+
+
+@functools.cache
+def _product_digits(lo: int, hi: int) -> tuple[int, ...]:
+    """The product of the primes in (lo, hi] as base-2^_DIGIT_BITS digits,
+    least significant first, made on first use."""
+    product = _prime_product(lo, hi)
+    mask = (1 << _DIGIT_BITS) - 1
+    return tuple((product >> k) & mask for k in range(0, product.bit_length(), _DIGIT_BITS))
+
+
+def _product_mod(c: int, lo: int, hi: int) -> int:
+    """The product of the primes in (lo, hi] mod c >= 1, as (sum d_i s_i)
+    mod c over its digits d_i, with s_0 = 1 and s_(i+1) = s_i t mod c for
+    t = 2^_DIGIT_BITS mod c.
+
+    CPython's long division takes one hardware division per 30-bit digit
+    of the quotient, so a single % of the 187 104-bit product by a c of 40
+    to 75 bits costs 0.13-0.15 ms; the products of digits by c-sized s_i
+    and the one % of a sum about _DIGIT_BITS bits long cost 0.03-0.04 ms,
+    and 0.25 against 0.44 ms for a c of 870 bits, past the 10^257 that
+    reports accept (CPython 3.11, one Xeon core).  Past about 5500 bits of
+    c, making the s_i costs more than the division it spares.  A product
+    of one digit, the primes up to 2^10, takes a single %."""
+    digits = _product_digits(lo, hi)
+    total = digits[0]
+    if len(digits) > 1:
+        step, s = pow(2, _DIGIT_BITS, c), 1
+        for d in digits[1:]:
+            s = s * step % c
+            total += d * s
+    return total % c
+
+
 def _squared_part(c: int, lo: int, hi: int) -> tuple[list[int], int]:
     """The primes in (lo, hi] whose square divides c, in increasing order,
     and c with every prime in (lo, hi] divided out.
@@ -409,8 +449,9 @@ def _squared_part(c: int, lo: int, hi: int) -> tuple[list[int], int]:
     g = gcd(c, P) with P the product of those primes is squarefree, and
     gcd(g, c/g) is the product of the squared ones; two primes above lo
     make more than lo^2, so a smaller one is 1 or the one prime, and
-    ``factorize`` splits a larger one."""
-    g = math.gcd(c, _prime_product(lo, hi) % c)
+    ``factorize`` splits a larger one.  P mod c, which g is taken from, is
+    reduced by ``_product_mod`` without a long division of P."""
+    g = math.gcd(c, _product_mod(c, lo, hi))
     h = math.gcd(g, c // g)
     square_ps = [] if h == 1 else [h] if h < lo * lo else sorted(factorize(h))
     while g > 1:
@@ -424,21 +465,23 @@ def squared_primes(n: int) -> list[int]:
 
     ``_squared_part`` takes the primes up to 2^10 from n by one gcd with
     their product, and then those in (2^10, 2^17] by one gcd with theirs;
-    the second product is made on first use, about 11 ms once per
-    process.  Each step runs only on a cofactor c that its primes could
-    still split: c's primes all exceed the step's lower end lo, so a c up
-    to lo^3 has at most two of them and math.isqrt tells whether it is a
-    prime squared, and a prime c up to the step's upper end cubed is
-    passed by ``is_prime`` (Miller-Rabin, exact there), called at most
-    once.  Only a composite c above 2^51 is trial-divided up to 1e7
-    (about 0.2 s), and refused with ValueError naming "conductor" when
-    what is left there is still above 1e21 and could have three or more
-    prime factors; the message gives a conductor of up to 64 digits in
-    full and a longer one by its size in bits.  The gcds remove only
-    primes that this trial division would, so the refusals are those of
-    trial division up to 1e7 alone.  A random n up to 1e6 takes about
-    2.3 us and a prime near 1e12 about 0.04 ms (CPython 3.11, one Xeon
-    core).
+    the second product and its digits are made on first use, about 15 ms
+    once per process, and ``_product_mod`` reduces each product mod the
+    cofactor without a long division of it.  Each step runs only on a
+    cofactor c that its primes could still split: c's primes all exceed
+    the step's lower end lo, so a c up to lo^3 has at most two of them and
+    math.isqrt tells whether it is a prime squared, and a prime c up to
+    the step's upper end cubed is passed by ``is_prime`` (Miller-Rabin,
+    exact there), called at most once.  Only a composite c above 2^51 is
+    trial-divided up to 1e7 (about 0.2 s), and refused with ValueError
+    naming "conductor" when what is left there is still above 1e21 and
+    could have three or more prime factors; the message gives a conductor
+    of up to 64 digits in full and a longer one by its size in bits.  The
+    gcds remove only primes that this trial division would, so the
+    refusals are those of trial division up to 1e7 alone.  A random n up
+    to 1e6 takes about 1.8 us, a prime near 1e12 and p^2 q with p = 49999
+    and q near 1e12 about 0.04 ms each, and 10^21 + 7 about 0.13 ms
+    (CPython 3.11, one Xeon core).
     """
     _require_int("n", n)
     if n < 1:

@@ -1,7 +1,8 @@
-"""Primality and the squared primes of a conductor against trial division;
-needs only pytest and moddeg.
+"""Primality, the prime products mod a cofactor, and the squared primes of
+a conductor against trial division; needs only pytest and moddeg.
 
-is_prime is checked against a sieve at every n below 2^20, and
+is_prime is checked against a sieve at every n below 2^20, the digit-wise
+reduction of each prime product against one long division, and
 squared_primes against trial division up to 1e7 alone, refusals included.
 That reference costs about 0.2 s whenever it runs the whole way to 1e7,
 so the seeded products keep such cases few."""
@@ -11,7 +12,7 @@ import random
 
 import pytest
 
-from moddeg.curves import _primes_up_to, _trial_divide, is_prime, squared_primes
+from moddeg.curves import _DIGIT_BITS, _primes_up_to, _product_mod, _trial_divide, is_prime, squared_primes
 
 
 def by_trial_division(n: int) -> list[int] | None:
@@ -50,6 +51,54 @@ def test_is_prime_at_the_first_strong_pseudoprimes():
     assert 2047 == 23 * 89 and 1373653 == 829 * 1657
     assert not is_prime(2047) and not is_prime(1373653)
     assert is_prime(2039) and is_prime(2053)
+
+
+# The two prime products the gcd steps reduce mod a cofactor: one digit
+# for the primes up to 2^10 and several for those in (2^10, 2^17].
+PRODUCT_RANGES = [(1, 2**10), (2**10, 2**17)]
+
+
+def primes_in(lo: int, hi: int) -> list[int]:
+    return [p for p in _primes_up_to(hi) if p > lo]
+
+
+def assert_reduces_like_one_division(cases: list[int], lo: int, hi: int) -> None:
+    product = math.prod(primes_in(lo, hi))
+    # bit lengths, not the numbers, so that a failure stays readable
+    assert [c.bit_length() for c in cases if _product_mod(c, lo, hi) != product % c] == []
+
+
+@pytest.mark.parametrize("lo, hi", PRODUCT_RANGES)
+def test_product_mod_below_3000(lo, hi):
+    assert_reduces_like_one_division(list(range(1, 3000)), lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", PRODUCT_RANGES)
+def test_product_mod_on_seeded_cofactors(lo, hi):
+    # c of every length from 2 to 900 bits, then longer than one digit
+    rng = random.Random(35)
+    w = _DIGIT_BITS
+    cases = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in range(2, 901)]
+    cases += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (w - 1, w, w + 1, w + 900, 2 * w + 1, 5 * w)]
+    assert_reduces_like_one_division(cases, lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", PRODUCT_RANGES)
+def test_product_mod_at_digit_powers_and_the_product_itself(lo, hi):
+    w = _DIGIT_BITS
+    product = math.prod(primes_in(lo, hi))
+    assert_reduces_like_one_division([2**w - 1, 2**w + 1, 2 ** (2 * w), product, product + 1], lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", PRODUCT_RANGES)
+def test_product_mod_shares_the_primes_of_its_range(lo, hi):
+    # products of primes inside the range, times a cofactor that may hold
+    # more, so that the gcd the reduction feeds is not 1
+    rng = random.Random(36)
+    primes = primes_in(lo, hi)
+    cases = [math.prod(rng.sample(primes, k)) * rng.randint(1, 2**64) for k in (1, 2, 3, 5, 20, 100) for _ in range(20)]
+    assert_reduces_like_one_division(cases, lo, hi)
+    assert all(math.gcd(c, _product_mod(c, lo, hi)) > 1 for c in cases)
 
 
 def test_squared_primes_against_trial_division_up_to_2e5():

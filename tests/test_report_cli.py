@@ -18,9 +18,12 @@ from moddeg import curves
 from moddeg.agm import lemma1_constants
 from moddeg.cli import _verification_rows, main
 from moddeg.curves import (
+    _DIGIT_BITS,
     _is_strong_probable_prime,
     _prime_product,
     _primes_up_to,
+    _product_digits,
+    _product_mod,
     _trial_divide,
     factorize,
     is_prime,
@@ -231,13 +234,13 @@ class TestFactorize:
                 ways.append("split")
             return factors
 
-        def product(lo, hi):
+        def product_mod(c, lo, hi):
             ways.append("small" if hi == 2**10 else "gcd")
-            return _prime_product(lo, hi)
+            return _product_mod(c, lo, hi)
 
         monkeypatch.setattr(curves, "_trial_divide", trial_divide)
         monkeypatch.setattr(curves, "factorize", split)
-        monkeypatch.setattr(curves, "_prime_product", product)
+        monkeypatch.setattr(curves, "_product_mod", product_mod)
         monkeypatch.setattr(curves, "is_prime", lambda m: primality.append(m) or is_prime(m))
         expected = _squared_primes_by_trial_division(n)
         if expected is None:
@@ -281,10 +284,33 @@ class TestFactorize:
         assert expected == sorted(int(p) for p, e in sympy.factorint(n).items() if e >= 2)
 
     def test_prime_product_is_made_on_first_use(self):
-        code = "import moddeg.cli, moddeg.curves as c; print(c._prime_product.cache_info().currsize)"
+        code = (
+            "import moddeg.cli, moddeg.curves as c; "
+            "print(c._prime_product.cache_info().currsize, c._product_digits.cache_info().currsize)"
+        )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
-        assert proc.stdout == "0\n", proc.stderr
-        assert _prime_product(2**10, 2**17) == math.prod(sympy.primerange(2**10, 2**17 + 1))
+        assert proc.stdout == "0 0\n", proc.stderr
+        product = math.prod(sympy.primerange(2**10, 2**17 + 1))
+        assert _prime_product(2**10, 2**17) == product
+        digits = _product_digits(2**10, 2**17)
+        assert all(0 <= d < 2**_DIGIT_BITS for d in digits)
+        assert sum(d << (k * _DIGIT_BITS) for k, d in enumerate(digits)) == product
+
+    def test_bound_on_the_dataset_makes_only_the_small_product(self):
+        # the Miller-Rabin gate keeps the dataset's prime cofactors, such as
+        # 999999999989, from the second gcd, so a fresh bound never pays
+        # for the product of the primes in (2^10, 2^17]; asking for the
+        # first product again must find it cached
+        code = (
+            "import os, sys, moddeg.cli, moddeg.curves as c; "
+            "status = moddeg.cli.main(['bound', '--input', sys.argv[1], '--output', os.devnull]); "
+            "c._product_digits(1, 2**10); c._prime_product(1, 2**10); "
+            "print(status, c._prime_product.cache_info().currsize, c._product_digits.cache_info().currsize)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(DATASET)], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.stdout == "0 1 1\n", proc.stderr
 
     @pytest.mark.parametrize("limit", [2, 3, 4, 2000, 2**17])
     def test_primes_up_to_against_sympy(self, limit):
