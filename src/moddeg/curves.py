@@ -1,29 +1,15 @@
-"""Exact Weierstrass-model arithmetic.
+"""Exact Weierstrass-model arithmetic:
 
-Integer b/c-invariants and the discriminant, the roots of the 2-torsion
-polynomial ``4x^3 + b2 x^2 + 2 b4 x + b6`` (the polynomial appearing on
-the right side of ``y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6``) through the
-geometry of its isolated root and the exact discriminant, factoring (the
-one module that holds its policy: trial division by the 30-wheel,
-primality by Miller-Rabin alone, exact below 3317044064679887385961981,
-one sieve, and the squared primes of a conductor, all that a report
-needs of its factorization, found by one gcd step run for the primes up
-to 2^10 and again for those in (2^10, 2^17] before any long trial
-division, each product kept as digits of 2^14 bits and reduced mod the
-cofactor by products with small numbers rather than by a long division
-of it), point counts over prime fields (one counting routine, which
-the Euler-product estimator calls with the invariants it derived once
-per curve: on a curve with CM, from p = 5 on, the CM field first, a_p =
-0 at a prime inert in it (Deuring) and Gauss's closed forms at the split
-primes of j = 0 and 1728 (Ireland and Rosen, ch. 18), about 1 and 6 us
-near p = 2000; otherwise Shanks-Mestre baby-step giant-step on points of
-the curve and its quadratic twist taken alternately from x = 1, never
-from the x = 0 that is a point of order 3 on a j = 0 model, with
-(p + 1 - c) P taken from the giant step and about 28 group operations
-per point near p = 2000; an a_p of 37a1 costs about 25 us there and
-0.13 ms near p = 1e6; an O(p) Legendre-symbol sum for small p and
-whenever the points tried leave more than one candidate), and CM
-detection by rational j-invariant.
+- integer b/c-invariants, the discriminant and the j-invariant
+  (``derive_invariants``), and CM detection by rational j-invariant
+  (``is_cm``);
+- the roots of the 2-torsion polynomial 4x^3 + b2 x^2 + 2 b4 x + b6
+  through its isolated root (``two_torsion_roots``);
+- the squared primes of a conductor, the only factoring a report needs,
+  with primality by Miller-Rabin alone (``squared_primes``, whose
+  docstring gives its stages, and ``is_prime``);
+- a_p by point counting over prime fields (``trace_of_frobenius``, whose
+  docstring gives its methods).
 
 The conductor is always an input, never computed; reports downstream
 carry a ``"conductor_provenance": "supplied"`` field.  Models are used exactly as
@@ -50,7 +36,6 @@ __all__ = [
     "two_torsion_roots",
     "trace_of_frobenius",
     "is_cm",
-    "factorize",
     "is_prime",
     "squared_primes",
 ]
@@ -248,10 +233,10 @@ def two_torsion_roots(inv: Invariants) -> RootData:
     return RootData(r=r, r_tilde=r_tilde, b_sq=b_sq, z=z, e1=r + far, e2=r + near, e3=r)
 
 
-def _trial_divide(n: int, limit: int | None = None) -> tuple[dict[int, int], int]:
-    """Trial division of an int n >= 1 by 2, 3, 5 and the 30-wheel: the primes
-    found, with their exponents in increasing order of p, and the cofactor
-    that is left.
+def _trial_divide(n: int, limit: int) -> tuple[dict[int, int], int]:
+    """Trial division of an int n >= 1 by 2, 3, 5 and the 30-wheel up to
+    limit: the primes found, with their exponents in increasing order of
+    p, and the cofactor that is left.
 
     The wheel steps f by 30 from 7 and tries the eight numbers prime to
     30 in each block of thirty, f, f+4, f+6, f+10, f+12, f+16, f+22 and
@@ -260,16 +245,11 @@ def _trial_divide(n: int, limit: int | None = None) -> tuple[dict[int, int], int
     is 1 or a prime; or once f passes limit, when every prime factor of
     the cofactor exceeds limit.  Up to 10^7 it costs 333 334 blocks (about
     0.2 s on CPython 3.11, one Xeon core)."""
-    _require_int("n", n)
-    if n < 1:
-        raise ValueError("can only factor positive integers")
     factors: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    if limit is None:
-        limit = n
     stop = min(math.isqrt(n), limit)
     f = 7
     while f <= stop:
@@ -290,22 +270,6 @@ def _trial_divide(n: int, limit: int | None = None) -> tuple[dict[int, int], int
             stop = min(math.isqrt(n), limit)
         f += 30
     return factors, n
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization by 2, 3, 5 and the 30-wheel, the eight
-    residues prime to 30 in each block of thirty.
-
-    The loop stops once the divisor passes the square root of what is left
-    of n, so it runs up to the larger of sqrt(P) and P2, P the largest
-    prime factor and P2 the second largest counted with multiplicity,
-    whatever n's size: a largest prime near 1e12 with small cofactors
-    costs about 15 ms (CPython 3.11, one Xeon core).  The squared primes
-    of a conductor need no full factorization; see ``squared_primes``."""
-    factors, cofactor = _trial_divide(n)
-    if cofactor > 1:
-        factors[cofactor] = 1
-    return factors
 
 
 # The first thirteen primes.  An odd n > 41 below _PSI_13 that is a strong
@@ -394,16 +358,6 @@ _GCD_LIMIT = 2**17
 _TRIAL_LIMIT = 10**7
 
 
-@functools.cache
-def _prime_product(lo: int, hi: int) -> int:
-    """The product of the primes in (lo, hi], made on first use by a
-    pairwise product tree."""
-    level = [p for p in _primes_up_to(hi) if p > lo]
-    while len(level) > 1:
-        level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1 :]
-    return level[0]
-
-
 # _product_mod reads a prime product as digits of this many bits: one digit
 # for the primes up to 2^10 (1 420 bits) and 12 for those in (2^10, 2^17]
 # (187 104 bits).
@@ -413,8 +367,11 @@ _DIGIT_BITS = 2**14
 @functools.cache
 def _product_digits(lo: int, hi: int) -> tuple[int, ...]:
     """The product of the primes in (lo, hi] as base-2^_DIGIT_BITS digits,
-    least significant first, made on first use."""
-    product = _prime_product(lo, hi)
+    least significant first, made on first use by a pairwise product tree."""
+    level = [p for p in _primes_up_to(hi) if p > lo]
+    while len(level) > 1:
+        level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1 :]
+    product = level[0]
     mask = (1 << _DIGIT_BITS) - 1
     return tuple((product >> k) & mask for k in range(0, product.bit_length(), _DIGIT_BITS))
 
@@ -448,12 +405,19 @@ def _squared_part(c: int, lo: int, hi: int) -> tuple[list[int], int]:
 
     g = gcd(c, P) with P the product of those primes is squarefree, and
     gcd(g, c/g) is the product of the squared ones; two primes above lo
-    make more than lo^2, so a smaller one is 1 or the one prime, and
-    ``factorize`` splits a larger one.  P mod c, which g is taken from, is
-    reduced by ``_product_mod`` without a long division of P."""
+    make more than lo^2, so a smaller one is 1 or the one prime, and trial
+    division up to hi splits a larger one, leaving 1 or its largest prime.
+    P mod c, which g is taken from, is reduced by ``_product_mod`` without
+    a long division of P."""
     g = math.gcd(c, _product_mod(c, lo, hi))
     h = math.gcd(g, c // g)
-    square_ps = [] if h == 1 else [h] if h < lo * lo else sorted(factorize(h))
+    if h == 1:
+        square_ps = []
+    elif h < lo * lo:
+        square_ps = [h]
+    else:
+        factors, h = _trial_divide(h, hi)
+        square_ps = [*factors, h] if h > 1 else [*factors]
     while g > 1:
         c //= g
         g = math.gcd(c, g)
@@ -465,7 +429,7 @@ def squared_primes(n: int) -> list[int]:
 
     ``_squared_part`` takes the primes up to 2^10 from n by one gcd with
     their product, and then those in (2^10, 2^17] by one gcd with theirs;
-    the second product and its digits are made on first use, about 15 ms
+    the digits of the second product are made on first use, about 15 ms
     once per process, and ``_product_mod`` reduces each product mod the
     cofactor without a long division of it.  Each step runs only on a
     cofactor c that its primes could still split: c's primes all exceed

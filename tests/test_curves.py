@@ -22,7 +22,7 @@ from moddeg import (
     trace_of_frobenius,
     two_torsion_roots,
 )
-from moddeg.curves import POINT_COUNT_CUTOFF, Invariants, _count_naive, factorize, is_prime
+from moddeg.curves import POINT_COUNT_CUTOFF, Invariants, _count_naive, is_prime, squared_primes
 
 from conftest import EULER_CURVES, ap_by_euler_criterion, good_primes, inv_omega_oracle, random_curves
 
@@ -325,7 +325,7 @@ class TestAmbiguousCandidates:
 
 
 @pytest.mark.parametrize("value", [2.5, 7.0, math.nan, True], ids=["fraction", "float", "nan", "bool"])
-@pytest.mark.parametrize("call", [factorize, is_prime], ids=["factorize", "is_prime"])
+@pytest.mark.parametrize("call", [squared_primes, is_prime], ids=["squared_primes", "is_prime"])
 def test_factorize_and_is_prime_refuse_non_integers(call, value):
     with pytest.raises(ValueError, match=f"^n must be an exact integer, got {value!r}$"):
         call(value)

@@ -3,8 +3,8 @@ a conductor against trial division; needs only pytest and moddeg.
 
 is_prime is checked against a sieve at every n below 2^20, the digit-wise
 reduction of each prime product against one long division, and
-squared_primes against trial division up to 1e7 alone, refusals included.
-That reference costs about 0.2 s whenever it runs the whole way to 1e7,
+squared_primes against trial division up to 1e7 alone, refusals included,
+and against the split each gcd step's squared primes take.  That reference costs about 0.2 s whenever it runs the whole way to 1e7,
 so the seeded products keep such cases few."""
 
 import math
@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from moddeg import curves
 from moddeg.curves import _DIGIT_BITS, _primes_up_to, _product_mod, _trial_divide, is_prime, squared_primes
 
 
@@ -151,3 +152,34 @@ def test_squared_primes_at_the_edges(n):
 def test_squared_primes_against_trial_division_on_seeded_products():
     for n in seeded_products():
         assert_matches_trial_division(n)
+
+
+# Squared primes that one gcd step finds together, and that trial division
+# up to the step's upper end then splits: with the first step, three and
+# four primes up to 2^10, the last of them left as the cofactor of 1021's
+# case; with the second, two primes in one wheel block (1027 to 1051),
+# which leave 1, 1031 with 2^17 - 1, which leaves that prime, and three.
+SPLITS = [
+    (2**10, [7, 11, 13]),
+    (2**10, [2, 3, 7, 1021]),
+    (2**17, [1031, 1033]),
+    (2**17, [1031, 131071]),
+    (2**17, [1031, 1033, 1039]),
+    (2**17, [1031, 4099, 131071]),
+]
+
+
+@pytest.mark.parametrize("limit, primes", SPLITS)
+def test_squared_primes_split_after_a_gcd(monkeypatch, limit, primes):
+    # times a prime near 1e12 that no step takes
+    n = math.prod(primes) ** 2 * 999999999989
+    assert_matches_trial_division(n)
+    limits = []
+
+    def trial_divide(m, upto):
+        limits.append(upto)
+        return _trial_divide(m, upto)
+
+    monkeypatch.setattr(curves, "_trial_divide", trial_divide)
+    assert squared_primes(n) == primes
+    assert limits == [limit]

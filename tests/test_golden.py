@@ -57,7 +57,7 @@ class TestGolden:
         # 1e21 + 7 = 19 * 223 * q), a prime squared, two primes, and a
         # 40-digit prime refused as the line's error; squared primes found
         # by the gcd with the primes in (2^10, 2^17]: 1031^2 q, and
-        # 1031^2 131071^2 q, which factorize splits
+        # 1031^2 131071^2 q, which trial division up to 2^17 splits
         dst = tmp_path / "out.jsonl"
         assert main(["bound", "--input", str(GOLDEN / "bound_branches.jsonl"), "--output", str(dst)]) == 0
         assert dst.read_bytes() == (GOLDEN / "bound_branches.golden.jsonl").read_bytes()

@@ -1,11 +1,13 @@
 """The 5-isogeny class 11a against Vélu's formulas: isogenous curves share
 a_p at every good prime, and a 5-isogeny that pulls the invariant
-differential back to itself scales the period lattice's area by 5."""
+differential back to itself scales the period lattice's area by 5.
+Needs only pytest and moddeg."""
 
+import itertools
+import math
 import random
 
 import pytest
-import sympy
 
 from moddeg.agm import period_data
 from moddeg.curves import _BSGS_FROM, CurveModel, derive_invariants, trace_of_frobenius, two_torsion_roots
@@ -23,13 +25,22 @@ def _omega(curve: CurveModel) -> float:
     return period_data(inv, two_torsion_roots(inv)).omega
 
 
+def _is_prime(n: int) -> bool:
+    """Trial division, apart from moddeg's own primality test."""
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _next_prime(n: int) -> int:
+    return next(p for p in itertools.count(n + 1) if _is_prime(p))
+
+
 def _seeded_good_primes() -> list[int]:
     """Every prime below the baby-step giant-step crossover but 11 (the
     class has bad reduction only there), the first ones above it, 999983,
     and primes drawn by a seeded generator in between."""
     rng = random.Random(11)
-    primes = [p for p in sympy.primerange(2, _BSGS_FROM + 40) if p != 11]
-    primes += [int(sympy.nextprime(rng.randrange(_BSGS_FROM, 999983))) for _ in range(20)]
+    primes = [p for p in range(2, _BSGS_FROM + 40) if _is_prime(p) and p != 11]
+    primes += [_next_prime(rng.randrange(_BSGS_FROM, 999983)) for _ in range(20)]
     return [*primes, 999983]
 
 

@@ -1,9 +1,13 @@
-"""Every name moddeg exports has a reader outside the tests: a name that
-only tests call is test code living in the runtime."""
+"""Every name moddeg or one of its submodules exports has a reader outside
+the tests: a name that only tests call is test code living in the runtime."""
 
-import re
+import importlib
+import io
+import tokenize
 import types
 from pathlib import Path
+
+import pytest
 
 import moddeg
 
@@ -15,23 +19,41 @@ SOURCES = [
     for path in sorted((ROOT / folder).rglob("*.py"))
     if path.name != "__init__.py"
 ]
+# The submodules that declare what they export.
+SUBMODULES = sorted(
+    path.stem
+    for path in (ROOT / "src/moddeg").glob("*.py")
+    if not path.stem.startswith("_") and "\n__all__ = " in path.read_text(encoding="utf-8")
+)
 
 
-def _readers(name: str) -> list[str]:
-    """Lines that use name as a whole word, other than its own def or
-    class line and an __all__ string."""
-    word = re.compile(rf"\b{re.escape(name)}\b")
-    own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b|^\s*[\"']{re.escape(name)}[\"'],?\s*$")
-    return [
-        f"{path.relative_to(ROOT)}: {line.strip()}"
-        for path in SOURCES
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if word.search(line) and not own.search(line)
-    ]
+def _names_read() -> set[str]:
+    """Every name read in SOURCES: each of its tokens but the one its own
+    def or class line binds.  A name in a docstring, a comment or an
+    __all__ string is no token of its own, so it reads nothing."""
+    names = set()
+    for path in SOURCES:
+        previous = None
+        for token in tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline):
+            if token.type == tokenize.NAME and previous not in ("def", "class"):
+                names.add(token.string)
+            previous = token.string
+    return names
+
+
+READ = _names_read()
 
 
 def test_every_export_has_a_runtime_reader():
     names = [name for name in moddeg.__all__ if not isinstance(getattr(moddeg, name), types.ModuleType)]
     assert names
-    unread = [name for name in names if not _readers(name)]
+    unread = [name for name in names if name not in READ]
     assert unread == [], f"exported but read only by tests: {unread}"
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_every_submodule_export_has_a_runtime_reader(module):
+    names = importlib.import_module(f"moddeg.{module}").__all__
+    assert names
+    unread = [name for name in names if name not in READ]
+    assert unread == [], f"moddeg.{module} exports names read only by tests: {unread}"

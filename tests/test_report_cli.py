@@ -20,12 +20,10 @@ from moddeg.cli import _verification_rows, main
 from moddeg.curves import (
     _DIGIT_BITS,
     _is_strong_probable_prime,
-    _prime_product,
     _primes_up_to,
     _product_digits,
     _product_mod,
     _trial_divide,
-    factorize,
     is_prime,
     squared_primes,
 )
@@ -156,16 +154,20 @@ def _branch_cases(seed: int = 2017) -> list[tuple[str, int]]:
 
 
 def _assert_factorization_matches_sympy(n: int) -> None:
+    # trial division up to 1e7 finds each prime of n with its exponent, in
+    # increasing order, and leaves the product of the rest: 1, a prime, or
+    # primes that all exceed 1e7
     expected = {int(p): e for p, e in sympy.factorint(n).items()}
-    assert factorize(n) == expected, n
+    factors, cofactor = _trial_divide(n, 10**7)
+    rest = {p: e for p, e in expected.items() if p not in factors}
+    assert list(factors) + sorted(rest) == sorted(expected), n
+    assert factors == {p: expected[p] for p in factors}, n
+    assert cofactor == math.prod(p**e for p, e in rest.items()), n
+    assert list(rest.values()) in ([], [1]) or min(rest) > 10**7, n
     assert squared_primes(n) == sorted(p for p, e in expected.items() if e >= 2), n
 
 
 class TestFactorize:
-    def test_small(self):
-        assert factorize(720) == {2: 4, 3: 2, 5: 1}
-        assert factorize(999999999989) == {999999999989: 1}
-
     def test_squarefree(self):
         assert squared_primes(25000) == [2, 5]
 
@@ -216,30 +218,23 @@ class TestFactorize:
         # the same answer as trial division up to 1e7 alone and as sympy,
         # and the same refusal, through the way named: a gcd with the primes
         # up to 2^10 ("small"), always, then a gcd with the primes in
-        # (2^10, 2^17] ("gcd"), then factorize on its squared primes
-        # ("split"), then trial division up to 1e7 ("trial") only where a
-        # composite above 2^51 is left; is_prime is called at most once
+        # (2^10, 2^17] ("gcd"), then trial division up to 2^17 on its
+        # squared primes ("split"), then trial division up to 1e7 ("trial")
+        # only where a composite above 2^51 is left; is_prime is called at
+        # most once
         ways, primality = [], []
 
-        def trial_divide(m, limit=None):
-            # factorize's own call has no limit and is not a way
-            if limit is not None:
-                ways.append(limit)
-            return _trial_divide(m, limit)
-
-        def split(m):
+        def trial_divide(m, limit):
             # splitting the squared primes up to 2^10 is part of "small"
-            factors = factorize(m)
-            if max(factors) > 2**10:
-                ways.append("split")
-            return factors
+            if limit != 2**10:
+                ways.append("split" if limit == 2**17 else limit)
+            return _trial_divide(m, limit)
 
         def product_mod(c, lo, hi):
             ways.append("small" if hi == 2**10 else "gcd")
             return _product_mod(c, lo, hi)
 
         monkeypatch.setattr(curves, "_trial_divide", trial_divide)
-        monkeypatch.setattr(curves, "factorize", split)
         monkeypatch.setattr(curves, "_product_mod", product_mod)
         monkeypatch.setattr(curves, "is_prime", lambda m: primality.append(m) or is_prime(m))
         expected = _squared_primes_by_trial_division(n)
@@ -286,12 +281,11 @@ class TestFactorize:
     def test_prime_product_is_made_on_first_use(self):
         code = (
             "import moddeg.cli, moddeg.curves as c; "
-            "print(c._prime_product.cache_info().currsize, c._product_digits.cache_info().currsize)"
+            "print(c._product_digits.cache_info().currsize)"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
-        assert proc.stdout == "0 0\n", proc.stderr
+        assert proc.stdout == "0\n", proc.stderr
         product = math.prod(sympy.primerange(2**10, 2**17 + 1))
-        assert _prime_product(2**10, 2**17) == product
         digits = _product_digits(2**10, 2**17)
         assert all(0 <= d < 2**_DIGIT_BITS for d in digits)
         assert sum(d << (k * _DIGIT_BITS) for k, d in enumerate(digits)) == product
@@ -304,13 +298,13 @@ class TestFactorize:
         code = (
             "import os, sys, moddeg.cli, moddeg.curves as c; "
             "status = moddeg.cli.main(['bound', '--input', sys.argv[1], '--output', os.devnull]); "
-            "c._product_digits(1, 2**10); c._prime_product(1, 2**10); "
-            "print(status, c._prime_product.cache_info().currsize, c._product_digits.cache_info().currsize)"
+            "c._product_digits(1, 2**10); "
+            "print(status, c._product_digits.cache_info().currsize)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, str(DATASET)], capture_output=True, text=True, env=child_env()
         )
-        assert proc.stdout == "0 1 1\n", proc.stderr
+        assert proc.stdout == "0 1\n", proc.stderr
 
     @pytest.mark.parametrize("limit", [2, 3, 4, 2000, 2**17])
     def test_primes_up_to_against_sympy(self, limit):
@@ -678,8 +672,11 @@ class TestBuildReport:
         assert not report["warnings"]
         assert report["consistency_ok"] is None
 
+    # only the failing link may satisfy the xfail: the record's N does not
+    # divide its discriminant, and a refusal of that would fail the test
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="known fault: with 7^2 | N and the N^2 fallback the intermediate bound "
         "(factor 6/7) falls below the closed form for 20000 <= N up to about 7.4e5",
     )
