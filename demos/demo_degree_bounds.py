@@ -21,7 +21,8 @@ records = [
 print(f"{'label':>24} {'N':>13} {'deg':>5} {'formula':>10} {'thm2 closed':>12} {'7N/1600':>9} {'ok':>3}")
 print("-" * 84)
 for record in records:
-    report = build_report(record)
+    line, _ = build_report(record)
+    report = json.loads(line)
     deg = report["known_degree"]
     print(
         f"{report['label']:>24} {report['conductor']:>13} {deg if deg else '-':>5}"

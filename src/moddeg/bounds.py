@@ -99,10 +99,15 @@ def theorem1(conductor: int, omega: float) -> dict[str, float]:
     return {"analytic": analytic, "closed_form": closed}
 
 
+def _closed_form(power: float, log_n: float) -> float:
+    """Theorem 2's closed form from power = N^(7/6) and log_n = log N."""
+    return power / log_n / 10300.0 / math.sqrt(0.02 + math.log(log_n))
+
+
 def theorem2_closed_form(conductor: float) -> float:
     """(N^(7/6)/log N) * (1/10300) / sqrt(0.02 + log log N)."""
     log_n = math.log(conductor)
-    return _seven_sixths(conductor) / log_n / 10300.0 / math.sqrt(0.02 + math.log(log_n))
+    return _closed_form(_seven_sixths(conductor), log_n)
 
 
 def theorem2(
@@ -135,7 +140,7 @@ def theorem2(
             worst *= 1.0 - 1.0 / f["p"]
     _finite(analytic)
     intermediate = power / (7150.0 * log_n2) * worst
-    closed = theorem2_closed_form(conductor)
+    closed = _closed_form(power, math.log(conductor))
     return {
         "analytic": analytic,
         "intermediate": intermediate,

@@ -9,6 +9,11 @@ Subcommands:
 bound takes each record's n2 from its own "n2" field.  verify-lemmas
 certifies at n2 = 142; the test suite covers the range [142, 10**300].
 
+bound writes each line that ``build_report`` returns as it stands, and
+exits 1 when a record's known degree is below one of its certified
+bounds; invariants and verify-lemmas --json write their documents with
+``dumps_report``.
+
 Exit codes: 0 success, 1 certification or consistency failure,
 2 input error or an output that cannot be written.
 
@@ -82,15 +87,13 @@ def cmd_bound(args: argparse.Namespace) -> int:
                         # parse_record names its field (a malformed line
                         # fails again, with the same error)
                         obj = json.loads(line, parse_int=_json_int)
-                    record = parse_record(obj)
-                    report = build_report(record)
-                    text = dumps_report(report)
+                    text, consistency_ok = build_report(parse_record(obj))
                 # UnicodeDecodeError included; json.loads raises RecursionError
                 # on deep nesting
                 except (ValueError, ArithmeticError, RecursionError) as exc:
                     sink.write(json.dumps({"line": line_no, "error": str(exc)}) + "\n")
                     continue
-                any_inconsistent |= report["consistency_ok"] is False
+                any_inconsistent |= consistency_ok is False
                 sink.write(text + "\n")
             sink.flush()  # a closed stdout fails here, inside the try, not at exit
     except OSError as exc:  # opening, reading or writing, also part-way through

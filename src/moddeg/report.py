@@ -29,19 +29,26 @@ and "deg_phi" are too long, as for a digit string, and "a", "label",
 contract ignores is ignored whatever it holds, so a long integer there
 leaves the record's report as it would be without it.
 
-``build_report`` and ``invariants_document`` return their documents in
-wire form: each real rounded once to 12 significant digits, and each
-integer above 2^53 in absolute value, which a double-based JSON reader
-would round, as a decimal string.  Every verdict ("ok", "chain_ok",
-"consistency_ok") is decided on the values before rounding.
-``dumps_report`` is then a plain ``json.dumps``.
+Both documents are in wire form: each real rounded once to 12
+significant digits, and each integer above 2^53 in absolute value, which
+a double-based JSON reader would round, as a decimal string.  Every
+verdict ("ok", "chain_ok", "consistency_ok") is decided on the values
+before rounding.  ``build_report`` returns ``(line, consistency_ok)``:
+the report's JSON text, written by one template in key order with each
+real formatted once by ``_real_text``, and its verdict, which ``bound``
+needs for its exit code; a library caller reads the document as
+``json.loads(line)``.  ``invariants_document`` returns its document as a
+dict, and ``dumps_report``, a plain ``json.dumps``, writes it and the
+``verify-lemmas --json`` document.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii
 
 from .agm import lemma1_check, period_data
 from .bounds import (
@@ -205,11 +212,6 @@ def _integer(n: int) -> int | str:
     return str(n) if abs(n) > _MAX_EXACT_JSON_INT else n
 
 
-def _reals(block: dict[str, float]) -> dict[str, float]:
-    """A block of reals, each rounded by ``_real``."""
-    return {name: _real(value) for name, value in block.items()}
-
-
 # A document is a fresh tree without cycles, so the encoder skips that check.
 _encode = json.JSONEncoder(check_circular=False).encode
 
@@ -217,6 +219,40 @@ _encode = json.JSONEncoder(check_circular=False).encode
 def dumps_report(report: dict[str, object]) -> str:
     """report, already in wire form, as one line of JSON: ``json.dumps``."""
     return _encode(report)
+
+
+_LITERAL = {None: "null", True: "true", False: "false"}
+
+
+def _real_text(x: float) -> str:
+    """The JSON text of ``_real(x)``, as ``json.dumps`` writes it, from one
+    format: %.12g has at most DBL_DIG = 15 digits, so repr of the rounded
+    double has the same digits and differs only where repr switches to
+    exponents at 1e16, not 1e12, and for subnormals, inf and nan."""
+    text = f"{x:.12g}"
+    if "e" in text:
+        if not (text[-4:-1] == "e+1" and text[-1] in "2345" or abs(x) < sys.float_info.min):
+            return text
+    elif "." in text:
+        return text
+    elif text[-1] not in "fn":  # not inf, -inf or nan
+        return text + ".0"
+    return json.dumps(float(text))
+
+
+def _integer_text(n: int) -> str:
+    """The JSON text of ``_integer(n)`` for an int n."""
+    return str(n) if -_MAX_EXACT_JSON_INT <= n <= _MAX_EXACT_JSON_INT else f'"{n}"'
+
+
+def _fudge_text(block: dict[str, object]) -> str:
+    """A ``fudge_factor_for`` block as JSON text; squared_primes gives
+    p <= 10^10.5, so p is written as it is."""
+    epsilon = block["epsilon"]
+    return (
+        f'{{"p": {block["p"]}, "epsilon": {"null" if epsilon is None else epsilon}, '
+        f'"u_inverse_at_1": {_real_text(block["u_inverse_at_1"])}, "determined": {_LITERAL[block["determined"]]}}}'
+    )
 
 
 def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, object]:
@@ -244,8 +280,9 @@ def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, object]:
     }
 
 
-def build_report(record: CurveRecord) -> dict[str, object]:
-    """Full degree-bound report for one record, in wire form."""
+def build_report(record: CurveRecord) -> tuple[str, bool | None]:
+    """Full degree-bound report for one record: its JSON text in wire form,
+    and its "consistency_ok" verdict, judged on the values before rounding."""
     inv = derive_invariants(CurveModel(*record.a))
     roots = two_torsion_roots(inv)
     period = period_data(inv, roots)
@@ -296,33 +333,27 @@ def build_report(record: CurveRecord) -> dict[str, object]:
     if record.deg_phi is not None:
         consistency_ok = all(b <= record.deg_phi for b in certified)
 
-    return {
-        "label": record.label,
-        "conductor": _integer(n),
-        "n2": {"value": _integer(n2), "source": n2_source},
-        "conductor_provenance": "supplied",
-        "semistable": {"declared": record.semistable, "squarefree": squarefree},
-        "twist_minimal": record.twist_minimal,
-        "cm": is_cm(inv),
-        "disc": _integer(inv.disc),
-        "abs_disc": _integer(inv.abs_disc),
-        "omega": _real(period.omega),
-        "inv_omega": _real(period.inv_omega),
-        "case_tag": period.case_tag,
-        "lemma1": {"rhs": _real(check.bound), "margin": _real(check.value - check.bound), "ok": check.passed},
-        # squared_primes gives p <= 10^10.5, so only the real needs rounding
-        "fudge": [{**f, "u_inverse_at_1": _real(f["u_inverse_at_1"])} for f in fudge],
-        "l_value_lower": _real(l_lower),
-        "formula_bound": _real(formula),
-        "theorem1": {**_reals(th1), "applicable": squarefree},
-        "theorem2": {
-            "analytic": _real(th2["analytic"]),
-            "intermediate": _real(th2["intermediate"]),
-            "closed_form": _real(th2["closed_form"]),
-            "chain_ok": th2["chain_ok"],
-        },
-        "linear": _reals(lin),
-        "known_degree": None if record.deg_phi is None else _integer(record.deg_phi),
-        "consistency_ok": consistency_ok,
-        "warnings": warnings,
-    }
+    label = "null" if record.label is None else encode_basestring_ascii(record.label)
+    known_degree = "null" if record.deg_phi is None else _integer_text(record.deg_phi)
+    line = (
+        f'{{"label": {label}, "conductor": {_integer_text(n)}, '
+        f'"n2": {{"value": {_integer_text(n2)}, "source": "{n2_source}"}}, "conductor_provenance": "supplied", '
+        f'"semistable": {{"declared": {_LITERAL[record.semistable]}, "squarefree": {_LITERAL[squarefree]}}}, '
+        f'"twist_minimal": {_LITERAL[record.twist_minimal]}, "cm": {_LITERAL[is_cm(inv)]}, '
+        f'"disc": {_integer_text(inv.disc)}, "abs_disc": {_integer_text(inv.abs_disc)}, '
+        f'"omega": {_real_text(period.omega)}, "inv_omega": {_real_text(period.inv_omega)}, '
+        f'"case_tag": "{period.case_tag}", '
+        f'"lemma1": {{"rhs": {_real_text(check.bound)}, "margin": {_real_text(check.value - check.bound)}, '
+        f'"ok": {_LITERAL[check.passed]}}}, '
+        f'"fudge": [{", ".join(map(_fudge_text, fudge))}], '
+        f'"l_value_lower": {_real_text(l_lower)}, "formula_bound": {_real_text(formula)}, '
+        f'"theorem1": {{"analytic": {_real_text(th1["analytic"])}, "closed_form": {_real_text(th1["closed_form"])}, '
+        f'"applicable": {_LITERAL[squarefree]}}}, '
+        f'"theorem2": {{"analytic": {_real_text(th2["analytic"])}, "intermediate": {_real_text(th2["intermediate"])}, '
+        f'"closed_form": {_real_text(th2["closed_form"])}, "chain_ok": {_LITERAL[th2["chain_ok"]]}}}, '
+        f'"linear": {{"abramovich": {_real_text(lin["abramovich"])}, '
+        f'"abramovich_selberg": {_real_text(lin["abramovich_selberg"])}}}, '
+        f'"known_degree": {known_degree}, "consistency_ok": {_LITERAL[consistency_ok]}, '
+        f'"warnings": [{", ".join(map(encode_basestring_ascii, warnings))}]}}'
+    )
+    return line, consistency_ok

@@ -2,6 +2,7 @@
 pass/fail line (run with -s to see them).  Tolerances are pinned here and
 nowhere else."""
 
+import json
 import math
 
 from moddeg import (
@@ -239,7 +240,9 @@ def test_criterion_9_bound_consistency_on_dataset():
     ordering_bad = []
     full_chain_checked = 0
     for record in records:
-        report = build_report(record)
+        line, consistency_ok = build_report(record)
+        report = json.loads(line)
+        assert report["consistency_ok"] is consistency_ok
         if record.deg_phi is not None and report["consistency_ok"] is not True:
             consistency_bad.append(record.label)
         t2 = report["theorem2"]

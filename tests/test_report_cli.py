@@ -28,7 +28,7 @@ from moddeg.curves import (
     squared_primes,
 )
 from moddeg.lvalue import lemma4_certify
-from moddeg.report import _shown, build_report, dumps_report, invariants_document, parse_record
+from moddeg.report import _shown, build_report, invariants_document, parse_record
 from moddeg.zerofree import (
     MAX_CERTIFIED_N2,
     MIN_CERTIFIED_N2,
@@ -41,6 +41,12 @@ from test_golden import DATASET, child_env, run_cli
 
 TESTS = Path(__file__).parent
 DEMOS = TESTS.parent / "demos"
+
+
+def report_of(record) -> dict:
+    """record's report, read back from the line that build_report writes."""
+    line, _ = build_report(record)
+    return json.loads(line)
 
 
 def _large_n_shapes(count: int, seed: int = 1) -> list[int]:
@@ -589,7 +595,7 @@ class TestInvariantsDocument:
 class TestBuildReport:
     def test_37a1(self):
         record = parse_record({"label": "37a1", "a": [0, 0, 1, -1, 0], "conductor": 37, "deg_phi": 2})
-        report = build_report(record)
+        report = report_of(record)
         assert report["n2"] == {"value": 1369, "source": "fallback_N_squared"}
         assert report["consistency_ok"] is True
         assert report["lemma1"]["ok"] is True
@@ -598,24 +604,24 @@ class TestBuildReport:
 
     def test_linear_bounds_are_the_certified_two(self, monkeypatch):
         record = parse_record({"a": [0, 0, 1, -1, 0], "conductor": 37, "deg_phi": 2})
-        report = build_report(record)
+        report = report_of(record)
         assert set(report["linear"]) == {"abramovich", "abramovich_selberg"}
         assert report["consistency_ok"] is True
         # each of the two, alone above the known degree, fails the check
         for key in report["linear"]:
             values = {"abramovich": 0.0, "abramovich_selberg": 0.0, key: 3.0}
             monkeypatch.setattr("moddeg.report.linear_bounds", lambda n: values)
-            assert build_report(record)["consistency_ok"] is False, key
+            assert report_of(record)["consistency_ok"] is False, key
 
     def test_n2_supplied(self):
         record = parse_record({"a": [0, 1, 1, -2, 0], "conductor": 389, "n2": 151321})
-        report = build_report(record)
+        report = report_of(record)
         assert report["n2"]["source"] == "supplied"
 
     @pytest.mark.parametrize("n2", [2, pytest.param(MAX_CERTIFIED_N2, id="10**300")])
     def test_record_n2_from_two_to_the_certified_maximum(self, n2):
         record = parse_record({"a": [0, 0, 1, -1, 0], "conductor": 37, "n2": str(n2)})
-        doc = json.loads(dumps_report(build_report(record)))
+        doc = report_of(record)
         assert doc["n2"] == {"value": n2 if n2 <= 2**53 else str(n2), "source": "supplied"}
 
     @pytest.mark.parametrize(
@@ -635,14 +641,14 @@ class TestBuildReport:
     def test_fallback_n2_at_and_above_the_certified_maximum(self):
         # N = 10**150 gives N^2 = 10**300, the certified maximum; N = 1001 *
         # 10**147 gives N^2 above it, and N^2 = 10**300 + 1 has no integer N
-        report = build_report(parse_record({"a": [0, 0, 1, -1, 0], "conductor": 10**150}))
+        report = report_of(parse_record({"a": [0, 0, 1, -1, 0], "conductor": 10**150}))
         assert report["n2"] == {"value": str(MAX_CERTIFIED_N2), "source": "fallback_N_squared"}
         assert all(math.isfinite(x) for x in report["theorem2"].values())
         n = 1001 * 10**147
         with pytest.raises(ValueError, match='^"n2" \\(the fallback N\\^2\\) of 997 bits is above'):
             build_report(parse_record({"a": [0, 0, 1, -1, 0], "conductor": n}))
         record = parse_record({"a": [0, 0, 1, -1, 0], "conductor": n, "n2": MAX_CERTIFIED_N2})
-        assert build_report(record)["n2"] == {"value": str(MAX_CERTIFIED_N2), "source": "supplied"}
+        assert report_of(record)["n2"] == {"value": str(MAX_CERTIFIED_N2), "source": "supplied"}
 
     def test_semistable_mismatch(self):
         record = parse_record({"a": [0, 0, 1, -1, 0], "conductor": 36, "semistable": True})
@@ -653,8 +659,7 @@ class TestBuildReport:
         record = parse_record(
             {"a": [0, 0, 0, -10000, 1], "conductor": 999999999989, "semistable": True}
         )
-        text = dumps_report(build_report(record))
-        doc = json.loads(text)
+        doc = report_of(record)
         # n2 = N^2 > 2^53 must ship as a decimal string
         assert doc["n2"]["value"] == str(999999999989**2)
         assert doc["conductor"] == 999999999989
@@ -663,7 +668,7 @@ class TestBuildReport:
         record = parse_record(
             {"label": "syn", "a": [0, 0, 0, -1, 1], "conductor": 25000, "semistable": False}
         )
-        report = build_report(record)
+        report = report_of(record)
         assert report["formula_bound"] > 0
         assert report["theorem1"]["analytic"] > 0 and report["theorem1"]["closed_form"] > 0
         for key in ("analytic", "intermediate", "closed_form"):
@@ -684,11 +689,11 @@ class TestBuildReport:
         record = parse_record(
             {"a": [0, -1, 0, 68967, -99159], "conductor": 42287, "semistable": False}
         )
-        assert build_report(record)["theorem2"]["chain_ok"] is True
+        assert report_of(record)["theorem2"]["chain_ok"] is True
 
     def test_all_reals_finite(self):
         record = parse_record({"label": "49a1", "a": [1, -1, 0, -2, -1], "conductor": 49, "deg_phi": 1})
-        doc = json.loads(dumps_report(build_report(record)))
+        doc = report_of(record)
 
         def walk(value):
             if isinstance(value, float):
@@ -808,7 +813,7 @@ class TestCliInvariants:
         doc = invariants_document((0, 0, 0, a4, a6))
         assert doc["lemma1_ok"] is True
         assert all(math.isfinite(doc[key]) for key in ("omega", "real_period", "imag_part", "inv_omega"))
-        report = build_report(parse_record({"a": [0, 0, 0, a4, a6], "conductor": 37}))
+        report = report_of(parse_record({"a": [0, 0, 0, a4, a6], "conductor": 37}))
         assert report["lemma1"]["ok"] is True
 
     def test_malformed_a(self):

@@ -1,20 +1,27 @@
 """The wire format is applied where documents are assembled.
 
-``build_report``, ``invariants_document`` and the ``verify-lemmas --json``
-document round each real to 12 significant digits and write each integer
-above 2^53 as a decimal string as they build their blocks.  The oracle is
+``invariants_document`` and the ``verify-lemmas --json`` document round
+each real to 12 significant digits and write each integer above 2^53 as
+a decimal string as they build their blocks; ``build_report`` writes its
+report's JSON text directly, each real by ``_real_text``.  The oracle is
 the recursive walk that once did this at serialization, frozen here: it
-must leave every document unchanged, so a value added later without its
-rounding fails here even where no golden reaches it.
+must leave every document, and every report read back from its text,
+unchanged, so a value added later without its rounding fails here even
+where no golden reaches it.
 """
 
 import json
+import math
 import random
+import struct
+import sys
 
 import pytest
 
 import moddeg.cli
-from moddeg.report import build_report, dumps_report, invariants_document, parse_record
+from moddeg.report import _real_text, build_report, dumps_report, invariants_document, parse_record
+
+from test_golden import DATASET, GOLDEN
 
 TWO_53 = 2**53
 
@@ -40,6 +47,15 @@ def assert_wire_ready(doc: dict[str, object]) -> None:
     assert walked == doc
     assert json.dumps(walked) == json.dumps(doc)
     assert dumps_report(doc) == json.dumps(walked)
+
+
+def report_document(record: dict) -> dict[str, object]:
+    """The report of record read back from its line, which must be the
+    line ``json.dumps`` writes for what it holds."""
+    line, _ = build_report(parse_record(record))
+    doc = json.loads(line)
+    assert json.dumps(doc) == line
+    return doc
 
 
 def _random_records(count: int, seed: int = 30) -> list[dict]:
@@ -84,7 +100,7 @@ def test_seeded_reports_are_wire_ready():
     checked = 0
     for record in _random_records(300):
         try:
-            doc = build_report(parse_record(record))
+            doc = report_document(record)
         except ValueError:  # a singular model
             continue
         assert_wire_ready(doc)
@@ -94,17 +110,17 @@ def test_seeded_reports_are_wire_ready():
 
 @pytest.mark.parametrize("record", _EDGE_RECORDS)
 def test_edge_report_is_wire_ready(record):
-    assert_wire_ready(build_report(parse_record(record)))
+    assert_wire_ready(report_document(record))
 
 
 def test_integers_past_2_to_the_53_are_strings():
-    at, past = (build_report(parse_record(record)) for record in _EDGE_RECORDS[:2])
+    at, past = (report_document(record) for record in _EDGE_RECORDS[:2])
     assert (at["conductor"], at["n2"]["value"], at["known_degree"]) == (TWO_53, str(TWO_53 + 1), TWO_53)
     assert (past["conductor"], past["n2"]["value"], past["known_degree"]) == (str(TWO_53 + 1), TWO_53, str(TWO_53 + 1))
 
 
 def test_fudge_blocks_of_every_residue():
-    doc = build_report(parse_record(_EDGE_RECORDS[4]))
+    doc = report_document(_EDGE_RECORDS[4])
     assert [f["p"] for f in doc["fudge"]] == [2, 3, 5, 7, 11, 13]
     assert [f["epsilon"] for f in doc["fudge"]] == [1, 1, 1, 1, -1, 1]
     assert [f["u_inverse_at_1"] for f in doc["fudge"]] == [0.5, 0.666666666667, 0.8, 0.857142857143, 1.09090909091, 0.923076923077]
@@ -120,7 +136,7 @@ def test_invariants_document_is_wire_ready(a):
 
 @pytest.mark.parametrize("a", _LARGEST_MODELS)
 def test_largest_models_report_is_wire_ready(a):
-    assert_wire_ready(build_report(parse_record({"a": list(a), "conductor": 37})))
+    assert_wire_ready(report_document({"a": list(a), "conductor": 37}))
 
 
 def test_verify_lemmas_document_is_wire_ready(monkeypatch, capsys):
@@ -137,12 +153,67 @@ def test_verify_lemmas_document_is_wire_ready(monkeypatch, capsys):
     assert capsys.readouterr().out == dumps_report(doc) + "\n"
 
 
-def test_consistency_is_judged_before_rounding(monkeypatch):
+def test_consistency_is_judged_before_rounding(monkeypatch, tmp_path, capsys):
     # a linear bound 1e-13 above the known degree rounds to it: the raw
-    # value fails the check, and the report prints the rounded one
-    record = parse_record({"a": [0, 0, 1, -1, 0], "conductor": 37, "deg_phi": 3})
+    # value fails the check, and the report prints the rounded one, in
+    # the library and through bound, whose exit code is the verdict's
+    record = {"a": [0, 0, 1, -1, 0], "conductor": 37, "deg_phi": 3}
     values = {"abramovich": 3.0000000000001, "abramovich_selberg": 0.0}
     monkeypatch.setattr("moddeg.report.linear_bounds", lambda n: values)
-    doc = build_report(record)
+    line, consistency_ok = build_report(parse_record(record))
+    doc = json.loads(line)
     assert doc["linear"]["abramovich"] == 3.0
-    assert doc["consistency_ok"] is False
+    assert doc["consistency_ok"] is False and consistency_ok is False
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(record) + "\n")
+    assert moddeg.cli.main(["bound", "--input", str(src), "--output", "-"]) == 1
+    out = capsys.readouterr().out
+    assert out == line + "\n"
+    assert '"abramovich": 3.0,' in out and '"consistency_ok": false,' in out
+
+
+def test_bound_writes_reports_without_the_generic_encoder(monkeypatch, tmp_path):
+    # each report line comes from build_report's template alone
+    def refuse(doc):
+        raise AssertionError("bound called dumps_report")
+
+    monkeypatch.setattr(moddeg.cli, "dumps_report", refuse)
+    dst = tmp_path / "out.jsonl"
+    assert moddeg.cli.main(["bound", "--input", str(DATASET), "--output", str(dst)]) == 0
+    assert dst.read_bytes() == (GOLDEN / "bound_curves.golden.jsonl").read_bytes()
+
+
+def _seeded_doubles(count: int, seed: int = 37) -> list[float]:
+    """count doubles of random sign, biased exponent (0 to 2047, so
+    subnormals, inf and nan included) and mantissa bits."""
+    rng = random.Random(seed)
+    return [
+        struct.unpack("<d", struct.pack("<Q", rng.getrandbits(1) << 63 | rng.randrange(2048) << 52 | rng.getrandbits(52)))[0]
+        for _ in range(count)
+    ]
+
+
+def _edge_doubles() -> list[float]:
+    """The exponent boundaries of %.12g (1e12) and repr (1e16) with their
+    neighbours and the values that round onto them, integer-valued reals,
+    signed zeros, the extremes of the normal and subnormal ranges, inf and
+    nan."""
+    edges = [0.0, -0.0, 1.0, -1.0, 3.0, 123456.0, 2.0**53, 1e-4, 1e-5, 9.9999999999995e-5]
+    for x in (1e12, 1e13, 1e15, 1e16, 1e17, 999999999999.5, 9999999999999995.0):
+        edges += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    tiny = sys.float_info.min
+    edges += [tiny, math.nextafter(tiny, 0.0), math.nextafter(0.0, 1.0), 5e-324, sys.float_info.max]
+    edges += [math.inf, math.nan]
+    return edges + [-x for x in edges]
+
+
+@pytest.mark.parametrize("source", ["seeded", "edges"])
+def test_real_text_is_the_rounded_double_as_json_writes_it(source):
+    doubles = _seeded_doubles(100_000) if source == "seeded" else _edge_doubles()
+    for x in doubles:
+        assert _real_text(x) == json.dumps(float(f"{x:.12g}")), repr(x)
+    if source == "seeded":
+        # each band where the text is not %.12g as it stands is met
+        assert sum(1e12 <= abs(x) < 1e16 for x in doubles) > 100
+        assert sum(0.0 < abs(x) < sys.float_info.min for x in doubles) > 10
+        assert sum(math.isnan(x) for x in doubles) > 10
