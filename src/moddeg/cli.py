@@ -11,8 +11,8 @@ certifies at n2 = 142; the test suite covers the range [142, 10**300].
 
 bound writes each line that ``build_report`` returns as it stands, and
 exits 1 when a record's known degree is below one of its certified
-bounds; invariants and verify-lemmas --json write their documents with
-``dumps_report``.
+bounds.  Every other JSON text (the invariants and verify-lemmas --json
+documents, bound's error objects) is ``dumps_report`` of raw values.
 
 Exit codes: 0 success, 1 certification or consistency failure,
 2 input error or an output that cannot be written.
@@ -38,7 +38,7 @@ from . import __version__
 from .agm import lemma1_constants
 from .bounds import crossover_check
 from .lvalue import lemma4_certify
-from .report import _json_int, _real, a_field, build_report, dumps_report, invariants_document, parse_record
+from .report import _json_int, a_field, build_report, dumps_report, invariants_document, parse_record
 from .zerofree import (
     MIN_CERTIFIED_N2,
     Waypoint,
@@ -91,7 +91,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 # UnicodeDecodeError included; json.loads raises RecursionError
                 # on deep nesting
                 except (ValueError, ArithmeticError, RecursionError) as exc:
-                    sink.write(json.dumps({"line": line_no, "error": str(exc)}) + "\n")
+                    sink.write(dumps_report({"line": line_no, "error": str(exc)}) + "\n")
                     continue
                 any_inconsistent |= consistency_ok is False
                 sink.write(text + "\n")
@@ -138,7 +138,7 @@ def _print_or_fail(text: str) -> bool:
 
 
 def _verification_rows(n2: int) -> list[dict[str, object]]:
-    """Every verify-lemmas row: a Waypoint and its verdict, as a dict."""
+    """Every verify-lemmas row, for the table and --json: a Waypoint's fields and its verdict."""
     waypoints = (
         *lemma1_constants(),
         *certify_noncm(n2),
@@ -148,25 +148,14 @@ def _verification_rows(n2: int) -> list[dict[str, object]]:
         Waypoint("zeta3.beta_star", quintic_beta_optimum(), "abs_diff<=", (2.629152166, 1e-8)),
         Waypoint("theorem2.crossover_log_n", crossover_check(), "in", (86.0, 87.5)),
     )
-    return [{"name": w.name, "value": w.value, "op": w.op, "bound": w.bound, "pass": w.passed} for w in waypoints]
-
-
-def _wire_row(row: dict[str, object]) -> dict[str, object]:
-    """A verify-lemmas row as the JSON document writes it: its value and
-    bound rounded by the report's rule, its verdict as judged before."""
-    bound = row["bound"]
-    return {
-        **row,
-        "value": _real(row["value"]),
-        "bound": [_real(b) for b in bound] if isinstance(bound, tuple) else _real(bound),
-    }
+    return [{**w._asdict(), "pass": w.passed} for w in waypoints]
 
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     rows = _verification_rows(MIN_CERTIFIED_N2)
     all_pass = all(row["pass"] for row in rows)
     if args.json:
-        text = dumps_report({"n2": MIN_CERTIFIED_N2, "waypoints": [_wire_row(row) for row in rows], "pass": all_pass})
+        text = dumps_report({"n2": MIN_CERTIFIED_N2, "waypoints": rows, "pass": all_pass})
     else:
         width = max(len(row["name"]) for row in rows)
         lines = []

@@ -29,17 +29,16 @@ and "deg_phi" are too long, as for a digit string, and "a", "label",
 contract ignores is ignored whatever it holds, so a long integer there
 leaves the record's report as it would be without it.
 
-Both documents are in wire form: each real rounded once to 12
+Every document is in wire form: each real rounded once to 12
 significant digits, and each integer above 2^53 in absolute value, which
 a double-based JSON reader would round, as a decimal string.  Every
-verdict ("ok", "chain_ok", "consistency_ok") is decided on the values
-before rounding.  ``build_report`` returns ``(line, consistency_ok)``:
-the report's JSON text, written by one template in key order with each
-real formatted once by ``_real_text``, and its verdict, which ``bound``
-needs for its exit code; a library caller reads the document as
-``json.loads(line)``.  ``invariants_document`` returns its document as a
-dict, and ``dumps_report``, a plain ``json.dumps``, writes it and the
-``verify-lemmas --json`` document.
+verdict ("ok", "chain_ok", "consistency_ok", "pass") is decided on the
+values before rounding.  ``build_report`` returns ``(line,
+consistency_ok)``: the report's JSON text, written by one template in
+key order, and its verdict, which ``bound`` needs for its exit code; a
+library caller reads the document as ``json.loads(line)``.
+``dumps_report`` writes any other document of raw values, such as
+``invariants_document``'s, by the template's own leaf writers.
 """
 
 from __future__ import annotations
@@ -201,34 +200,14 @@ def parse_record(obj: object) -> CurveRecord:
     )
 
 
-def _real(x: float) -> float:
-    """x rounded to the 12 significant digits of the wire format."""
-    return float(f"{x:.12g}")
-
-
-def _integer(n: int) -> int | str:
-    """n as the wire format writes it: a decimal string above 2^53 in
-    absolute value, else n itself (a bool included)."""
-    return str(n) if abs(n) > _MAX_EXACT_JSON_INT else n
-
-
-# A document is a fresh tree without cycles, so the encoder skips that check.
-_encode = json.JSONEncoder(check_circular=False).encode
-
-
-def dumps_report(report: dict[str, object]) -> str:
-    """report, already in wire form, as one line of JSON: ``json.dumps``."""
-    return _encode(report)
-
-
 _LITERAL = {None: "null", True: "true", False: "false"}
 
 
 def _real_text(x: float) -> str:
-    """The JSON text of ``_real(x)``, as ``json.dumps`` writes it, from one
-    format: %.12g has at most DBL_DIG = 15 digits, so repr of the rounded
-    double has the same digits and differs only where repr switches to
-    exponents at 1e16, not 1e12, and for subnormals, inf and nan."""
+    """x rounded to 12 significant digits, as ``json.dumps`` writes it,
+    from one format of at most DBL_DIG = 15 digits: repr of the rounded
+    double differs from it only where repr switches to exponents at 1e16,
+    not 1e12, and for subnormals, inf and nan."""
     text = f"{x:.12g}"
     if "e" in text:
         if not (text[-4:-1] == "e+1" and text[-1] in "2345" or abs(x) < sys.float_info.min):
@@ -241,8 +220,32 @@ def _real_text(x: float) -> str:
 
 
 def _integer_text(n: int) -> str:
-    """The JSON text of ``_integer(n)`` for an int n."""
+    """The JSON text of an int n: a decimal string above 2^53 in absolute
+    value, which a double-based reader would round, else n itself."""
     return str(n) if -_MAX_EXACT_JSON_INT <= n <= _MAX_EXACT_JSON_INT else f'"{n}"'
+
+
+def _json_text(value: object) -> str:
+    """The JSON text of a document value in wire form, each leaf by the
+    writer the report template uses."""
+    if value is None or value is True or value is False:
+        return _LITERAL[value]
+    if isinstance(value, float):
+        return _real_text(value)
+    if isinstance(value, int):
+        return _integer_text(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        members = (f"{encode_basestring_ascii(k)}: {_json_text(v)}" for k, v in value.items())
+        return f"{{{', '.join(members)}}}"
+    return f"[{', '.join(map(_json_text, value))}]"  # a list or tuple
+
+
+def dumps_report(doc: dict[str, object]) -> str:
+    """doc, a document of raw values with string keys, as one line of JSON
+    in wire form."""
+    return _json_text(doc)
 
 
 def _fudge_text(block: dict[str, object]) -> str:
@@ -256,7 +259,7 @@ def _fudge_text(block: dict[str, object]) -> str:
 
 
 def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, object]:
-    """Document for the `invariants` command, in wire form: invariants,
+    """Document for the `invariants` command, of raw values: invariants,
     roots, periods, and the Lemma 1 check."""
     inv = derive_invariants(CurveModel(*a))
     roots = two_torsion_roots(inv)
@@ -264,18 +267,18 @@ def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, object]:
     check = lemma1_check(inv, period)
     root_names = ("e1", "e2", "e3") if inv.disc_positive else ("r", "z", "r_tilde")
     return {
-        "a": [_integer(x) for x in a],
-        **{name: _integer(value) for name, value in zip(inv._fields, inv)},
+        "a": list(a),
+        **inv._asdict(),
         "is_cm": is_cm(inv),
         "case_tag": period.case_tag,
-        "roots": {name: _real(getattr(roots, name)) for name in root_names},
-        "omega": _real(period.omega),
-        "real_period": _real(period.real_period),
-        "imag_part": _real(period.imag_part),
-        "inv_omega": _real(period.inv_omega),
-        "t_or_c": _real(period.t_or_c),
-        "lemma1_rhs": _real(check.bound),
-        "lemma1_margin": _real(check.value - check.bound),
+        "roots": {name: getattr(roots, name) for name in root_names},
+        "omega": period.omega,
+        "real_period": period.real_period,
+        "imag_part": period.imag_part,
+        "inv_omega": period.inv_omega,
+        "t_or_c": period.t_or_c,
+        "lemma1_rhs": check.bound,
+        "lemma1_margin": check.value - check.bound,
         "lemma1_ok": check.passed,
     }
 

@@ -677,19 +677,30 @@ class TestBuildReport:
         assert not report["warnings"]
         assert report["consistency_ok"] is None
 
-    # only the failing link may satisfy the xfail: the record's N does not
-    # divide its discriminant, and a refusal of that would fail the test
+    # Two records with 7^2 | N: 42287 = 7^2 * 863 with a model whose
+    # discriminant N does not divide, and 499163 = 7^2 * 10187 with the
+    # twist by -7 of [0, -1, 1, -6, -6] (disc -10187 = -61 * 167), a
+    # consistent curve.  Only the failing link may satisfy the xfail: a
+    # refusal of the first record's N would raise ValueError, which fails
+    # the test, and the second record is not refused for it.
+    SEVEN_SQUARED = [
+        {"a": [0, -1, 0, 68967, -99159], "conductor": 42287, "semistable": False},
+        {"a": [0, 0, 0, -402192, 125208720], "conductor": 499163, "semistable": False},
+    ]
+
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
         reason="known fault: with 7^2 | N and the N^2 fallback the intermediate bound "
         "(factor 6/7) falls below the closed form for 20000 <= N up to about 7.4e5",
     )
-    def test_theorem2_chain_with_seven_squared(self):
-        record = parse_record(
-            {"a": [0, -1, 0, 68967, -99159], "conductor": 42287, "semistable": False}
-        )
-        assert report_of(record)["theorem2"]["chain_ok"] is True
+    @pytest.mark.parametrize("record", SEVEN_SQUARED, ids=["N-not-dividing-disc", "consistent-twist"])
+    def test_theorem2_chain_with_seven_squared(self, record):
+        assert report_of(parse_record(record))["theorem2"]["chain_ok"] is True
+
+    def test_seven_squared_twist_is_consistent(self):
+        record = self.SEVEN_SQUARED[1]
+        assert invariants_document(tuple(record["a"]))["disc"] % record["conductor"] == 0
 
     def test_all_reals_finite(self):
         record = parse_record({"label": "49a1", "a": [1, -1, 0, -2, -1], "conductor": 49, "deg_phi": 1})

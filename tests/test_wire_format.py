@@ -1,13 +1,15 @@
-"""The wire format is applied where documents are assembled.
+"""The wire format, checked against a frozen oracle.
 
-``invariants_document`` and the ``verify-lemmas --json`` document round
-each real to 12 significant digits and write each integer above 2^53 as
-a decimal string as they build their blocks; ``build_report`` writes its
-report's JSON text directly, each real by ``_real_text``.  The oracle is
-the recursive walk that once did this at serialization, frozen here: it
-must leave every document, and every report read back from its text,
-unchanged, so a value added later without its rounding fails here even
-where no golden reaches it.
+Every document moddeg writes rounds each real to 12 significant digits
+and writes each integer above 2^53 as a decimal string.
+``build_report`` writes its report's JSON text by one template, and
+``dumps_report`` writes every other document (``invariants``,
+``verify-lemmas --json`` and ``bound``'s error objects) from raw values,
+both by the same leaf writers.  The oracle is the recursive walk that
+once rounded documents before ``json.dumps`` wrote them, frozen here:
+a report read back from its line must be left unchanged by it, and
+``dumps_report`` of any document must be ``json.dumps`` of its walk, so
+a value written past the rule fails here even where no golden reaches it.
 """
 
 import json
@@ -47,6 +49,15 @@ def assert_wire_ready(doc: dict[str, object]) -> None:
     assert walked == doc
     assert json.dumps(walked) == json.dumps(doc)
     assert dumps_report(doc) == json.dumps(walked)
+
+
+def assert_written_in_wire_form(doc: object) -> str:
+    """dumps_report's text for a document of raw values: json.dumps of
+    the document rounded by the oracle, which reads back as that."""
+    text = dumps_report(doc)
+    assert text == json.dumps(frozen_wire(doc))
+    assert json.loads(text) == frozen_wire(doc)
+    return text
 
 
 def report_document(record: dict) -> dict[str, object]:
@@ -128,10 +139,9 @@ def test_fudge_blocks_of_every_residue():
 
 @pytest.mark.parametrize("a", [tuple(r["a"]) for r in _EDGE_RECORDS[2:4]] + _LARGEST_MODELS + [(0, 0, 1, -1, 0)])
 def test_invariants_document_is_wire_ready(a):
-    doc = invariants_document(a)
-    assert_wire_ready(doc)
+    text = assert_written_in_wire_form(invariants_document(a))
     _, _, _, a4, a6 = a
-    assert isinstance(doc["disc"], str) == (16 * abs(4 * a4**3 + 27 * a6**2) > TWO_53)
+    assert isinstance(json.loads(text)["disc"], str) == (16 * abs(4 * a4**3 + 27 * a6**2) > TWO_53)
 
 
 @pytest.mark.parametrize("a", _LARGEST_MODELS)
@@ -149,8 +159,8 @@ def test_verify_lemmas_document_is_wire_ready(monkeypatch, capsys):
     monkeypatch.setattr(moddeg.cli, "dumps_report", capture)
     assert moddeg.cli.main(["verify-lemmas", "--json"]) == 0
     (doc,) = documents
-    assert_wire_ready(doc)
-    assert capsys.readouterr().out == dumps_report(doc) + "\n"
+    text = assert_written_in_wire_form(doc)
+    assert capsys.readouterr().out == text + "\n"
 
 
 def test_consistency_is_judged_before_rounding(monkeypatch, tmp_path, capsys):
@@ -217,3 +227,38 @@ def test_real_text_is_the_rounded_double_as_json_writes_it(source):
         assert sum(1e12 <= abs(x) < 1e16 for x in doubles) > 100
         assert sum(0.0 < abs(x) < sys.float_info.min for x in doubles) > 10
         assert sum(math.isnan(x) for x in doubles) > 10
+
+
+# Integers on either side of 2^53, where the wire format turns to strings.
+_EDGE_INTS = [0, 1, -1, TWO_53 - 1, TWO_53, TWO_53 + 1, -TWO_53, -TWO_53 - 1, -TWO_53 + 1, 10**40, -(10**40)]
+# Plain, escaped, control, non-ASCII, astral and lone-surrogate characters.
+_CHARACTERS = 'aZ0 "\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u03c9\u2028\ufeff\U0001f600\ud800\udfff'
+
+
+def _random_document(rng: random.Random, doubles: list[float], depth: int = 0) -> object:
+    """A seeded value of the kinds a document holds: a dict with string
+    keys, list or tuple down to depth 4, and otherwise a real, an int, a
+    bool, None or a string."""
+    kind = rng.randrange(8 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice(doubles)
+    if kind == 1:
+        return rng.choice(_EDGE_INTS) + rng.choice([0, 0, rng.randint(-1000, 1000)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind in (3, 4):
+        return "".join(rng.choices(_CHARACTERS, k=rng.randrange(6)))
+    items = [_random_document(rng, doubles, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 5:
+        return {"".join(rng.choices(_CHARACTERS, k=rng.randrange(4))): item for item in items}
+    return items if kind == 6 else tuple(items)
+
+
+def test_dumps_report_is_json_dumps_of_the_rounded_document():
+    rng = random.Random(38)
+    doubles = _seeded_doubles(2000) + _edge_doubles()
+    documents = [{"doubles": doubles, "ints": _EDGE_INTS, "characters": list(_CHARACTERS), "empty": [{}, [], ()]}]
+    documents += [{str(i): _random_document(rng, doubles) for i in range(rng.randrange(1, 6))} for _ in range(2000)]
+    for doc in documents:
+        # nan != nan, so the text alone is compared
+        assert dumps_report(doc) == json.dumps(frozen_wire(doc)), doc
