@@ -30,6 +30,13 @@ exact discriminant, so no root difference below cancels.  Lemma 1 uses
 the certification layer's ``Waypoint``: ``lemma1_check`` returns one, and
 ``lemma1_constants`` the two named "lemma1.case_pos_constant" and
 "lemma1.case_neg_constant".
+
+``area_pos_disc``, ``area_neg_disc``, ``period_data`` and ``lemma1_check``
+take the named tuples of ``curves`` and build theirs by position around
+private kernels of plain floats (``_area_pos``, ``_area_neg``,
+``_lemma1_rhs``, with the ">=" rule of ``Waypoint.passed`` as
+``_lemma1_holds``).  ``moddeg.report.build_report`` calls those kernels
+directly, so a report checks and wraps each value once.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .curves import Invariants, RootData
-from .zerofree import Waypoint
+from .curves import Invariants, RootData, _root_gaps
+from .zerofree import _PASS_RULE, Waypoint
 
 __all__ = [
     "AGM_TOL",
@@ -99,21 +106,19 @@ def area_pos_disc(r_tilde: float, z: float) -> PeriodData:
     3|r_tilde|/2 -+ z, none formed by cancellation.  By AGM homogeneity,
     1/Omega is the closed form of the module docstring with t = d12/d13.
     """
+    return PeriodData._make(_area_pos(r_tilde, z))
+
+
+def _area_pos(r_tilde: float, z: float) -> tuple[float, float, float, float, str, float]:
+    """The fields of ``area_pos_disc``, in ``PeriodData``'s order."""
     if not 0.0 < z < 1.5 * abs(r_tilde):
         raise ValueError("three real roots need 0 < z < 3|r_tilde|/2")
-    near, far = 1.5 * abs(r_tilde) - z, 1.5 * abs(r_tilde) + z
+    near, far = _root_gaps(r_tilde, z)
     d12, d13, d23 = (near, far, 2.0 * z) if r_tilde > 0.0 else (2.0 * z, far, near)
     real_period = math.pi / agm(math.sqrt(d12), math.sqrt(d13))
     imag_part = math.pi / agm(math.sqrt(d23), math.sqrt(d13))
     omega = real_period * imag_part
-    return PeriodData(
-        omega=omega,
-        real_period=real_period,
-        imag_part=imag_part,
-        inv_omega=1.0 / omega,
-        case_tag="pos_disc",
-        t_or_c=d12 / d13,
-    )
+    return omega, real_period, imag_part, 1.0 / omega, "pos_disc", d12 / d13
 
 
 def area_neg_disc(r_tilde: float, z: float, b_sq: float) -> PeriodData:
@@ -126,6 +131,11 @@ def area_neg_disc(r_tilde: float, z: float, b_sq: float) -> PeriodData:
     construction of the roots, 1/Omega is the closed form of the module
     docstring.
     """
+    return PeriodData._make(_area_neg(r_tilde, z, b_sq))
+
+
+def _area_neg(r_tilde: float, z: float, b_sq: float) -> tuple[float, float, float, float, str, float]:
+    """The fields of ``area_neg_disc``, in ``PeriodData``'s order."""
     c = r_tilde / z
     # (2B +- A)/(4B) = 1/2 +- 3c/sqrt(16+36c^2); the branch that vanishes
     # as |c| grows is rationalized, and both periods are scaled out of the
@@ -146,14 +156,7 @@ def area_neg_disc(r_tilde: float, z: float, b_sq: float) -> PeriodData:
     # imaginary part pi / agm(2 sqrt(B), sqrt(2B-A))
     imag_part = math.pi / (2.0 * sqrt_b * agm_minus)
     omega = real_period * imag_part
-    return PeriodData(
-        omega=omega,
-        real_period=real_period,
-        imag_part=imag_part,
-        inv_omega=1.0 / omega,
-        case_tag="neg_disc",
-        t_or_c=c,
-    )
+    return omega, real_period, imag_part, 1.0 / omega, "neg_disc", c
 
 
 def period_data(inv: Invariants, roots: RootData) -> PeriodData:
@@ -183,5 +186,14 @@ def lemma1_constants() -> tuple[Waypoint, Waypoint]:
 def lemma1_check(inv: Invariants, period: PeriodData) -> Waypoint:
     """The waypoint 1/Omega >= D^(1/6)/14.045 for the model with these
     invariants and period data."""
-    rhs = inv.abs_disc ** (1.0 / 6.0) / AREA_BOUND_DENOMINATOR
-    return Waypoint("lemma1", period.inv_omega, ">=", rhs)
+    return Waypoint("lemma1", period.inv_omega, _LEMMA1_OP, _lemma1_rhs(inv.abs_disc))
+
+
+# Lemma 1's op, and the comparison Waypoint.passed makes for it.
+_LEMMA1_OP = ">="
+_lemma1_holds = _PASS_RULE[_LEMMA1_OP]
+
+
+def _lemma1_rhs(abs_disc: int) -> float:
+    """D^(1/6)/14.045, the bound of ``lemma1_check`` for D = abs_disc."""
+    return abs_disc ** (1.0 / 6.0) / AREA_BOUND_DENOMINATOR

@@ -15,6 +15,15 @@ The conductor is always an input, never computed; reports downstream
 carry a ``"conductor_provenance": "supplied"`` field.  Models are used exactly as
 given (no re-minimalization): every derived quantity, in particular the
 discriminant feeding the area bound, belongs to the supplied model.
+
+Each value is checked once.  ``derive_invariants`` takes a ``CurveModel``,
+which checks its fields when it is built, and ``two_torsion_roots`` its
+``Invariants``; each calls a private kernel of plain numbers.
+``_invariants`` builds ``Invariants`` by position, and ``_isolated_root``
+returns the floats r_tilde, B^2 and z, which ``two_torsion_roots`` wraps
+by position in ``RootData``.  ``moddeg.report.build_report`` calls the
+same kernels on the a-invariants ``parse_record`` has checked, with no
+``CurveModel`` between.
 """
 
 from __future__ import annotations
@@ -136,7 +145,12 @@ class RootData(namedtuple("RootData", "r r_tilde b_sq z e1 e2 e3", defaults=(Non
 
 def derive_invariants(curve: CurveModel) -> Invariants:
     """Compute b2, b4, b6, b8, c4, c6, disc and the j-invariant exactly."""
-    a1, a2, a3, a4, a6 = curve.a_invariants
+    return _invariants(*curve.a_invariants)
+
+
+def _invariants(a1: int, a2: int, a3: int, a4: int, a6: int) -> Invariants:
+    """``derive_invariants`` of the model with these a-invariants, taken
+    as ints without a check."""
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -149,19 +163,7 @@ def derive_invariants(curve: CurveModel) -> Invariants:
     c4_cubed = c4**3
     # j = c4^3/disc in lowest terms, the sign carried by the numerator
     g = math.gcd(c4_cubed, disc) if disc > 0 else -math.gcd(c4_cubed, disc)
-    return Invariants(
-        b2=b2,
-        b4=b4,
-        b6=b6,
-        b8=b8,
-        c4=c4,
-        c6=c6,
-        disc=disc,
-        abs_disc=abs(disc),
-        disc_positive=disc > 0,
-        j_num=c4_cubed // g,
-        j_den=disc // g,
-    )
+    return Invariants(b2, b4, b6, b8, c4, c6, disc, abs(disc), disc > 0, c4_cubed // g, disc // g)
 
 
 _DOUBLE_MAX = int(sys.float_info.max)
@@ -198,39 +200,53 @@ def two_torsion_roots(inv: Invariants) -> RootData:
     A model for which a float formed here or in Lemma 1 would leave double
     range is refused with ValueError.
     """
+    r_tilde, b_sq, z = _isolated_root(inv.b2, inv.b4, inv.b6, inv.c4, inv.c6, inv.abs_disc, inv.disc_positive)
+    r = r_tilde - inv.b2 / 12.0
+    if not inv.disc_positive:
+        return RootData(r, r_tilde, b_sq, z)
+    near, far = _root_gaps(r_tilde, z)
+    if r_tilde > 0.0:
+        return RootData(r, r_tilde, b_sq, z, r, r - near, r - far)
+    return RootData(r, r_tilde, b_sq, z, r + far, r + near, r)
+
+
+def _isolated_root(
+    b2: int, b4: int, b6: int, c4: int, c6: int, abs_disc: int, disc_positive: bool
+) -> tuple[float, float, float]:
+    """r_tilde, B^2 and z of ``two_torsion_roots`` for a model with these
+    invariants, or its refusal of a model too large for doubles."""
     # Refuse the model, in exact integers, before a float leaves double
     # range: each integer converted here or in Lemma 1 (|disc|, b2, b4, b6
     # and c6; c4 follows), p*m = -2 (-p)^(3/2) / sqrt(3) with p and m below
     # for three real roots, and for one real root (q/2)^2 = (c6/1728)^2,
     # which keeps c = r_tilde/z of agm.area_neg_disc in double range.
-    if inv.disc_positive:
-        too_large = 4 * inv.c4**3 > _C4_CUBED_LIMIT
+    if disc_positive:
+        too_large = 4 * c4**3 > _C4_CUBED_LIMIT
     else:
-        too_large = inv.c6**2 > _C6_SQUARED_LIMIT
-    if too_large or max(inv.abs_disc, abs(inv.b2), abs(inv.b4), abs(inv.b6), abs(inv.c6)) > _DOUBLE_MAX:
+        too_large = c6**2 > _C6_SQUARED_LIMIT
+    if too_large or max(abs_disc, abs(b2), abs(b4), abs(b6), abs(c6)) > _DOUBLE_MAX:
         raise ValueError('"a" gives a model too large for double precision')
-    p = -inv.c4 / 48.0
-    q = -inv.c6 / 864.0
-    if inv.disc_positive:
+    p = -c4 / 48.0
+    q = -c6 / 864.0
+    if disc_positive:
         # Three real roots m cos((phi - 2 pi k)/3); disc > 0 forces p < 0.
         m = 2.0 * math.sqrt(-p / 3.0)
         phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m))))
         y = max((m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3)), key=abs)
     else:
         # Cardano y = u - p/(3u), taking the cube root that does not cancel.
-        w = -q / 2.0 - math.copysign(math.sqrt(inv.abs_disc / 1728), q)
+        w = -q / 2.0 - math.copysign(math.sqrt(abs_disc / 1728), q)
         u = math.copysign(abs(w) ** (1.0 / 3.0), w)
         y = u - p / (3.0 * u)
     r_tilde = _newton_polish(p, q, y)
-    r = r_tilde - inv.b2 / 12.0
     b_sq = 3.0 * r_tilde * r_tilde + p
-    z = math.sqrt(inv.abs_disc) / (8.0 * b_sq)
-    if not inv.disc_positive:
-        return RootData(r=r, r_tilde=r_tilde, b_sq=b_sq, z=z)
-    near, far = 1.5 * abs(r_tilde) - z, 1.5 * abs(r_tilde) + z
-    if r_tilde > 0.0:
-        return RootData(r=r, r_tilde=r_tilde, b_sq=b_sq, z=z, e1=r, e2=r - near, e3=r - far)
-    return RootData(r=r, r_tilde=r_tilde, b_sq=b_sq, z=z, e1=r + far, e2=r + near, e3=r)
+    return r_tilde, b_sq, math.sqrt(abs_disc) / (8.0 * b_sq)
+
+
+def _root_gaps(r_tilde: float, z: float) -> tuple[float, float]:
+    """For disc > 0, the distances 3|r_tilde|/2 -+ z from the isolated
+    root to its nearer and its farther neighbour."""
+    return 1.5 * abs(r_tilde) - z, 1.5 * abs(r_tilde) + z
 
 
 def _trial_divide(n: int, limit: int) -> tuple[dict[int, int], int]:

@@ -13,6 +13,14 @@ strings of ASCII digits, never booleans; "twist_minimal" is a boolean
 null.  ``parse_record`` is the one place that holds this contract, and
 a record's "n2" is the only source of its n2.
 
+``parse_record`` checks each field once.  ``build_report`` takes the
+checked record as it is: it runs the model layers through the private
+kernels of plain numbers behind ``derive_invariants``,
+``two_torsion_roots``, ``period_data`` and ``lemma1_check``.  Those
+public functions take checked named tuples (a ``CurveModel`` checks its
+fields when built) and call the same kernels, so a report builds no
+``CurveModel`` and checks "a" no second time.
+
 ``build_report`` holds one range rule before it looks for squared
 primes: an n2 above 10**300, supplied or the fallback N^2, is refused
 naming "n2", and a conductor above 10**257, or with N/Omega above
@@ -49,7 +57,7 @@ import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
-from .agm import lemma1_check, period_data
+from .agm import _area_neg, _area_pos, _lemma1_holds, _lemma1_rhs, lemma1_check, period_data
 from .bounds import (
     CONDUCTOR_THRESHOLD,
     degree_formula_bound,
@@ -57,7 +65,15 @@ from .bounds import (
     theorem1,
     theorem2,
 )
-from .curves import CurveModel, derive_invariants, is_cm, squared_primes, two_torsion_roots
+from .curves import (
+    CurveModel,
+    _invariants,
+    _isolated_root,
+    derive_invariants,
+    is_cm,
+    squared_primes,
+    two_torsion_roots,
+)
 from .fudge import fudge_factor_for
 from .lvalue import L_VALUE_BOUND_NUMERATOR
 from .zerofree import MAX_CERTIFIED_N2, MIN_CERTIFIED_N2
@@ -286,10 +302,14 @@ def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, object]:
 def build_report(record: CurveRecord) -> tuple[str, bool | None]:
     """Full degree-bound report for one record: its JSON text in wire form,
     and its "consistency_ok" verdict, judged on the values before rounding."""
-    inv = derive_invariants(CurveModel(*record.a))
-    roots = two_torsion_roots(inv)
-    period = period_data(inv, roots)
-    check = lemma1_check(inv, period)
+    # the model layers by the kernels behind derive_invariants,
+    # two_torsion_roots, period_data and lemma1_check: parse_record has
+    # checked "a", and no value is wrapped or checked a second time
+    inv = _invariants(*record.a)
+    b2, b4, b6, _, c4, c6, disc, abs_disc, disc_positive, _, _ = inv
+    r_tilde, b_sq, z = _isolated_root(b2, b4, b6, c4, c6, abs_disc, disc_positive)
+    omega, _, _, inv_omega, case_tag, _ = _area_pos(r_tilde, z) if disc_positive else _area_neg(r_tilde, z, b_sq)
+    lemma1_rhs = _lemma1_rhs(abs_disc)
     n = record.conductor
 
     n2, n2_source = (n * n, "fallback_N_squared") if record.n2 is None else (record.n2, "supplied")
@@ -298,7 +318,7 @@ def build_report(record: CurveRecord) -> tuple[str, bool | None]:
     if n2 > MAX_CERTIFIED_N2:
         fallback = " (the fallback N^2)" if record.n2 is None else ""
         raise ValueError(f'"n2"{fallback} of {n2.bit_length()} bits is above the certified maximum 10**300')
-    if n > _MAX_CONDUCTOR or n * period.inv_omega > _MAX_BOUND:
+    if n > _MAX_CONDUCTOR or n * inv_omega > _MAX_BOUND:
         raise ValueError(
             f'"conductor" of {n.bit_length()} bits is refused: the bounds are doubles, '
             "and need N^(7/6) and N/Omega below 10^300"
@@ -323,9 +343,9 @@ def build_report(record: CurveRecord) -> tuple[str, bool | None]:
         fudge_factor_for(inv, p, n, twist_minimal=record.twist_minimal) for p in square_ps
     ]
     l_lower = L_VALUE_BOUND_NUMERATOR / math.log(n2)
-    formula = degree_formula_bound(n, period.omega, l_lower, [f["u_inverse_at_1"] for f in fudge])
-    th1 = theorem1(n, period.omega)
-    th2 = theorem2(n, n2, period.omega, fudge)
+    formula = degree_formula_bound(n, omega, l_lower, [f["u_inverse_at_1"] for f in fudge])
+    th1 = theorem1(n, omega)
+    th2 = theorem2(n, n2, omega, fudge)
     lin = linear_bounds(n)
 
     certified = [formula, th2["analytic"], th2["intermediate"], th2["closed_form"]]
@@ -343,11 +363,11 @@ def build_report(record: CurveRecord) -> tuple[str, bool | None]:
         f'"n2": {{"value": {_integer_text(n2)}, "source": "{n2_source}"}}, "conductor_provenance": "supplied", '
         f'"semistable": {{"declared": {_LITERAL[record.semistable]}, "squarefree": {_LITERAL[squarefree]}}}, '
         f'"twist_minimal": {_LITERAL[record.twist_minimal]}, "cm": {_LITERAL[is_cm(inv)]}, '
-        f'"disc": {_integer_text(inv.disc)}, "abs_disc": {_integer_text(inv.abs_disc)}, '
-        f'"omega": {_real_text(period.omega)}, "inv_omega": {_real_text(period.inv_omega)}, '
-        f'"case_tag": "{period.case_tag}", '
-        f'"lemma1": {{"rhs": {_real_text(check.bound)}, "margin": {_real_text(check.value - check.bound)}, '
-        f'"ok": {_LITERAL[check.passed]}}}, '
+        f'"disc": {_integer_text(disc)}, "abs_disc": {_integer_text(abs_disc)}, '
+        f'"omega": {_real_text(omega)}, "inv_omega": {_real_text(inv_omega)}, '
+        f'"case_tag": "{case_tag}", '
+        f'"lemma1": {{"rhs": {_real_text(lemma1_rhs)}, "margin": {_real_text(inv_omega - lemma1_rhs)}, '
+        f'"ok": {_LITERAL[_lemma1_holds(inv_omega, lemma1_rhs)]}}}, '
         f'"fudge": [{", ".join(map(_fudge_text, fudge))}], '
         f'"l_value_lower": {_real_text(l_lower)}, "formula_bound": {_real_text(formula)}, '
         f'"theorem1": {{"analytic": {_real_text(th1["analytic"])}, "closed_form": {_real_text(th1["closed_form"])}, '

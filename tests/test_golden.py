@@ -1,4 +1,4 @@
-"""The six golden outputs, each compared byte for byte by one test.
+"""The seven golden outputs, each compared byte for byte by one test.
 
 This module imports only the standard library, pytest and moddeg, and
 no conftest, so ``pytest --noconftest tests/test_golden.py`` also runs
@@ -61,6 +61,19 @@ class TestGolden:
         dst = tmp_path / "out.jsonl"
         assert main(["bound", "--input", str(GOLDEN / "bound_branches.jsonl"), "--output", str(dst)]) == 0
         assert dst.read_bytes() == (GOLDEN / "bound_branches.golden.jsonl").read_bytes()
+
+    def test_bound_on_refusals(self, tmp_path):
+        # one line for each error bound writes in place of a report, in
+        # the order build_report checks: a singular model; a model too
+        # large for doubles with disc > 0 and disc < 0; an n2 above
+        # 10^300, supplied and as the fallback N^2; a conductor above
+        # 10^257, and one with N/Omega above 10^300; a semistable flag
+        # that disagrees with N; a cofactor trial division cannot decide;
+        # a 5000-digit integer; malformed JSON; a label that is a number.
+        # An error line leaves the exit code at 0.
+        dst = tmp_path / "out.jsonl"
+        assert main(["bound", "--input", str(GOLDEN / "bound_refusals.jsonl"), "--output", str(dst)]) == 0
+        assert dst.read_bytes() == (GOLDEN / "bound_refusals.golden.jsonl").read_bytes()
 
     def test_verify_lemmas_json(self):
         proc = run_cli("verify-lemmas", "--json")

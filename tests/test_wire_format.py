@@ -15,12 +15,19 @@ a value written past the rule fails here even where no golden reaches it.
 import json
 import math
 import random
+import re
 import struct
 import sys
 
 import pytest
 
 import moddeg.cli
+import moddeg.curves
+from moddeg.agm import lemma1_check, period_data
+from moddeg.bounds import degree_formula_bound, linear_bounds, theorem1, theorem2
+from moddeg.curves import CurveModel, derive_invariants, is_cm, squared_primes, two_torsion_roots
+from moddeg.fudge import fudge_factor_for
+from moddeg.lvalue import L_VALUE_BOUND_NUMERATOR
 from moddeg.report import _real_text, build_report, dumps_report, invariants_document, parse_record
 
 from test_golden import DATASET, GOLDEN
@@ -193,6 +200,18 @@ def test_bound_writes_reports_without_the_generic_encoder(monkeypatch, tmp_path)
     assert dst.read_bytes() == (GOLDEN / "bound_curves.golden.jsonl").read_bytes()
 
 
+def test_bound_checks_each_record_once(monkeypatch, tmp_path):
+    # parse_record checks a record's fields; build_report takes them as
+    # they are, with no CurveModel to check "a" a second time
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("bound built a CurveModel")
+
+    monkeypatch.setattr(moddeg.curves.CurveModel, "__new__", refuse)
+    dst = tmp_path / "out.jsonl"
+    assert moddeg.cli.main(["bound", "--input", str(DATASET), "--output", str(dst)]) == 0
+    assert dst.read_bytes() == (GOLDEN / "bound_curves.golden.jsonl").read_bytes()
+
+
 def _seeded_doubles(count: int, seed: int = 37) -> list[float]:
     """count doubles of random sign, biased exponent (0 to 2047, so
     subnormals, inf and nan included) and mantissa bits."""
@@ -262,3 +281,92 @@ def test_dumps_report_is_json_dumps_of_the_rounded_document():
     for doc in documents:
         # nan != nan, so the text alone is compared
         assert dumps_report(doc) == json.dumps(frozen_wire(doc)), doc
+
+
+def public_chain_document(obj: dict) -> dict[str, object]:
+    """The report of a record as the public functions give it, step by
+    step: ``derive_invariants`` of a ``CurveModel``, ``two_torsion_roots``,
+    ``period_data``, ``lemma1_check``, then ``squared_primes`` and
+    ``fudge_factor_for`` for each squared prime, then the four bounds.
+    The key order is the report's, and every value is raw."""
+    record = parse_record(obj)
+    inv = derive_invariants(CurveModel(*record.a))
+    roots = two_torsion_roots(inv)
+    period = period_data(inv, roots)
+    check = lemma1_check(inv, period)
+    n = record.conductor
+    n2 = n * n if record.n2 is None else record.n2
+    square_ps = squared_primes(n)
+    squarefree = not square_ps
+    fudge = [fudge_factor_for(inv, p, n, twist_minimal=record.twist_minimal) for p in square_ps]
+    l_lower = L_VALUE_BOUND_NUMERATOR / math.log(n2)
+    formula = degree_formula_bound(n, period.omega, l_lower, [f["u_inverse_at_1"] for f in fudge])
+    th1 = theorem1(n, period.omega)
+    th2 = theorem2(n, n2, period.omega, fudge)
+    lin = linear_bounds(n)
+    consistency_ok = None
+    if record.deg_phi is not None:
+        certified = [formula, th2["analytic"], th2["intermediate"], th2["closed_form"], *lin.values()]
+        if squarefree:
+            certified += th1.values()
+        consistency_ok = max(certified) <= record.deg_phi
+    warnings = []
+    if n < 20000:
+        warnings.append("conductor below certified range (N >= 20000); consult curve tables")
+    if n2 < 142:
+        warnings.append("n2 below the certified minimum 142")
+    if not record.twist_minimal:
+        warnings.append("declared non-twist-minimal; worst-case local factors used")
+    return {
+        "label": record.label,
+        "conductor": n,
+        "n2": {"value": n2, "source": "fallback_N_squared" if record.n2 is None else "supplied"},
+        "conductor_provenance": "supplied",
+        "semistable": {"declared": record.semistable, "squarefree": squarefree},
+        "twist_minimal": record.twist_minimal,
+        "cm": is_cm(inv),
+        "disc": inv.disc,
+        "abs_disc": inv.abs_disc,
+        "omega": period.omega,
+        "inv_omega": period.inv_omega,
+        "case_tag": period.case_tag,
+        "lemma1": {"rhs": check.bound, "margin": check.value - check.bound, "ok": check.passed},
+        "fudge": fudge,
+        "l_value_lower": l_lower,
+        "formula_bound": formula,
+        "theorem1": {**th1, "applicable": squarefree},
+        "theorem2": th2,
+        "linear": lin,
+        "known_degree": record.deg_phi,
+        "consistency_ok": consistency_ok,
+        "warnings": warnings,
+    }
+
+
+def _agreement_records() -> list[dict]:
+    """The seeded records, the edge records, the shipped dataset and the
+    local-factor branches of the golden tests."""
+    branches = (GOLDEN / "bound_branches.jsonl").read_text().splitlines()
+    return [*_random_records(300), *_EDGE_RECORDS, *map(json.loads, DATASET.read_text().splitlines()), *map(json.loads, branches)]
+
+
+def test_reports_agree_with_the_public_functions():
+    # build_report runs the model layers through the kernels behind the
+    # public functions; each field it writes must be what the public
+    # functions give, rounded by the frozen oracle
+    checked = 0
+    for obj in _agreement_records():
+        try:
+            line, consistency_ok = build_report(parse_record(obj))
+        except ValueError as exc:  # a singular model, or a refused conductor
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                public_chain_document(obj)
+            continue
+        expected = frozen_wire(public_chain_document(obj))
+        doc = json.loads(line)
+        assert list(doc) == list(expected)
+        for key, value in expected.items():
+            assert doc[key] == value, (obj, key)
+        assert consistency_ok is expected["consistency_ok"]
+        checked += 1
+    assert checked > 330
