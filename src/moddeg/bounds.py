@@ -24,7 +24,18 @@ theorem1, theorem2 and linear_bounds each return their block of the
 finite double: where N^(7/6) would leave double range the call raises
 ValueError naming conductor, and where N/Omega takes a bound there,
 ValueError naming conductor and omega (``moddeg.report.build_report``
-refuses such records before it calls them).
+refuses such records before it calls them).  An infinite omega, which
+would make every N/Omega bound 0.0, is refused naming omega, and
+theorem2_closed_form refuses an N below 3, or not finite, naming
+conductor.
+
+Each public function checks its arguments and calls a private kernel of
+plain numbers that holds its formula: ``_formula_bound``, ``_theorem1``,
+``_theorem2`` and ``_linear_bounds``, with ``_closed_form`` shared by
+theorem2 and theorem2_closed_form.  The kernels return tuples, and the
+two theorem kernels take log N, log n2, N^(7/6) and N/Omega as
+arguments, so that ``build_report`` computes each of those once per
+report and checks no argument a second time.
 """
 
 from __future__ import annotations
@@ -66,6 +77,14 @@ def _finite(bound: float) -> float:
     return bound
 
 
+def _require_omega(omega: float) -> None:
+    """Refuse an infinite omega, with which every N/Omega bound is 0.0;
+    a nan, zero or negative omega each entry refuses with its own range
+    check."""
+    if omega == math.inf:
+        raise ValueError("omega must be finite, got inf")
+
+
 def degree_formula_bound(
     conductor: int, omega: float, l_value_lower: float, fudge_inverses: Iterable[float] = ()
 ) -> float:
@@ -73,10 +92,17 @@ def degree_formula_bound(
     _require_int("conductor", conductor)
     if conductor <= 0 or not omega > 0.0 or not l_value_lower > 0.0:
         raise ValueError("conductor, omega and the L-value lower bound must be positive")
+    _require_omega(omega)
+    u_inverses = list(fudge_inverses)
+    if not all(u > 0.0 for u in u_inverses):
+        raise ValueError("fudge inverses must be positive")
+    return _formula_bound(conductor, omega, l_value_lower, u_inverses)
+
+
+def _formula_bound(conductor: int, omega: float, l_value_lower: float, u_inverses: list[float]) -> float:
+    """``degree_formula_bound`` of checked arguments."""
     product = 1.0
-    for u in fudge_inverses:
-        if not u > 0.0:
-            raise ValueError("fudge inverses must be positive")
+    for u in u_inverses:
         product *= u
     try:
         bound = conductor / (2.0 * math.pi * omega) * l_value_lower * product
@@ -92,11 +118,16 @@ def theorem1(conductor: int, omega: float) -> dict[str, float]:
     _require_int("conductor", conductor)
     if conductor < 2 or not omega > 0.0:
         raise ValueError("need conductor >= 2 and omega > 0")
-    log_n = math.log(conductor)
+    _require_omega(omega)
     # N^(7/6) first: once it is a double, so is N
-    closed = _seven_sixths(conductor) / (5350.0 * log_n)
-    analytic = _finite(conductor / omega * L_VALUE_BOUND_NUMERATOR / (2.0 * log_n))
+    power = _seven_sixths(conductor)
+    analytic, closed = _theorem1(conductor / omega, power, math.log(conductor))
     return {"analytic": analytic, "closed_form": closed}
+
+
+def _theorem1(n_over_omega: float, power: float, log_n: float) -> tuple[float, float]:
+    """theorem1's analytic and closed_form from N/Omega, N^(7/6) and log N."""
+    return _finite(n_over_omega * L_VALUE_BOUND_NUMERATOR / (2.0 * log_n)), power / (5350.0 * log_n)
 
 
 def _closed_form(power: float, log_n: float) -> float:
@@ -105,9 +136,11 @@ def _closed_form(power: float, log_n: float) -> float:
 
 
 def theorem2_closed_form(conductor: float) -> float:
-    """(N^(7/6)/log N) * (1/10300) / sqrt(0.02 + log log N)."""
-    log_n = math.log(conductor)
-    return _closed_form(_seven_sixths(conductor), log_n)
+    """(N^(7/6)/log N) * (1/10300) / sqrt(0.02 + log log N), for a finite
+    N >= 3, an int or a float, as ``theorem2`` requires of N."""
+    if not 3 <= conductor < math.inf:
+        raise ValueError("need a finite conductor >= 3")
+    return _closed_form(_seven_sixths(conductor), math.log(conductor))
 
 
 def theorem2(
@@ -129,24 +162,38 @@ def theorem2(
     _require_int("n2", n2)
     if conductor < 3 or n2 < 2 or not omega > 0.0:
         raise ValueError("need conductor >= 3, n2 >= 2 and omega > 0")
-    log_n2 = math.log(n2)
+    _require_omega(omega)
     # N^(7/6) first: once it is a double, so is N
     power = _seven_sixths(conductor)
-    analytic = conductor / omega * L_VALUE_BOUND_NUMERATOR / log_n2
-    worst = 1.0
-    for f in fudge_factors:
-        analytic *= f["u_inverse_at_1"]
-        if f["p"] % 3 == 1:
-            worst *= 1.0 - 1.0 / f["p"]
+    fudge_factors = list(fudge_factors)
+    analytic, intermediate, closed, chain_ok = _theorem2(
+        conductor / omega,
+        power,
+        math.log(conductor),
+        math.log(n2),
+        [f["p"] for f in fudge_factors],
+        [f["u_inverse_at_1"] for f in fudge_factors],
+    )
+    return {"analytic": analytic, "intermediate": intermediate, "closed_form": closed, "chain_ok": chain_ok}
+
+
+def _theorem2(
+    n_over_omega: float, power: float, log_n: float, log_n2: float, primes: list[int], u_inverses: list[float]
+) -> tuple[float, float, float, bool]:
+    """theorem2's analytic, intermediate, closed_form and chain_ok from
+    N/Omega, N^(7/6), log N, log n2 and the primes and u_inverse_at_1 of
+    its fudge factors, in the same order."""
+    analytic = n_over_omega * L_VALUE_BOUND_NUMERATOR / log_n2
+    for u in u_inverses:
+        analytic *= u
     _finite(analytic)
+    worst = 1.0
+    for p in primes:
+        if p % 3 == 1:
+            worst *= 1.0 - 1.0 / p
     intermediate = power / (7150.0 * log_n2) * worst
-    closed = _closed_form(power, math.log(conductor))
-    return {
-        "analytic": analytic,
-        "intermediate": intermediate,
-        "closed_form": closed,
-        "chain_ok": analytic >= intermediate >= closed,
-    }
+    closed = _closed_form(power, log_n)
+    return analytic, intermediate, closed, analytic >= intermediate >= closed
 
 
 def linear_bounds(conductor: int) -> dict[str, float]:
@@ -156,13 +203,20 @@ def linear_bounds(conductor: int) -> dict[str, float]:
     _require_int("conductor", conductor)
     if conductor < 1:
         raise ValueError("conductor must be positive")
+    abramovich, selberg = _linear_bounds(conductor)
+    return {"abramovich": abramovich, "abramovich_selberg": selberg}
+
+
+def _linear_bounds(conductor: int) -> tuple[float, float]:
+    """``linear_bounds`` of a checked conductor, as (abramovich,
+    abramovich_selberg)."""
     try:
         abramovich = 7.0 * conductor / 1600.0
     except OverflowError:  # a conductor past the largest double
         abramovich = math.inf
     if not math.isfinite(abramovich):
         raise ValueError("conductor puts the linear bounds past double range")
-    return {"abramovich": abramovich, "abramovich_selberg": conductor / 192.0}
+    return abramovich, conductor / 192.0
 
 
 def crossover_check() -> float:

@@ -12,7 +12,11 @@ Undetermined cases fall back to eps = +1 (the smallest U_p(1)^(-1),
 hence the worst case for a lower bound) and are flagged.  p = 2 and
 p = 3 get dedicated lower bounds.  ``fudge_factor_for`` is the one entry
 point for every p; it returns the factor's block of the ``bound`` report
-as a plain dict.
+as a plain dict.  It checks its arguments, p's primality and p^2 | N
+included, and calls the private kernel ``_fudge``, which holds the rule
+and returns the block's values as a tuple.  ``moddeg.report.build_report``
+calls ``_fudge`` directly on the primes ``squared_primes`` gives, which
+are prime and square-divide N by construction.
 """
 
 from __future__ import annotations
@@ -64,13 +68,18 @@ def fudge_factor_for(inv: Invariants, p: int, conductor: int, twist_minimal: boo
         raise ValueError(f"p = {p} must be prime")
     if conductor % (p * p) != 0:
         raise ValueError(f"U_p only enters at primes with p^2 | N; got p = {p}")
-    if p == 2 and not (conductor % 2**8 == 0 and conductor % 2**9 != 0):
-        eps, determined, u = None, False, 5.0 / 8.0
-    elif p > 3 and not twist_minimal:
-        # The rules assume a global minimal twist; keep the worst case.
-        eps, determined, u = None, False, 1.0 - 1.0 / p
-    else:
-        divisibility = inv.c4 % p == 0 and inv.c4 % (p * p) != 0 and inv.c6 % (p * p) == 0
-        eps, determined = _EPSILON[p % 12][not divisibility]
-        u = 1.0 - eps / p
+    p, eps, u, determined = _fudge(inv.c4, inv.c6, p, conductor, twist_minimal)
     return {"p": p, "epsilon": eps, "u_inverse_at_1": u, "determined": determined}
+
+
+def _fudge(c4: int, c6: int, p: int, conductor: int, twist_minimal: bool) -> tuple[int, int | None, float, bool]:
+    """``fudge_factor_for`` of a prime p with p^2 | N, taken unchecked, as
+    the tuple (p, epsilon, u_inverse_at_1, determined)."""
+    if p == 2 and not (conductor % 2**8 == 0 and conductor % 2**9 != 0):
+        return p, None, 5.0 / 8.0, False
+    if p > 3 and not twist_minimal:
+        # The rules assume a global minimal twist; keep the worst case.
+        return p, None, 1.0 - 1.0 / p, False
+    divisibility = c4 % p == 0 and c4 % (p * p) != 0 and c6 % (p * p) == 0
+    eps, determined = _EPSILON[p % 12][not divisibility]
+    return p, eps, 1.0 - eps / p, determined

@@ -19,7 +19,13 @@ kernels of plain numbers behind ``derive_invariants``,
 ``two_torsion_roots``, ``period_data`` and ``lemma1_check``.  Those
 public functions take checked named tuples (a ``CurveModel`` checks its
 fields when built) and call the same kernels, so a report builds no
-``CurveModel`` and checks "a" no second time.
+``CurveModel`` and checks "a" no second time.  The local factors and
+bounds run the same way: ``fudge._fudge`` for each prime
+``squared_primes`` gives, and ``_bound_values``, which computes log N,
+log n2, N^(7/6) and N/Omega once and passes them to the kernels behind
+``degree_formula_bound``, ``theorem1``, ``theorem2`` and
+``linear_bounds``.  The report builds no dict of theirs and checks the
+conductor, and each squared prime, no second time.
 
 ``build_report`` holds one range rule before it looks for squared
 primes: an n2 above 10**300, supplied or the fallback N^2, is refused
@@ -60,10 +66,11 @@ from json.encoder import encode_basestring_ascii
 from .agm import _area_neg, _area_pos, _lemma1_holds, _lemma1_rhs, lemma1_check, period_data
 from .bounds import (
     CONDUCTOR_THRESHOLD,
-    degree_formula_bound,
-    linear_bounds,
-    theorem1,
-    theorem2,
+    _formula_bound,
+    _linear_bounds,
+    _seven_sixths,
+    _theorem1,
+    _theorem2,
 )
 from .curves import (
     CurveModel,
@@ -74,7 +81,7 @@ from .curves import (
     squared_primes,
     two_torsion_roots,
 )
-from .fudge import fudge_factor_for
+from .fudge import _fudge
 from .lvalue import L_VALUE_BOUND_NUMERATOR
 from .zerofree import MAX_CERTIFIED_N2, MIN_CERTIFIED_N2
 
@@ -264,13 +271,38 @@ def dumps_report(doc: dict[str, object]) -> str:
     return _json_text(doc)
 
 
-def _fudge_text(block: dict[str, object]) -> str:
-    """A ``fudge_factor_for`` block as JSON text; squared_primes gives
-    p <= 10^10.5, so p is written as it is."""
-    epsilon = block["epsilon"]
+def _fudge_text(factor: tuple[int, int | None, float, bool]) -> str:
+    """A fudge factor (p, epsilon, u_inverse_at_1, determined), as
+    ``fudge._fudge`` gives it, as its block's JSON text; squared_primes
+    gives p <= 10^10.5, so p is written as it is."""
+    p, epsilon, u, determined = factor
     return (
-        f'{{"p": {block["p"]}, "epsilon": {"null" if epsilon is None else epsilon}, '
-        f'"u_inverse_at_1": {_real_text(block["u_inverse_at_1"])}, "determined": {_LITERAL[block["determined"]]}}}'
+        f'{{"p": {p}, "epsilon": {"null" if epsilon is None else epsilon}, '
+        f'"u_inverse_at_1": {_real_text(u)}, "determined": {_LITERAL[determined]}}}'
+    )
+
+
+def _bound_values(
+    n: int, n2: int, omega: float, primes: list[int], u_inverses: list[float]
+) -> tuple[float, float, tuple[float, float], tuple[float, float, float, bool], tuple[float, float]]:
+    """The bounds of a report with conductor n, this n2 and omega, and
+    fudge factors at these primes with these u_inverse_at_1: l_value_lower,
+    formula_bound, and the values of the theorem1 (less "applicable"),
+    theorem2 and linear blocks as tuples in key order.  They come from the
+    kernels behind ``degree_formula_bound``, ``theorem1``, ``theorem2``
+    and ``linear_bounds``, which take log N, log n2, N^(7/6) and N/Omega
+    computed here once."""
+    log_n2 = math.log(n2)
+    l_lower = L_VALUE_BOUND_NUMERATOR / log_n2
+    log_n = math.log(n)
+    power = _seven_sixths(n)
+    n_over_omega = n / omega
+    return (
+        l_lower,
+        _formula_bound(n, omega, l_lower, u_inverses),
+        _theorem1(n_over_omega, power, log_n),
+        _theorem2(n_over_omega, power, log_n, log_n2, primes, u_inverses),
+        _linear_bounds(n),
     )
 
 
@@ -339,19 +371,17 @@ def build_report(record: CurveRecord) -> tuple[str, bool | None]:
     if not record.twist_minimal:
         warnings.append("declared non-twist-minimal; worst-case local factors used")
 
-    fudge = [
-        fudge_factor_for(inv, p, n, twist_minimal=record.twist_minimal) for p in square_ps
-    ]
-    l_lower = L_VALUE_BOUND_NUMERATOR / math.log(n2)
-    formula = degree_formula_bound(n, omega, l_lower, [f["u_inverse_at_1"] for f in fudge])
-    th1 = theorem1(n, omega)
-    th2 = theorem2(n, n2, omega, fudge)
-    lin = linear_bounds(n)
+    # the local factors and bounds by the kernels behind fudge_factor_for
+    # and the bounds functions: squared_primes gives primes whose squares
+    # divide N, and parse_record and the range rule have checked N and n2
+    fudge = [_fudge(c4, c6, p, n, record.twist_minimal) for p in square_ps]
+    l_lower, formula, th1, th2, linear = _bound_values(n, n2, omega, square_ps, [u for _, _, u, _ in fudge])
+    th2_analytic, intermediate, th2_closed, chain_ok = th2
 
-    certified = [formula, th2["analytic"], th2["intermediate"], th2["closed_form"]]
+    certified = [formula, th2_analytic, intermediate, th2_closed]
     if squarefree:
-        certified.extend(th1.values())
-    certified.extend(lin.values())
+        certified.extend(th1)
+    certified.extend(linear)
     consistency_ok = None
     if record.deg_phi is not None:
         consistency_ok = all(b <= record.deg_phi for b in certified)
@@ -370,12 +400,11 @@ def build_report(record: CurveRecord) -> tuple[str, bool | None]:
         f'"ok": {_LITERAL[_lemma1_holds(inv_omega, lemma1_rhs)]}}}, '
         f'"fudge": [{", ".join(map(_fudge_text, fudge))}], '
         f'"l_value_lower": {_real_text(l_lower)}, "formula_bound": {_real_text(formula)}, '
-        f'"theorem1": {{"analytic": {_real_text(th1["analytic"])}, "closed_form": {_real_text(th1["closed_form"])}, '
+        f'"theorem1": {{"analytic": {_real_text(th1[0])}, "closed_form": {_real_text(th1[1])}, '
         f'"applicable": {_LITERAL[squarefree]}}}, '
-        f'"theorem2": {{"analytic": {_real_text(th2["analytic"])}, "intermediate": {_real_text(th2["intermediate"])}, '
-        f'"closed_form": {_real_text(th2["closed_form"])}, "chain_ok": {_LITERAL[th2["chain_ok"]]}}}, '
-        f'"linear": {{"abramovich": {_real_text(lin["abramovich"])}, '
-        f'"abramovich_selberg": {_real_text(lin["abramovich_selberg"])}}}, '
+        f'"theorem2": {{"analytic": {_real_text(th2_analytic)}, "intermediate": {_real_text(intermediate)}, '
+        f'"closed_form": {_real_text(th2_closed)}, "chain_ok": {_LITERAL[chain_ok]}}}, '
+        f'"linear": {{"abramovich": {_real_text(linear[0])}, "abramovich_selberg": {_real_text(linear[1])}}}, '
         f'"known_degree": {known_degree}, "consistency_ok": {_LITERAL[consistency_ok]}, '
         f'"warnings": [{", ".join(map(encode_basestring_ascii, warnings))}]}}'
     )

@@ -1,4 +1,7 @@
 import math
+import random
+import re
+import sys
 
 import pytest
 
@@ -10,6 +13,11 @@ from moddeg.bounds import (
     theorem2,
     theorem2_closed_form,
 )
+from moddeg.fudge import _fudge, fudge_factor_for
+from moddeg.lvalue import L_VALUE_BOUND_NUMERATOR
+from moddeg.report import _bound_values
+
+from test_fudge import _inv, seeded_fudge_lists
 
 
 class TestDegreeFormulaBound:
@@ -199,3 +207,85 @@ def test_the_largest_finite_bounds_are_still_returned():
     assert math.isfinite(theorem2(10**260, 10**300, 1.0)["analytic"])
     assert math.isfinite(linear_bounds(10**300)["abramovich"])
     assert math.isfinite(degree_formula_bound(10**300, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("conductor", [2, 0, -5, 2.5, 1, True, 2.999, math.nan, math.inf, -math.inf])
+def test_closed_form_refuses_a_conductor_below_three(conductor):
+    # as theorem2 requires N >= 3: not a bare math domain error, a
+    # ZeroDivisionError (log 1 = 0) or a nan
+    with pytest.raises(ValueError, match="^need a finite conductor >= 3$"):
+        theorem2_closed_form(conductor)
+
+
+def test_closed_form_takes_three_and_the_crossover_floats():
+    assert theorem2_closed_form(3) == theorem2_closed_form(3.0) > 0.0
+    for log_n in (60.0, 86.7, 120.0):
+        assert math.isfinite(theorem2_closed_form(math.exp(log_n)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: degree_formula_bound(37, math.inf, 0.01),
+        lambda: theorem1(37, math.inf),
+        lambda: theorem2(37, 1369, math.inf),
+    ],
+    ids=["degree_formula_bound", "theorem1", "theorem2"],
+)
+def test_infinite_omega_is_refused(call):
+    # N/Omega would make each bound 0.0
+    with pytest.raises(ValueError, match="^omega must be finite, got inf$"):
+        call()
+
+
+def _public_values(n: int, n2: int, omega: float, fudge: list[dict]) -> tuple:
+    """The numbers of a report's bounds as the public functions give them,
+    in the order of ``report._bound_values``."""
+    l_lower = L_VALUE_BOUND_NUMERATOR / math.log(n2)
+    return (
+        l_lower,
+        degree_formula_bound(n, omega, l_lower, [f["u_inverse_at_1"] for f in fudge]),
+        tuple(theorem1(n, omega).values()),
+        tuple(theorem2(n, n2, omega, fudge).values()),
+        tuple(linear_bounds(n).values()),
+    )
+
+
+def _bound_cases() -> list[tuple[int, int, float, int, int, bool, list[int]]]:
+    """Seeded (N, n2, omega, c4, c6, twist_minimal, primes): N from 3 to
+    10^257 with the fudge lists of ``seeded_fudge_lists``, n2 from 2 to
+    10^300 and omega from 10^-100 to 100, each on a log scale; then the
+    edges, N = 3 and 10^257, n2 = 2 and 10^300, and for each N the omega
+    at which N/Omega leaves double range and its neighbours."""
+    rng = random.Random(41)
+    cases = []
+    for c4, c6, n, twist_minimal, primes in seeded_fudge_lists(2000, seed=41):
+        n2 = min(max(int(10 ** rng.uniform(math.log10(2), 300)), 2), 10**300)
+        cases.append((n, n2, 10 ** rng.uniform(-100, 2), c4, c6, twist_minimal, primes))
+    for n, primes in ((3, []), (10**257, []), (10**257, [2, 5])):
+        edge = n / sys.float_info.max
+        for omega in (5e-324, math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0), 14.045, 1e300):
+            cases += [(n, n2, omega, 5, 25, True, primes) for n2 in (2, 10**300)]
+    return cases
+
+
+def test_report_path_agrees_with_the_public_functions():
+    # build_report takes its bounds from _bound_values, which computes log
+    # N, log n2, N^(7/6) and N/Omega once for the kernels behind the public
+    # functions, on fudge factors from the kernel behind fudge_factor_for:
+    # each number, chain_ok included, must be theirs, and each refusal
+    # theirs with its message
+    agreed = refused = 0
+    for n, n2, omega, c4, c6, twist_minimal, primes in _bound_cases():
+        fudge = [fudge_factor_for(_inv(c4, c6), p, n, twist_minimal) for p in primes]
+        u_inverses = [_fudge(c4, c6, p, n, twist_minimal)[2] for p in primes]
+        try:
+            expected = _public_values(n, n2, omega, fudge)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                _bound_values(n, n2, omega, primes, u_inverses)
+            refused += 1
+            continue
+        assert repr(_bound_values(n, n2, omega, primes, u_inverses)) == repr(expected), (n, n2, omega, primes)
+        agreed += 1
+    assert agreed >= 1800 and refused >= 40, (agreed, refused)

@@ -1,10 +1,12 @@
 import math
+import random
 import re
 
 import pytest
 
 from moddeg.curves import Invariants, is_prime
-from moddeg.fudge import fudge_factor_for
+from moddeg.fudge import _fudge, fudge_factor_for
+from moddeg.report import _fudge_text, dumps_report
 
 PSI_13 = 3317044064679887385961981
 
@@ -178,3 +180,69 @@ class TestFallbackConservatism:
             determined = fudge_factor_for(_inv(c4, c6), p, p * p)
             fallback = 1.0 - 1.0 / p
             assert determined["u_inverse_at_1"] >= fallback - 1e-15
+
+
+# The classes of p that the rule tells apart: 2, 3, and 1, 5, 7 and 11 mod 12.
+_RULE_CLASSES = (2, 3, 1, 5, 7, 11)
+
+
+def _rule_class(p: int) -> int:
+    return p if p < 5 else p % 12
+
+
+def seeded_fudge_lists(count: int, seed: int) -> list[tuple[int, int, int, bool, list[int]]]:
+    """count seeded (c4, c6, N, twist_minimal, primes), with N from 3 to
+    10^257: N = m prod p^e over 0 to 4 primes p, each drawn from one of
+    the rule's classes (below 100 or near 10^6), with e >= 2 (e = 8 for
+    p = 2 half the time) and m prime to each p on a log scale.  For each
+    p, c4 and c6 meet the divisibility condition (p || c4 and p^2 | c6)
+    or break one of its clauses, each by chance; twist_minimal is False
+    one time in four."""
+    rng = random.Random(seed)
+    candidates = [p for p in [*range(100), *range(999_900, 1_000_000)] if is_prime(p)]
+    pools = {c: [p for p in candidates if _rule_class(p) == c] for c in _RULE_CLASSES}
+    cases = []
+    while len(cases) < count:
+        primes = sorted({rng.choice(pools[rng.choice(_RULE_CLASSES)]) for _ in range(rng.randint(0, 4))})
+        square = c4 = c6 = 1
+        for p in primes:
+            square *= p ** (8 if p == 2 and rng.random() < 0.5 else rng.randint(2, 9))
+            # (v_p(c4), v_p(c6)): the condition met, then p not dividing
+            # c4, p^2 dividing c4, and p^2 not dividing c6
+            a, b = rng.choice([(1, rng.randint(2, 3)), (0, rng.randint(0, 3)), (rng.randint(2, 3), rng.randint(0, 3)), (1, rng.randint(0, 1))])
+            c4 *= p**a
+            c6 *= p**b
+        units = [int(10 ** rng.uniform(0, math.log10(10**257 // square))), rng.randint(1, 10**6), rng.randint(1, 10**6)]
+        for p in primes:
+            for i, unit in enumerate(units):
+                while unit % p == 0:
+                    unit //= p
+                units[i] = unit
+        n = square * units[0]
+        if 3 <= n <= 10**257:
+            signs = rng.choice((1, -1)), rng.choice((1, -1))
+            cases.append((signs[0] * c4 * units[1], signs[1] * c6 * units[2], n, rng.random() < 0.75, primes))
+    return cases
+
+
+def test_report_path_agrees_with_fudge_factor_for():
+    # build_report takes each local factor from the kernel behind
+    # fudge_factor_for and writes it by _fudge_text: value, type and text
+    # must be what the public function gives, in every branch of the rule
+    seen = set()
+    for c4, c6, n, twist_minimal, primes in seeded_fudge_lists(2000, seed=40):
+        for p in primes:
+            block = fudge_factor_for(_inv(c4, c6), p, n, twist_minimal)
+            factor = _fudge(c4, c6, p, n, twist_minimal)
+            assert repr(factor) == repr(tuple(block.values())), (c4, c6, p, n, twist_minimal)
+            assert _fudge_text(factor) == dumps_report(block)
+            if p == 2:
+                seen.add((2, n % 2**9 == 2**8))
+            elif p > 3:
+                divisibility = c4 % p == 0 and c4 % (p * p) != 0 and c6 % (p * p) == 0
+                seen.add((p % 12, divisibility, twist_minimal))
+            else:
+                seen.add((3,))
+    # p = 2 with and without 2^8 || N, p = 3, and each class of p > 3 with
+    # the condition met and not, in a minimal and a non-minimal twist
+    assert len(seen) == 2 + 1 + 4 * 2 * 2

@@ -607,10 +607,11 @@ class TestBuildReport:
         report = report_of(record)
         assert set(report["linear"]) == {"abramovich", "abramovich_selberg"}
         assert report["consistency_ok"] is True
-        # each of the two, alone above the known degree, fails the check
-        for key in report["linear"]:
-            values = {"abramovich": 0.0, "abramovich_selberg": 0.0, key: 3.0}
-            monkeypatch.setattr("moddeg.report.linear_bounds", lambda n: values)
+        # each of the two, alone above the known degree, fails the check;
+        # build_report takes them from the kernel behind linear_bounds
+        for i, key in enumerate(report["linear"]):
+            values = tuple(3.0 if j == i else 0.0 for j in range(2))
+            monkeypatch.setattr("moddeg.report._linear_bounds", lambda n: values)
             assert report_of(record)["consistency_ok"] is False, key
 
     def test_n2_supplied(self):

@@ -175,8 +175,9 @@ def test_consistency_is_judged_before_rounding(monkeypatch, tmp_path, capsys):
     # value fails the check, and the report prints the rounded one, in
     # the library and through bound, whose exit code is the verdict's
     record = {"a": [0, 0, 1, -1, 0], "conductor": 37, "deg_phi": 3}
-    values = {"abramovich": 3.0000000000001, "abramovich_selberg": 0.0}
-    monkeypatch.setattr("moddeg.report.linear_bounds", lambda n: values)
+    # build_report takes the linear bounds from the kernel behind linear_bounds
+    values = (3.0000000000001, 0.0)
+    monkeypatch.setattr("moddeg.report._linear_bounds", lambda n: values)
     line, consistency_ok = build_report(parse_record(record))
     doc = json.loads(line)
     assert doc["linear"]["abramovich"] == 3.0
@@ -351,9 +352,10 @@ def _agreement_records() -> list[dict]:
 
 
 def test_reports_agree_with_the_public_functions():
-    # build_report runs the model layers through the kernels behind the
-    # public functions; each field it writes must be what the public
-    # functions give, rounded by the frozen oracle
+    # build_report runs the model layers, the local factors and the bounds
+    # through the kernels behind the public functions; each field it
+    # writes must be what the public functions give, rounded by the frozen
+    # oracle
     checked = 0
     for obj in _agreement_records():
         try:
