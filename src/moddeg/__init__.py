@@ -14,8 +14,6 @@ __version__ = "0.1.0"
 # and the function is moddeg.agm.agm.
 from .agm import (
     PeriodData,
-    area_neg_disc,
-    area_pos_disc,
     lemma1_check,
     lemma1_constants,
     period_data,

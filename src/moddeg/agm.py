@@ -31,12 +31,13 @@ the certification layer's ``Waypoint``: ``lemma1_check`` returns one, and
 ``lemma1_constants`` the two named "lemma1.case_pos_constant" and
 "lemma1.case_neg_constant".
 
-``area_pos_disc``, ``area_neg_disc``, ``period_data`` and ``lemma1_check``
-take the named tuples of ``curves`` and build theirs by position around
-private kernels of plain floats (``_area_pos``, ``_area_neg``,
-``_lemma1_rhs``, with the ">=" rule of ``Waypoint.passed`` as
-``_lemma1_holds``).  ``moddeg.report.build_report`` calls those kernels
-directly, so a report checks and wraps each value once.
+``period_data`` and ``lemma1_check`` take the named tuples of ``curves``
+and build theirs by position around private kernels of plain floats,
+one for each discriminant sign.  ``_model_values`` is the model side of
+a report in one call: the invariants, Omega and Lemma 1 of the
+a-invariants ``moddeg.report.build_report`` has checked, from the same
+kernels, with no named tuple but ``Invariants`` built and no value
+checked twice.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .curves import Invariants, RootData, _root_gaps
+from .curves import Invariants, RootData, _invariants, _isolated_root, _root_gaps
 from .zerofree import _PASS_RULE, Waypoint
 
 __all__ = [
@@ -53,8 +54,6 @@ __all__ = [
     "AREA_BOUND_DENOMINATOR",
     "PeriodData",
     "agm",
-    "area_pos_disc",
-    "area_neg_disc",
     "period_data",
     "lemma1_constants",
     "lemma1_check",
@@ -97,20 +96,15 @@ def agm(x: float, y: float) -> float:
     return (a + b) / 2.0
 
 
-def area_pos_disc(r_tilde: float, z: float) -> PeriodData:
-    """Period data from the three-real-root geometry of
-    ``two_torsion_roots``: the isolated root r_tilde of the depressed
-    cubic and the half gap z of the other two.
+def _area_pos(r_tilde: float, z: float) -> tuple[float, float, float, float, str, float]:
+    """``PeriodData``'s fields, in its order, from the three-real-root
+    geometry of ``two_torsion_roots``: the isolated root r_tilde of the
+    depressed cubic and the half gap z of the other two.
 
     The root differences are d12, d13, d23 for e1 > e2 > e3: 2z and
     3|r_tilde|/2 -+ z, none formed by cancellation.  By AGM homogeneity,
     1/Omega is the closed form of the module docstring with t = d12/d13.
     """
-    return PeriodData._make(_area_pos(r_tilde, z))
-
-
-def _area_pos(r_tilde: float, z: float) -> tuple[float, float, float, float, str, float]:
-    """The fields of ``area_pos_disc``, in ``PeriodData``'s order."""
     if not 0.0 < z < 1.5 * abs(r_tilde):
         raise ValueError("three real roots need 0 < z < 3|r_tilde|/2")
     near, far = _root_gaps(r_tilde, z)
@@ -121,9 +115,10 @@ def _area_pos(r_tilde: float, z: float) -> tuple[float, float, float, float, str
     return omega, real_period, imag_part, 1.0 / omega, "pos_disc", d12 / d13
 
 
-def area_neg_disc(r_tilde: float, z: float, b_sq: float) -> PeriodData:
-    """Period data from the one-real-root geometry of ``two_torsion_roots``:
-    r_tilde, the imaginary part z > 0 of the complex pair, and B^2.
+def _area_neg(r_tilde: float, z: float, b_sq: float) -> tuple[float, float, float, float, str, float]:
+    """``PeriodData``'s fields, in its order, from the one-real-root
+    geometry of ``two_torsion_roots``: r_tilde, the imaginary part z > 0
+    of the complex pair, and B^2.
 
     With A = 3 r_tilde (so that 4B^2 - A^2 = 4z^2) the real period is
     2 pi / agm(2 sqrt(B), sqrt(2B+A)) and the imaginary part is
@@ -131,11 +126,6 @@ def area_neg_disc(r_tilde: float, z: float, b_sq: float) -> PeriodData:
     construction of the roots, 1/Omega is the closed form of the module
     docstring.
     """
-    return PeriodData._make(_area_neg(r_tilde, z, b_sq))
-
-
-def _area_neg(r_tilde: float, z: float, b_sq: float) -> tuple[float, float, float, float, str, float]:
-    """The fields of ``area_neg_disc``, in ``PeriodData``'s order."""
     c = r_tilde / z
     # (2B +- A)/(4B) = 1/2 +- 3c/sqrt(16+36c^2); the branch that vanishes
     # as |c| grows is rationalized, and both periods are scaled out of the
@@ -163,8 +153,8 @@ def period_data(inv: Invariants, roots: RootData) -> PeriodData:
     """Period data of the model with these invariants, from the roots
     ``two_torsion_roots(inv)``; dispatches on the discriminant sign."""
     if inv.disc_positive:
-        return area_pos_disc(roots.r_tilde, roots.z)
-    return area_neg_disc(roots.r_tilde, roots.z, roots.b_sq)
+        return PeriodData._make(_area_pos(roots.r_tilde, roots.z))
+    return PeriodData._make(_area_neg(roots.r_tilde, roots.z, roots.b_sq))
 
 
 def lemma1_constants() -> tuple[Waypoint, Waypoint]:
@@ -197,3 +187,17 @@ _lemma1_holds = _PASS_RULE[_LEMMA1_OP]
 def _lemma1_rhs(abs_disc: int) -> float:
     """D^(1/6)/14.045, the bound of ``lemma1_check`` for D = abs_disc."""
     return abs_disc ** (1.0 / 6.0) / AREA_BOUND_DENOMINATOR
+
+
+def _model_values(a1: int, a2: int, a3: int, a4: int, a6: int) -> tuple[Invariants, float, float, str, float, bool]:
+    """The model side of a report for these a-invariants, taken as ints
+    without a check: the ``Invariants``, then omega, inv_omega and
+    case_tag of ``period_data``, and the bound and verdict of
+    ``lemma1_check``, from the kernels behind ``derive_invariants``,
+    ``two_torsion_roots`` and those two."""
+    inv = _invariants(a1, a2, a3, a4, a6)
+    b2, b4, b6, _, c4, c6, _, abs_disc, disc_positive, _, _ = inv
+    r_tilde, b_sq, z = _isolated_root(b2, b4, b6, c4, c6, abs_disc, disc_positive)
+    omega, _, _, inv_omega, case_tag, _ = _area_pos(r_tilde, z) if disc_positive else _area_neg(r_tilde, z, b_sq)
+    rhs = _lemma1_rhs(abs_disc)
+    return inv, omega, inv_omega, case_tag, rhs, _lemma1_holds(inv_omega, rhs)

@@ -25,25 +25,28 @@ finite double: where N^(7/6) would leave double range the call raises
 ValueError naming conductor, and where N/Omega takes a bound there,
 ValueError naming conductor and omega (``moddeg.report.build_report``
 refuses such records before it calls them).  An infinite omega, which
-would make every N/Omega bound 0.0, is refused naming omega, and
-theorem2_closed_form refuses an N below 3, or not finite, naming
-conductor.
+would make every N/Omega bound 0.0, is refused naming omega, an
+infinite L-value lower bound or fudge inverse naming it, a theorem2
+fudge block without an int p >= 2 and a finite u_inverse_at_1 > 0
+naming fudge_factors, and theorem2_closed_form refuses an N below 3, or
+not finite, naming conductor.
 
-Each public function checks its arguments and calls a private kernel of
-plain numbers that holds its formula: ``_formula_bound``, ``_theorem1``,
-``_theorem2`` and ``_linear_bounds``, with ``_closed_form`` shared by
-theorem2 and theorem2_closed_form.  The kernels return tuples, and the
-two theorem kernels take log N, log n2, N^(7/6) and N/Omega as
-arguments, so that ``build_report`` computes each of those once per
-report and checks no argument a second time.
+Each public function checks its arguments and calls a private kernel
+of plain numbers that holds its formula, with ``_closed_form`` shared by
+theorem2 and theorem2_closed_form.  ``_bound_values`` is the L-value
+side of a report in one call: the local factors of ``fudge`` and every
+bound, with log N, log n2, N^(7/6) and N/Omega computed once, for the
+checked record ``moddeg.report.build_report`` gives it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 
 from .curves import _require_int
+from .fudge import _fudge
 from .lvalue import L_VALUE_BOUND_NUMERATOR
 from .specfun import _bisect
 
@@ -90,12 +93,15 @@ def degree_formula_bound(
 ) -> float:
     """Exact-formula lower bound (N/(2 pi Omega)) * L_lower * prod u, c = 1."""
     _require_int("conductor", conductor)
-    if conductor <= 0 or not omega > 0.0 or not l_value_lower > 0.0:
-        raise ValueError("conductor, omega and the L-value lower bound must be positive")
+    # finite: at most the largest double, so an inf or an int past it is refused
+    if conductor <= 0 or not omega > 0.0 or not 0.0 < l_value_lower <= sys.float_info.max:
+        raise ValueError(
+            "conductor, omega and the L-value lower bound must be positive, and the L-value lower bound finite"
+        )
     _require_omega(omega)
     u_inverses = list(fudge_inverses)
-    if not all(u > 0.0 for u in u_inverses):
-        raise ValueError("fudge inverses must be positive")
+    if not all(0.0 < u <= sys.float_info.max for u in u_inverses):
+        raise ValueError("fudge inverses must be positive and finite")
     return _formula_bound(conductor, omega, l_value_lower, u_inverses)
 
 
@@ -151,7 +157,8 @@ def theorem2(
 ) -> dict[str, object]:
     """General chain: analytic, intermediate, closed_form and chain_ok.
 
-    fudge_factors are fudge_factor_for blocks.  analytic uses their
+    fudge_factors are fudge_factor_for blocks; one without an int p >= 2
+    and a finite u_inverse_at_1 > 0 is refused.  analytic uses their
     u_inverse_at_1; intermediate uses the worst-case product of (1 - 1/p)
     over the 1-mod-3 primes among them (the other residue classes are
     absorbed by the 7150 constant and the sixth-power credits
@@ -163,16 +170,22 @@ def theorem2(
     if conductor < 3 or n2 < 2 or not omega > 0.0:
         raise ValueError("need conductor >= 3, n2 >= 2 and omega > 0")
     _require_omega(omega)
+    primes, u_inverses = [], []
+    for i, block in enumerate(fudge_factors):
+        p, u = (block.get("p"), block.get("u_inverse_at_1")) if isinstance(block, dict) else (None, None)
+        p_ok = isinstance(p, int) and not isinstance(p, bool) and p >= 2
+        u_ok = isinstance(u, (int, float)) and not isinstance(u, bool) and 0.0 < u <= sys.float_info.max
+        if not (p_ok and u_ok):
+            raise ValueError(
+                f"fudge_factors[{i}] must be a fudge_factor_for block, with an int p >= 2 "
+                "and a finite u_inverse_at_1 > 0"
+            )
+        primes.append(p)
+        u_inverses.append(u)
     # N^(7/6) first: once it is a double, so is N
     power = _seven_sixths(conductor)
-    fudge_factors = list(fudge_factors)
     analytic, intermediate, closed, chain_ok = _theorem2(
-        conductor / omega,
-        power,
-        math.log(conductor),
-        math.log(n2),
-        [f["p"] for f in fudge_factors],
-        [f["u_inverse_at_1"] for f in fudge_factors],
+        conductor / omega, power, math.log(conductor), math.log(n2), primes, u_inverses
     )
     return {"analytic": analytic, "intermediate": intermediate, "closed_form": closed, "chain_ok": chain_ok}
 
@@ -217,6 +230,35 @@ def _linear_bounds(conductor: int) -> tuple[float, float]:
     if not math.isfinite(abramovich):
         raise ValueError("conductor puts the linear bounds past double range")
     return abramovich, conductor / 192.0
+
+
+def _bound_values(
+    n: int, n2: int, omega: float, c4: int, c6: int, twist_minimal: bool, primes: list[int]
+) -> tuple[
+    list[tuple[int, int | None, float, bool]], float, float,
+    tuple[float, float], tuple[float, float, float, bool], tuple[float, float],
+]:
+    """The L-value side of a report with conductor n, this n2 and omega,
+    for a model with these c4 and c6 and the primes whose squares divide
+    n: the ``_fudge`` tuple of each prime, l_value_lower, formula_bound,
+    and the values of the theorem1 (less "applicable"), theorem2 and
+    linear blocks as tuples in key order.  The arguments are taken as
+    checked; log N, log n2, N^(7/6) and N/Omega are computed here once."""
+    fudge = [_fudge(c4, c6, p, n, twist_minimal) for p in primes]
+    u_inverses = [u for _, _, u, _ in fudge]
+    log_n2 = math.log(n2)
+    l_lower = L_VALUE_BOUND_NUMERATOR / log_n2
+    log_n = math.log(n)
+    power = _seven_sixths(n)
+    n_over_omega = n / omega
+    return (
+        fudge,
+        l_lower,
+        _formula_bound(n, omega, l_lower, u_inverses),
+        _theorem1(n_over_omega, power, log_n),
+        _theorem2(n_over_omega, power, log_n, log_n2, primes, u_inverses),
+        _linear_bounds(n),
+    )
 
 
 def crossover_check() -> float:

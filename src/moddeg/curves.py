@@ -18,12 +18,8 @@ discriminant feeding the area bound, belongs to the supplied model.
 
 Each value is checked once.  ``derive_invariants`` takes a ``CurveModel``,
 which checks its fields when it is built, and ``two_torsion_roots`` its
-``Invariants``; each calls a private kernel of plain numbers.
-``_invariants`` builds ``Invariants`` by position, and ``_isolated_root``
-returns the floats r_tilde, B^2 and z, which ``two_torsion_roots`` wraps
-by position in ``RootData``.  ``moddeg.report.build_report`` calls the
-same kernels on the a-invariants ``parse_record`` has checked, with no
-``CurveModel`` between.
+``Invariants``; each calls a private kernel of plain numbers, which
+``agm._model_values``, the model side of a report, calls as well.
 """
 
 from __future__ import annotations
@@ -219,7 +215,7 @@ def _isolated_root(
     # range: each integer converted here or in Lemma 1 (|disc|, b2, b4, b6
     # and c6; c4 follows), p*m = -2 (-p)^(3/2) / sqrt(3) with p and m below
     # for three real roots, and for one real root (q/2)^2 = (c6/1728)^2,
-    # which keeps c = r_tilde/z of agm.area_neg_disc in double range.
+    # which keeps c = r_tilde/z of agm._area_neg in double range.
     if disc_positive:
         too_large = 4 * c4**3 > _C4_CUBED_LIMIT
     else:

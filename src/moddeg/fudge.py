@@ -14,9 +14,10 @@ p = 3 get dedicated lower bounds.  ``fudge_factor_for`` is the one entry
 point for every p; it returns the factor's block of the ``bound`` report
 as a plain dict.  It checks its arguments, p's primality and p^2 | N
 included, and calls the private kernel ``_fudge``, which holds the rule
-and returns the block's values as a tuple.  ``moddeg.report.build_report``
-calls ``_fudge`` directly on the primes ``squared_primes`` gives, which
-are prime and square-divide N by construction.
+and returns the block's values as a tuple.  ``bounds._bound_values``, the
+L-value side of a report, calls ``_fudge`` on the primes
+``squared_primes`` gives, which are prime and square-divide N by
+construction.
 """
 
 from __future__ import annotations

@@ -13,19 +13,14 @@ strings of ASCII digits, never booleans; "twist_minimal" is a boolean
 null.  ``parse_record`` is the one place that holds this contract, and
 a record's "n2" is the only source of its n2.
 
-``parse_record`` checks each field once.  ``build_report`` takes the
-checked record as it is: it runs the model layers through the private
-kernels of plain numbers behind ``derive_invariants``,
-``two_torsion_roots``, ``period_data`` and ``lemma1_check``.  Those
-public functions take checked named tuples (a ``CurveModel`` checks its
-fields when built) and call the same kernels, so a report builds no
-``CurveModel`` and checks "a" no second time.  The local factors and
-bounds run the same way: ``fudge._fudge`` for each prime
-``squared_primes`` gives, and ``_bound_values``, which computes log N,
-log n2, N^(7/6) and N/Omega once and passes them to the kernels behind
-``degree_formula_bound``, ``theorem1``, ``theorem2`` and
-``linear_bounds``.  The report builds no dict of theirs and checks the
-conductor, and each squared prime, no second time.
+``parse_record`` checks each field once, and ``build_report`` takes the
+checked record as it is.  It makes each side of the degree formula in
+one call: ``agm._model_values`` gives the invariants, Omega and Lemma 1
+of "a", and ``bounds._bound_values`` the local factors and every bound.
+Both run the private kernels of plain numbers behind the public
+functions, which check named tuples or their arguments and call the
+same kernels, so a report builds no ``CurveModel`` or result dict and
+checks no field a second time.
 
 ``build_report`` holds one range rule before it looks for squared
 primes: an n2 above 10**300, supplied or the fallback N^2, is refused
@@ -63,26 +58,9 @@ import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
-from .agm import _area_neg, _area_pos, _lemma1_holds, _lemma1_rhs, lemma1_check, period_data
-from .bounds import (
-    CONDUCTOR_THRESHOLD,
-    _formula_bound,
-    _linear_bounds,
-    _seven_sixths,
-    _theorem1,
-    _theorem2,
-)
-from .curves import (
-    CurveModel,
-    _invariants,
-    _isolated_root,
-    derive_invariants,
-    is_cm,
-    squared_primes,
-    two_torsion_roots,
-)
-from .fudge import _fudge
-from .lvalue import L_VALUE_BOUND_NUMERATOR
+from .agm import _model_values, lemma1_check, period_data
+from .bounds import CONDUCTOR_THRESHOLD, _bound_values
+from .curves import CurveModel, derive_invariants, is_cm, squared_primes, two_torsion_roots
 from .zerofree import MAX_CERTIFIED_N2, MIN_CERTIFIED_N2
 
 __all__ = [
@@ -273,36 +251,12 @@ def dumps_report(doc: dict[str, object]) -> str:
 
 def _fudge_text(factor: tuple[int, int | None, float, bool]) -> str:
     """A fudge factor (p, epsilon, u_inverse_at_1, determined), as
-    ``fudge._fudge`` gives it, as its block's JSON text; squared_primes
+    ``bounds._bound_values`` gives it, as its block's JSON text; squared_primes
     gives p <= 10^10.5, so p is written as it is."""
     p, epsilon, u, determined = factor
     return (
         f'{{"p": {p}, "epsilon": {"null" if epsilon is None else epsilon}, '
         f'"u_inverse_at_1": {_real_text(u)}, "determined": {_LITERAL[determined]}}}'
-    )
-
-
-def _bound_values(
-    n: int, n2: int, omega: float, primes: list[int], u_inverses: list[float]
-) -> tuple[float, float, tuple[float, float], tuple[float, float, float, bool], tuple[float, float]]:
-    """The bounds of a report with conductor n, this n2 and omega, and
-    fudge factors at these primes with these u_inverse_at_1: l_value_lower,
-    formula_bound, and the values of the theorem1 (less "applicable"),
-    theorem2 and linear blocks as tuples in key order.  They come from the
-    kernels behind ``degree_formula_bound``, ``theorem1``, ``theorem2``
-    and ``linear_bounds``, which take log N, log n2, N^(7/6) and N/Omega
-    computed here once."""
-    log_n2 = math.log(n2)
-    l_lower = L_VALUE_BOUND_NUMERATOR / log_n2
-    log_n = math.log(n)
-    power = _seven_sixths(n)
-    n_over_omega = n / omega
-    return (
-        l_lower,
-        _formula_bound(n, omega, l_lower, u_inverses),
-        _theorem1(n_over_omega, power, log_n),
-        _theorem2(n_over_omega, power, log_n, log_n2, primes, u_inverses),
-        _linear_bounds(n),
     )
 
 
@@ -334,14 +288,8 @@ def invariants_document(a: tuple[int, int, int, int, int]) -> dict[str, object]:
 def build_report(record: CurveRecord) -> tuple[str, bool | None]:
     """Full degree-bound report for one record: its JSON text in wire form,
     and its "consistency_ok" verdict, judged on the values before rounding."""
-    # the model layers by the kernels behind derive_invariants,
-    # two_torsion_roots, period_data and lemma1_check: parse_record has
-    # checked "a", and no value is wrapped or checked a second time
-    inv = _invariants(*record.a)
-    b2, b4, b6, _, c4, c6, disc, abs_disc, disc_positive, _, _ = inv
-    r_tilde, b_sq, z = _isolated_root(b2, b4, b6, c4, c6, abs_disc, disc_positive)
-    omega, _, _, inv_omega, case_tag, _ = _area_pos(r_tilde, z) if disc_positive else _area_neg(r_tilde, z, b_sq)
-    lemma1_rhs = _lemma1_rhs(abs_disc)
+    # the model side: parse_record has checked "a"
+    inv, omega, inv_omega, case_tag, lemma1_rhs, lemma1_ok = _model_values(*record.a)
     n = record.conductor
 
     n2, n2_source = (n * n, "fallback_N_squared") if record.n2 is None else (record.n2, "supplied")
@@ -371,11 +319,11 @@ def build_report(record: CurveRecord) -> tuple[str, bool | None]:
     if not record.twist_minimal:
         warnings.append("declared non-twist-minimal; worst-case local factors used")
 
-    # the local factors and bounds by the kernels behind fudge_factor_for
-    # and the bounds functions: squared_primes gives primes whose squares
-    # divide N, and parse_record and the range rule have checked N and n2
-    fudge = [_fudge(c4, c6, p, n, record.twist_minimal) for p in square_ps]
-    l_lower, formula, th1, th2, linear = _bound_values(n, n2, omega, square_ps, [u for _, _, u, _ in fudge])
+    # the L-value side: squared_primes gives primes whose squares divide N,
+    # and parse_record and the range rule have checked N and n2
+    fudge, l_lower, formula, th1, th2, linear = _bound_values(
+        n, n2, omega, inv.c4, inv.c6, record.twist_minimal, square_ps
+    )
     th2_analytic, intermediate, th2_closed, chain_ok = th2
 
     certified = [formula, th2_analytic, intermediate, th2_closed]
@@ -393,11 +341,11 @@ def build_report(record: CurveRecord) -> tuple[str, bool | None]:
         f'"n2": {{"value": {_integer_text(n2)}, "source": "{n2_source}"}}, "conductor_provenance": "supplied", '
         f'"semistable": {{"declared": {_LITERAL[record.semistable]}, "squarefree": {_LITERAL[squarefree]}}}, '
         f'"twist_minimal": {_LITERAL[record.twist_minimal]}, "cm": {_LITERAL[is_cm(inv)]}, '
-        f'"disc": {_integer_text(disc)}, "abs_disc": {_integer_text(abs_disc)}, '
+        f'"disc": {_integer_text(inv.disc)}, "abs_disc": {_integer_text(inv.abs_disc)}, '
         f'"omega": {_real_text(omega)}, "inv_omega": {_real_text(inv_omega)}, '
         f'"case_tag": "{case_tag}", '
         f'"lemma1": {{"rhs": {_real_text(lemma1_rhs)}, "margin": {_real_text(inv_omega - lemma1_rhs)}, '
-        f'"ok": {_LITERAL[_lemma1_holds(inv_omega, lemma1_rhs)]}}}, '
+        f'"ok": {_LITERAL[lemma1_ok]}}}, '
         f'"fudge": [{", ".join(map(_fudge_text, fudge))}], '
         f'"l_value_lower": {_real_text(l_lower)}, "formula_bound": {_real_text(formula)}, '
         f'"theorem1": {{"analytic": {_real_text(th1[0])}, "closed_form": {_real_text(th1[1])}, '

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from scipy.special import ellipk
 
 from moddeg import (
-    area_neg_disc,
-    area_pos_disc,
     derive_invariants,
     lemma1_check,
     lemma1_constants,
     period_data,
     two_torsion_roots,
     CurveModel,
+    Invariants,
+    RootData,
 )
 from moddeg.agm import AREA_BOUND_DENOMINATOR, agm
 
@@ -25,6 +25,21 @@ from conftest import inv_omega_oracle, random_curves, real_period_by_integration
 AGM_1_INVSQRT2 = 0.84721308479397908661
 K1_EXPECTED = 13.750371636040745655
 K2_EXPECTED = 14.044556133045613852
+
+
+def _invariants_of_sign(disc_positive: bool) -> Invariants:
+    # period_data reads only the sign of the invariants; the roots carry the rest
+    return Invariants(0, 0, 0, 0, 0, 0, 1, 1, disc_positive, 0, 1)
+
+
+def area_pos_disc(r_tilde: float, z: float):
+    """period_data for the three-real-root geometry (r_tilde, z)."""
+    return period_data(_invariants_of_sign(True), RootData(None, r_tilde, None, z))
+
+
+def area_neg_disc(r_tilde: float, z: float, b_sq: float):
+    """period_data for the one-real-root geometry (r_tilde, z, B^2)."""
+    return period_data(_invariants_of_sign(False), RootData(None, r_tilde, b_sq, z))
 
 
 def lemma1_k1_k2() -> tuple[float, float]:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from moddeg.bounds import (
+    _bound_values,
     crossover_check,
     degree_formula_bound,
     linear_bounds,
@@ -13,9 +14,8 @@ from moddeg.bounds import (
     theorem2,
     theorem2_closed_form,
 )
-from moddeg.fudge import _fudge, fudge_factor_for
+from moddeg.fudge import fudge_factor_for
 from moddeg.lvalue import L_VALUE_BOUND_NUMERATOR
-from moddeg.report import _bound_values
 
 from test_fudge import _inv, seeded_fudge_lists
 
@@ -49,6 +49,22 @@ class TestDegreeFormulaBound:
     def test_fudge_domain(self):
         with pytest.raises(ValueError):
             degree_formula_bound(10, 1.0, 1.0, [0.0])
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: degree_formula_bound(37, 1.0, math.inf), "the L-value lower bound finite"),
+            (lambda: degree_formula_bound(37, 1.0, 0.01, [math.inf]), "fudge inverses must be positive and finite"),
+            (lambda: degree_formula_bound(37, 1.0, 10**400), "the L-value lower bound finite"),
+            (lambda: degree_formula_bound(37, 1.0, 0.01, [10**400]), "fudge inverses must be positive and finite"),
+        ],
+        ids=["l_value_lower", "fudge_inverse", "l_value_lower-huge-int", "fudge_inverse-huge-int"],
+    )
+    def test_infinite_input_is_named(self, call, message):
+        # not "conductor / omega puts the bound past double range", nor an
+        # OverflowError from an int past the largest double
+        with pytest.raises(ValueError, match=f"{message}$"):
+            call()
 
 
 class TestTheorem1:
@@ -107,6 +123,36 @@ class TestTheorem2:
     def test_nan_omega(self):
         with pytest.raises(ValueError, match="omega > 0"):
             theorem2(3, 2, math.nan)
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            {"p": 37, "epsilon": None, "u_inverse_at_1": -1.0, "determined": False},
+            {"p": 37, "epsilon": None, "u_inverse_at_1": 0.0, "determined": False},
+            {"p": 0, "epsilon": 1, "u_inverse_at_1": 1.0, "determined": True},
+            {"p": 1, "epsilon": 1, "u_inverse_at_1": 1.0, "determined": True},
+            {"p": True, "epsilon": 1, "u_inverse_at_1": 0.5, "determined": True},
+            {"p": 37.0, "epsilon": 1, "u_inverse_at_1": 0.5, "determined": True},
+            {"p": 37, "epsilon": 1, "determined": True},
+            {"epsilon": 1, "u_inverse_at_1": 0.5, "determined": True},
+            {"p": 37, "epsilon": None, "u_inverse_at_1": math.inf, "determined": False},
+            {"p": 37, "epsilon": None, "u_inverse_at_1": math.nan, "determined": False},
+            {"p": 37, "epsilon": None, "u_inverse_at_1": 10**400, "determined": False},
+            {"p": 37, "epsilon": None, "u_inverse_at_1": "0.5", "determined": False},
+            {"p": 37, "epsilon": None, "u_inverse_at_1": True, "determined": False},
+            [37, 1, 0.5, True],
+        ],
+        ids=[
+            "negative-u", "zero-u", "p-0", "p-1", "p-bool", "p-float", "no-u", "no-p",
+            "inf-u", "nan-u", "huge-int-u", "string-u", "bool-u", "not-a-dict",
+        ],
+    )
+    def test_unchecked_fudge_blocks_are_refused(self, block):
+        # not a negative "lower bound", a bare KeyError or a message naming
+        # conductor / omega; p^2 | N is not required (see test_fudge_weights)
+        fudge = [fudge_factor_for(_inv(0, 0), 37, 1369), block]
+        with pytest.raises(ValueError, match=r"^fudge_factors\[1\] must be a fudge_factor_for block"):
+            theorem2(37, 1369, 1.0, fudge)
 
 
 class TestChainComparisons:
@@ -239,10 +285,11 @@ def test_infinite_omega_is_refused(call):
 
 
 def _public_values(n: int, n2: int, omega: float, fudge: list[dict]) -> tuple:
-    """The numbers of a report's bounds as the public functions give them,
-    in the order of ``report._bound_values``."""
+    """The numbers of a report's L-value side as the public functions give
+    them, in the order of ``bounds._bound_values``."""
     l_lower = L_VALUE_BOUND_NUMERATOR / math.log(n2)
     return (
+        [tuple(f.values()) for f in fudge],
         l_lower,
         degree_formula_bound(n, omega, l_lower, [f["u_inverse_at_1"] for f in fudge]),
         tuple(theorem1(n, omega).values()),
@@ -270,22 +317,37 @@ def _bound_cases() -> list[tuple[int, int, float, int, int, bool, list[int]]]:
 
 
 def test_report_path_agrees_with_the_public_functions():
-    # build_report takes its bounds from _bound_values, which computes log
-    # N, log n2, N^(7/6) and N/Omega once for the kernels behind the public
-    # functions, on fudge factors from the kernel behind fudge_factor_for:
-    # each number, chain_ok included, must be theirs, and each refusal
-    # theirs with its message
+    # build_report takes its L-value side from _bound_values, which runs the
+    # kernel behind fudge_factor_for on each prime and computes log N, log
+    # n2, N^(7/6) and N/Omega once for the kernels behind the bounds
+    # functions: each fudge tuple must be fudge_factor_for's block for its
+    # prime, key for key, and each number, chain_ok included, the public
+    # functions', all compared by repr, and each refusal theirs with its
+    # message
     agreed = refused = 0
+    seen = set()
     for n, n2, omega, c4, c6, twist_minimal, primes in _bound_cases():
         fudge = [fudge_factor_for(_inv(c4, c6), p, n, twist_minimal) for p in primes]
-        u_inverses = [_fudge(c4, c6, p, n, twist_minimal)[2] for p in primes]
         try:
             expected = _public_values(n, n2, omega, fudge)
         except ValueError as exc:
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                _bound_values(n, n2, omega, primes, u_inverses)
+                _bound_values(n, n2, omega, c4, c6, twist_minimal, primes)
             refused += 1
             continue
-        assert repr(_bound_values(n, n2, omega, primes, u_inverses)) == repr(expected), (n, n2, omega, primes)
+        values = _bound_values(n, n2, omega, c4, c6, twist_minimal, primes)
+        assert repr(values) == repr(expected), (n, n2, omega, primes)
+        for p in primes:
+            if p == 2:
+                seen.add((2, n % 2**9 == 2**8))
+            elif p > 3:
+                divisibility = c4 % p == 0 and c4 % (p * p) != 0 and c6 % (p * p) == 0
+                seen.add((p % 12, divisibility, twist_minimal))
+            else:
+                seen.add((3,))
         agreed += 1
     assert agreed >= 1800 and refused >= 40, (agreed, refused)
+    # p = 2 with and without 2^8 || N, p = 3, and each residue of p > 3
+    # mod 12 with the condition met and not, in a minimal and a non-minimal
+    # twist
+    assert len(seen) == 2 + 1 + 4 * 2 * 2, sorted(seen)

@@ -611,7 +611,7 @@ class TestBuildReport:
         # build_report takes them from the kernel behind linear_bounds
         for i, key in enumerate(report["linear"]):
             values = tuple(3.0 if j == i else 0.0 for j in range(2))
-            monkeypatch.setattr("moddeg.report._linear_bounds", lambda n: values)
+            monkeypatch.setattr("moddeg.bounds._linear_bounds", lambda n: values)
             assert report_of(record)["consistency_ok"] is False, key
 
     def test_n2_supplied(self):

@@ -177,7 +177,7 @@ def test_consistency_is_judged_before_rounding(monkeypatch, tmp_path, capsys):
     record = {"a": [0, 0, 1, -1, 0], "conductor": 37, "deg_phi": 3}
     # build_report takes the linear bounds from the kernel behind linear_bounds
     values = (3.0000000000001, 0.0)
-    monkeypatch.setattr("moddeg.report._linear_bounds", lambda n: values)
+    monkeypatch.setattr("moddeg.bounds._linear_bounds", lambda n: values)
     line, consistency_ok = build_report(parse_record(record))
     doc = json.loads(line)
     assert doc["linear"]["abramovich"] == 3.0
