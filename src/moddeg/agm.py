@@ -126,6 +126,10 @@ def _area_neg(r_tilde: float, z: float, b_sq: float) -> tuple[float, float, floa
     construction of the roots, 1/Omega is the closed form of the module
     docstring.
     """
+    if not z > 0.0:
+        raise ValueError("one real root needs z > 0")
+    if not b_sq > 0.0:
+        raise ValueError("one real root needs b_sq > 0")
     c = r_tilde / z
     # (2B +- A)/(4B) = 1/2 +- 3c/sqrt(16+36c^2); the branch that vanishes
     # as |c| grows is rationalized, and both periods are scaled out of the

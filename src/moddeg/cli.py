@@ -17,22 +17,38 @@ documents, bound's error objects) is ``dumps_report`` of raw values.
 Exit codes: 0 success, 1 certification or consistency failure,
 2 input error or an output that cannot be written.
 
-main builds its parser once per process, on its first call, and reuses
-it: an empty bound call then costs about 0.08 ms in place of 0.8 ms
-(CPython 3.11, one Xeon core).  ``build_parser`` still returns a fresh
-parser.  Parsing leaves no state on the parser, but set_defaults binds
-each subcommand to its cmd_* function when the parser is built, so a
-cmd_* replaced afterwards is not called; no test replaces one.
+The grammar is fixed, so main reads it from one table, ``_COMMANDS``,
+and a fresh call does not pay for importing argparse and building its
+parsers:
+
+    moddeg [-h | --help] [--version] COMMAND [OPTION ...]
+
+Each command takes -h/--help and its own options; a value option is
+required, and ``--json`` is an optional flag.  An option's value is the
+next argument, as in ``--a 0,0,1,-1,0``, or follows "=", as in
+``--a=0,0,1,-1,0``; the next argument is not taken when it looks like an
+option, so a negative a1 needs the "=" form.  A long option may be
+shortened to any prefix that names one option (``--inp``, ``--js``), and
+the last of a repeated option wins.  ``--help`` prints the help and
+``--version`` the version, each to stdout, and exit 0.  A usage error
+exits 2 and writes two lines to stderr, the usage line and
+
+    moddeg[ COMMAND]: error: argument --a: expected one argument
+
+naming the argument at fault; an unknown argument after the command is
+the top level's error (``moddeg: error: unrecognized arguments: ...``).
+main looks each cmd_* function up by its name when it calls it, so one
+replaced on the module is the one called.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import json
 import os
+import re
 import sys
+import types
 
 from . import __version__
 from .agm import lemma1_constants
@@ -53,7 +69,7 @@ EXIT_CERTIFICATION_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
 
-def cmd_invariants(args: argparse.Namespace) -> int:
+def cmd_invariants(args: types.SimpleNamespace) -> int:
     try:
         doc = invariants_document(args.a)
     except (ValueError, ArithmeticError) as exc:  # SingularCurveError and the too-large refusal included
@@ -62,7 +78,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     return EXIT_OK if _print_or_fail(dumps_report(doc)) else EXIT_INPUT_ERROR
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: types.SimpleNamespace) -> int:
     """Write one report or error object per input line, as soon as it is made."""
     any_inconsistent = False
     try:
@@ -104,12 +120,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _a_flag(text: str) -> tuple[int, int, int, int, int]:
-    """An argparse type for --a: the record's rule for "a", applied to the
-    text read as the body of a JSON array."""
+    """The value of --a: the record's rule for "a", applied to the text
+    read as the body of a JSON array."""
     try:
         return a_field(json.loads(f"[{text}]"))
     except (ValueError, RecursionError):  # json.JSONDecodeError is a ValueError
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"expects 5 comma-separated JSON integers a1,a2,a3,a4,a6, got {text!r}"
         ) from None
 
@@ -151,7 +167,7 @@ def _verification_rows(n2: int) -> list[dict[str, object]]:
     return [{**w._asdict(), "pass": w.passed} for w in waypoints]
 
 
-def cmd_verify_lemmas(args: argparse.Namespace) -> int:
+def cmd_verify_lemmas(args: types.SimpleNamespace) -> int:
     rows = _verification_rows(MIN_CERTIFIED_N2)
     all_pass = all(row["pass"] for row in rows)
     if args.json:
@@ -173,38 +189,162 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     return EXIT_OK if all_pass else EXIT_CERTIFICATION_FAILURE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="moddeg",
-        description="Certified lower bounds on modular degrees of rational elliptic curves.",
-    )
-    parser.add_argument("--version", action="version", version=f"moddeg {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command: the name of its cmd_* function, looked up when main calls
+# it, and its options, each with its metavar, the function that reads its
+# value and its help.  A metavar of None marks a flag, which is optional;
+# every option with a value is required.
+_COMMANDS = {
+    "invariants": ("cmd_invariants", {"--a": ("A", _a_flag, "a-invariants a1,a2,a3,a4,a6 (integers)")}),
+    "bound": (
+        "cmd_bound",
+        {
+            "--input": ("INPUT", str, "input JSONL path"),
+            "--output": ("OUTPUT", str, "output JSONL path (not the input), or - for stdout"),
+        },
+    ),
+    "verify-lemmas": ("cmd_verify_lemmas", {"--json": (None, None, "machine-readable output")}),
+}
+_USAGE = "usage: moddeg [-h] [--version] {invariants,bound,verify-lemmas} ..."
+_HELP = (
+    f"{_USAGE}\n\n"
+    "Certified lower bounds on modular degrees of rational elliptic curves.\n\n"
+    "positional arguments:\n"
+    "  {invariants,bound,verify-lemmas}\n"
+    "    invariants          model invariants, 2-torsion roots, periods\n"
+    "    bound               degree-bound reports for a JSONL dataset\n"
+    "    verify-lemmas       run the constant-certification suite\n\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --version             show program's version number and exit\n"
+)
 
-    p_inv = sub.add_parser("invariants", help="model invariants, 2-torsion roots, periods")
-    p_inv.add_argument("--a", type=_a_flag, required=True, help="a-invariants a1,a2,a3,a4,a6 (integers)")
-    p_inv.set_defaults(func=cmd_invariants)
 
-    p_bound = sub.add_parser("bound", help="degree-bound reports for a JSONL dataset")
-    p_bound.add_argument("--input", required=True, help="input JSONL path")
-    p_bound.add_argument("--output", required=True, help="output JSONL path (not the input), or - for stdout")
-    p_bound.set_defaults(func=cmd_bound)
-
-    p_verify = sub.add_parser("verify-lemmas", help="run the constant-certification suite")
-    p_verify.add_argument("--json", action="store_true", help="machine-readable output")
-    p_verify.set_defaults(func=cmd_verify_lemmas)
-    return parser
+def _write(stream, text: str) -> None:
+    """Write text; a missing or closed stream is passed over."""
+    try:
+        stream.write(text)
+    except (AttributeError, OSError):
+        pass
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of main, built on its first call."""
-    return build_parser()
+def _usage_error(usage: str, prog: str, message: str):
+    _write(sys.stderr, f"{usage}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_INPUT_ERROR)
+
+
+def _option(arg: str, names: tuple[str, ...]) -> tuple[str | None, str | None] | None:
+    """What arg is among the option names: None for a positional, else
+    (the option it names, or None for an unknown one; the text after its
+    "=", or after "-h" in "-hX", or None).  An ambiguous prefix is the top
+    level's usage error, wherever it stands."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in names:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in names:
+        return name, value
+    if arg.startswith("--"):
+        matches = [(option, value if eq else None) for option in names if option.startswith(name)]
+    else:
+        matches = [(option, arg[2:]) for option in names if option == arg[:2]]
+    if len(matches) > 1:
+        _usage_error(_USAGE, "moddeg", f"ambiguous option: {arg} could match {', '.join(m for m, _ in matches)}")
+    if matches:
+        return matches[0]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, arg
+
+
+def _flag(option: str, value: str | None, usage: str, prog: str) -> None:
+    """Refuse a value given to a flag, as "--json=1" or "-hx"; "-hh" is "-h"."""
+    if value is not None and (option != "-h" or not value or value.lstrip("h")):
+        rest = value.lstrip("h") if option == "-h" and value else value
+        name = "-h/--help" if option in ("-h", "--help") else option
+        _usage_error(usage, prog, f"argument {name}: ignored explicit argument {rest!r}")
+
+
+def _parse(argv: list[str]) -> tuple[str, types.SimpleNamespace]:
+    """The command and its option values, for main; a usage error or a
+    help or version request raises SystemExit."""
+    top = ("-h", "--help", "--version")
+    for arg in argv:  # an ambiguous option anywhere is refused first
+        if arg == "--":
+            break
+        _option(arg, top)
+    extras = []
+    command = None
+    for index, arg in enumerate(argv):
+        if arg == "--":  # taken for the command, unless nothing follows it
+            command = arg if argv[index + 1 :] else None
+            break
+        found = _option(arg, top)
+        if found is None:
+            command = arg
+            break
+        option, value = found
+        if option is None:
+            extras.append(arg)
+            continue
+        _flag(option, value, _USAGE, "moddeg")
+        _write(sys.stdout, f"moddeg {__version__}\n" if option == "--version" else _HELP)
+        raise SystemExit(EXIT_OK)
+    if command is None:
+        _usage_error(_USAGE, "moddeg", "the following arguments are required: command")
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _usage_error(_USAGE, "moddeg", f"argument command: invalid choice: {command!r} (choose from {choices})")
+    _, options = _COMMANDS[command]
+    prog = f"moddeg {command}"
+    usage = " ".join([f"usage: {prog} [-h]"] + [f"{o} {m}" if m else f"[{o}]" for o, (m, _, _) in options.items()])
+    names = ("-h", "--help", *options)
+    values = {o[2:]: False for o, (m, _, _) in options.items() if m is None}
+    rest = argv[index + 1 :]
+    position = 0
+    while position < len(rest):
+        arg = rest[position]
+        position += 1
+        if arg == "--":  # no argument from here on is an option
+            extras += rest[position - 1 :]
+            break
+        found = _option(arg, names)
+        if found is None or found[0] is None:
+            extras.append(arg)
+            continue
+        option, value = found
+        if option in ("-h", "--help"):
+            _flag(option, value, usage, prog)
+            rows = [("-h, --help", "show this help message and exit")]
+            rows += [(f"{o} {m}" if m else o, text) for o, (m, _, text) in options.items()]
+            width = max(len(row) for row, _ in rows) + 2
+            _write(sys.stdout, f"{usage}\n\noptions:\n" + "".join(f"  {r:<{width}}{t}\n" for r, t in rows))
+            raise SystemExit(EXIT_OK)
+        metavar, read, _ = options[option]
+        if metavar is None:
+            _flag(option, value, usage, prog)
+            values[option[2:]] = True
+            continue
+        if value is None:
+            if position == len(rest) or rest[position] == "--" or _option(rest[position], names):
+                _usage_error(usage, prog, f"argument {option}: expected one argument")
+            value = rest[position]
+            position += 1
+        try:
+            values[option[2:]] = read(value)
+        except ValueError as exc:
+            _usage_error(usage, prog, f"argument {option}: {exc}")
+    missing = [o for o, (m, _, _) in options.items() if m and o[2:] not in values]
+    if missing:
+        _usage_error(usage, prog, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(_USAGE, "moddeg", f"unrecognized arguments: {' '.join(extras)}")
+    return command, types.SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    return args.func(args)
+    command, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    return globals()[_COMMANDS[command][0]](args)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from fractions import Fraction
 
 from .curves import _require_int
 from .specfun import _bisect, digamma
@@ -235,6 +234,8 @@ def certify_cm_zeta3(n2: int) -> tuple[Waypoint, ...]:
     middle = 106.0 / sigma - 171.0 / sigma_shift
     const_block = 339.0 * math.log(1.0 / math.pi) - (53.0 * math.log(3.0) + 286.0 * math.log(2.0))
     half_261_log64 = 130.5 * math.log(64.0)
+    from fractions import Fraction  # on first use, so bound and invariants never load it
+
     coeffs = trig_poly_expand(Fraction(5, 2))
     trig_exact = coeffs == (
         Fraction(106, 16),
@@ -259,6 +260,8 @@ def certify_cm_zeta3(n2: int) -> tuple[Waypoint, ...]:
 def trig_poly_expand(beta: Fraction | int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Exact Fourier coefficients (c0, c1, c2, c3) of
     (1 + cos t)(1 + beta cos t)^2 in the basis {1, cos t, cos 2t, cos 3t}."""
+    from fractions import Fraction
+
     b = Fraction(beta)
     if b < 0:
         raise ValueError("beta must be nonnegative")

@@ -149,6 +149,17 @@ class TestAreaNegDisc:
         rhs = 368.0 ** (1.0 / 6.0) / AREA_BOUND_DENOMINATOR
         assert data.inv_omega >= rhs
 
+    # roots that two_torsion_roots never gives: z = 0 divided by zero,
+    # B^2 < 0 gave a complex omega, and z < 0 a positive one
+    @pytest.mark.parametrize(
+        "r_tilde, z, b_sq, field",
+        [(1.0, 0.0, 1.0, "z"), (1.0, 1.0, -1.0, "b_sq"), (1.0, -1.0, 1.0, "z")],
+        ids=["z=0", "b_sq<0", "z<0"],
+    )
+    def test_bad_roots_are_refused(self, r_tilde, z, b_sq, field):
+        with pytest.raises(ValueError, match=rf"one real root needs {field} > 0"):
+            area_neg_disc(r_tilde, z, b_sq)
+
     def test_shape_uses_the_root_step_z(self):
         # ill-conditioned y^2 = x^3 - 3k^2 x + 2k^3 + 1 at k = 1e4: the Z
         # that two_torsion_roots reports is the one the periods use

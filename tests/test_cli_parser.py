@@ -1,59 +1,206 @@
-"""The command-line parser is built once per process and reused.
+"""The command-line parser: the same behaviour as the argparse parser it
+replaced, and a start-up that loads neither argparse nor exact arithmetic.
 
 This module imports only the standard library, pytest and moddeg, and
 no conftest, so it runs with none of the test extras installed.
 """
 
+import argparse
+import json
+import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from moddeg.cli import build_parser, main
+from moddeg import __version__, cli
+from moddeg.cli import main
+from moddeg.report import a_field
 
 from test_golden import DATASET, child_env, run_cli
 
-# Counts each ArgumentParser made while moddeg.cli is imported, then each
-# build_parser call made by two main calls on an empty table.
-_COUNT_BUILDS = """
-import argparse, os
 
-made = 0
-init = argparse.ArgumentParser.__init__
-
-def counting_init(self, *args, **kwargs):
-    global made
-    made += 1
-    init(self, *args, **kwargs)
-
-argparse.ArgumentParser.__init__ = counting_init
-import moddeg.cli
-print("parsers made by the import:", made)
-
-calls = 0
-build = moddeg.cli.build_parser
-
-def counting_build():
-    global calls
-    calls += 1
-    return build()
-
-moddeg.cli.build_parser = counting_build
-codes = [moddeg.cli.main(["bound", "--input", os.devnull, "--output", "-"]) for _ in range(2)]
-print("exit codes:", codes)
-print("build_parser calls by two main calls:", calls)
-"""
+def _oracle_a_flag(text: str) -> tuple[int, int, int, int, int]:
+    try:
+        return a_field(json.loads(f"[{text}]"))
+    except (ValueError, RecursionError):
+        raise argparse.ArgumentTypeError(
+            f"expects 5 comma-separated JSON integers a1,a2,a3,a4,a6, got {text!r}"
+        ) from None
 
 
-def test_import_builds_no_parser_and_main_builds_one():
-    proc = subprocess.run([sys.executable, "-c", _COUNT_BUILDS], capture_output=True, text=True, env=child_env())
-    assert proc.stdout == (
-        "parsers made by the import: 0\nexit codes: [0, 0]\nbuild_parser calls by two main calls: 1\n"
-    ), proc.stderr
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser moddeg.cli.main used before, as the oracle of
+    the one it uses now; each command runs the cmd_* function of moddeg.cli."""
+    parser = argparse.ArgumentParser(
+        prog="moddeg",
+        description="Certified lower bounds on modular degrees of rational elliptic curves.",
+    )
+    parser.add_argument("--version", action="version", version=f"moddeg {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_inv = sub.add_parser("invariants", help="model invariants, 2-torsion roots, periods")
+    p_inv.add_argument("--a", type=_oracle_a_flag, required=True, help="a-invariants a1,a2,a3,a4,a6 (integers)")
+    p_inv.set_defaults(func=cli.cmd_invariants)
+
+    p_bound = sub.add_parser("bound", help="degree-bound reports for a JSONL dataset")
+    p_bound.add_argument("--input", required=True, help="input JSONL path")
+    p_bound.add_argument("--output", required=True, help="output JSONL path (not the input), or - for stdout")
+    p_bound.set_defaults(func=cli.cmd_bound)
+
+    p_verify = sub.add_parser("verify-lemmas", help="run the constant-certification suite")
+    p_verify.add_argument("--json", action="store_true", help="machine-readable output")
+    p_verify.set_defaults(func=cli.cmd_verify_lemmas)
+    return parser
 
 
-def test_build_parser_returns_a_fresh_parser():
-    assert build_parser() is not build_parser()
+def _oracle_main(argv: list[str]) -> int:
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+# IN is a one-record table, MISSING a path that does not exist.
+IN, MISSING = "{in}", "{missing}"
+CORPUS = [
+    # a value as the next argument or after "="
+    ["invariants", "--a", "0,0,1,-1,0"],
+    ["invariants", "--a=0,0,1,-1,0"],
+    ["bound", "--input", IN, "--output", "-"],
+    ["bound", f"--input={IN}", "--output=-"],
+    # unique prefixes of long options
+    ["bound", "--inp", IN, "--out", "-"],
+    ["verify-lemmas", "--js"],
+    ["--ver"],
+    ["--h"],
+    # the last of a repeated option wins
+    ["invariants", "--a", "0,0,0,0,1", "--a", "0,0,1,-1,0"],
+    ["bound", "--input", MISSING, "--output", "-", "--input", IN],
+    ["verify-lemmas", "--json", "--json"],
+    # a value that looks like an option is refused, and taken after "="
+    ["invariants", "--a", "-1,0,1,-1,0"],
+    ["invariants", "--a=-1,0,1,-1,0"],
+    # a flag given a value
+    ["verify-lemmas", "--json=1"],
+    ["verify-lemmas", "--js="],
+    ["--help=1"],
+    ["--version=1"],
+    # usage errors
+    [],
+    ["--bogus"],
+    ["foo"],
+    ["invariants"],
+    ["invariants", "--a"],
+    ["invariants", "--a", "1,2"],
+    ["bound", "--input", IN],
+    ["bound", "--input", "--output", "-"],
+    ["verify-lemmas", "extra"],
+    ["bound", "--input", IN, "--output", "-", "extra"],
+    ["bound", "--input", IN, "--output", "-", "--n2", "142"],
+    ["verify-lemmas", "--n2", "142"],
+    ["bound", "--input", IN, "--output", "-", "--assume-cm", "cm"],
+    ["--bogus", "verify-lemmas"],
+    # help and version, at each level and in either order
+    ["-h"],
+    ["--help"],
+    ["--version"],
+    ["invariants", "-h"],
+    ["bound", "--help"],
+    ["verify-lemmas", "-h"],
+    ["-h", "--version"],
+    ["--version", "-h"],
+    ["invariants", "-h", "--a", "1,2"],
+    ["invariants", "--a", "1,2", "-h"],
+    ["bound", "--input", IN, "--output", "-", "-h"],
+    # the command is run
+    ["verify-lemmas"],
+    ["verify-lemmas", "--json"],
+    ["bound", "--input", MISSING, "--output", "-"],
+]
+
+_NAMED = (
+    r"argument (\S+?): ",
+    r"the following arguments are required: (.+)",
+    r"unrecognized arguments: (.+)",
+)
+
+
+def _named_argument(err: str) -> str:
+    """The argument a usage error names, after its usage line.  Only the
+    name is compared: argparse words some errors differently from one
+    Python version to the next."""
+    usage, line = err.splitlines()
+    assert usage.startswith("usage: moddeg ")
+    message = line.partition(": error: ")[2]
+    for pattern in _NAMED:
+        named = re.match(pattern, message)
+        if named:
+            return named.group(1)
+    raise AssertionError(f"no argument named in {line!r}")
+
+
+def _run(entry, argv: list[str], capsys) -> tuple[object, str, str]:
+    try:
+        code = entry(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_matches_the_argparse_oracle(case, tmp_path, capsys, monkeypatch):
+    # argparse wraps its help to the terminal; the help main prints is the
+    # one argparse prints 80 columns wide
+    monkeypatch.setenv("COLUMNS", "80")
+    table = tmp_path / "one.jsonl"
+    table.write_text('{"a": [0,0,1,-1,0], "conductor": 37}\n')
+    argv = [arg.replace(IN, str(table)).replace(MISSING, str(tmp_path / "missing.jsonl")) for arg in case]
+    code, out, err = _run(main, argv, capsys)
+    want_code, want_out, want_err = _run(_oracle_main, argv, capsys)
+    assert (code, out) == (want_code, want_out)
+    if want_err.startswith("usage: "):
+        assert _named_argument(err) == _named_argument(want_err)
+    else:
+        assert err == want_err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["invariants", "--a", "0,0,1,-1,0"], ["bound", "--input", str(DATASET), "--output", os.devnull]],
+    ids=["invariants", "bound"],
+)
+def test_start_up_loads_no_parser_or_exact_arithmetic(argv):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "moddeg", *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.rpartition("|")[2] for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    names = [line.strip() for line in lines]
+    depth = [len(line) - len(name) for line, name in zip(lines, names)]
+    # -X importtime writes a module's line when its import ends, after the
+    # deeper-indented lines of the modules it imported: moddeg's own
+    # imports start at the first of those above the line of moddeg
+    package = first = names.index("moddeg")
+    while first and depth[first - 1] > depth[package]:
+        first -= 1
+    loaded = names[first:]
+    assert "moddeg.cli" in loaded
+    assert [name for name in loaded if name.split(".")[0] in ("argparse", "gettext", "fractions", "decimal")] == []
+
+
+def test_each_command_is_looked_up_when_called(monkeypatch):
+    calls = []
+    for name in ("cmd_invariants", "cmd_bound", "cmd_verify_lemmas"):
+        monkeypatch.setattr(cli, name, lambda args, name=name: calls.append((name, vars(args))) or len(calls))
+    assert main(["invariants", "--a", "0,0,1,-1,0"]) == 1
+    assert main(["bound", "--input", "in", "--output", "-"]) == 2
+    assert main(["verify-lemmas"]) == 3
+    assert calls == [
+        ("cmd_invariants", {"a": (0, 0, 1, -1, 0)}),
+        ("cmd_bound", {"input": "in", "output": "-"}),
+        ("cmd_verify_lemmas", {"json": False}),
+    ]
 
 
 def test_usage_error_leaves_no_state_for_the_next_call(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""The seven golden outputs, each compared byte for byte by one test.
+"""The eight golden outputs, each compared byte for byte by one test.
 
 This module imports only the standard library, pytest and moddeg, and
 no conftest, so ``pytest --noconftest tests/test_golden.py`` also runs
@@ -14,6 +14,8 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+
+import pytest
 
 from moddeg import CurveModel, symsq_value_estimate
 from moddeg.cli import main
@@ -92,6 +94,17 @@ class TestGolden:
                 assert main(["invariants", "--a", ",".join(map(str, record["a"]))]) == 0
                 out.append(capsys.readouterr().out)
         assert "".join(out).encode() == (GOLDEN / "invariants_tables.golden.jsonl").read_bytes()
+
+    def test_help_text(self, capsys):
+        # main writes the help from its own table, not argparse's, so each
+        # page is pinned here, after the command line that prints it
+        pages = []
+        for argv in (["--help"], ["invariants", "--help"], ["bound", "--help"], ["verify-lemmas", "--help"]):
+            with pytest.raises(SystemExit) as done:
+                main(argv)
+            assert done.value.code == 0
+            pages.append(f"$ moddeg {' '.join(argv)}\n{capsys.readouterr().out}")
+        assert "".join(pages).encode() == (GOLDEN / "cli_help.golden.txt").read_bytes()
 
     def test_euler_estimates_on_table_curves(self):
         labels = ("11a1", "37a1", "389a1", "14a1", "27a1", "32a1", "36a1", "49a1")

@@ -923,7 +923,7 @@ class TestCliBound:
     @pytest.mark.parametrize("value", ["1", "0", "x", "3_7", " 37 ", "\u0663\u0667"])
     def test_n2_flag_follows_record_rule(self, tmp_path, capsys, value):
         # a value the old flag refused is refused on the record's line, naming "n2";
-        # the flag itself is an argparse error before any output is opened
+        # the flag itself is a usage error before any output is opened
         src = tmp_path / "in.jsonl"
         dst = tmp_path / "out.jsonl"
         src.write_text(json.dumps({"a": [0, 0, 1, -1, 0], "conductor": 37, "n2": value}) + "\n")
