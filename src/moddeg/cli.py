@@ -17,28 +17,15 @@ documents, bound's error objects) is ``dumps_report`` of raw values.
 Exit codes: 0 success, 1 certification or consistency failure,
 2 input error or an output that cannot be written.
 
-The grammar is fixed, so main reads it from one table, ``_COMMANDS``,
-and a fresh call does not pay for importing argparse and building its
-parsers:
-
-    moddeg [-h | --help] [--version] COMMAND [OPTION ...]
-
-Each command takes -h/--help and its own options; a value option is
-required, and ``--json`` is an optional flag.  An option's value is the
-next argument, as in ``--a 0,0,1,-1,0``, or follows "=", as in
-``--a=0,0,1,-1,0``; the next argument is not taken when it looks like an
-option, so a negative a1 needs the "=" form.  A long option may be
-shortened to any prefix that names one option (``--inp``, ``--js``), and
-the last of a repeated option wins.  ``--help`` prints the help and
-``--version`` the version, each to stdout, and exit 0.  A usage error
-exits 2 and writes two lines to stderr, the usage line and
-
-    moddeg[ COMMAND]: error: argument --a: expected one argument
-
-naming the argument at fault; an unknown argument after the command is
-the top level's error (``moddeg: error: unrecognized arguments: ...``).
-main looks each cmd_* function up by its name when it calls it, so one
-replaced on the module is the one called.
+main reads a spelled-out call itself: the command first, then each of
+its options spelled in full and given once, a value as ``--a 0,0,1,-1,0``
+or ``--a=0,0,1,-1,0`` that is "-" or does not start with "-" and that
+the option's reader accepts.  Every other argv (help, ``--version``, an
+abbreviated or repeated option, ``--``, a refused value or any other
+usage error) goes to an argparse parser built from the same table,
+``_COMMANDS``, and only such a call imports argparse.  main looks each
+cmd_* function up by its name when it calls it, so one replaced on the
+module is the one called.
 """
 
 from __future__ import annotations
@@ -46,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import re
 import sys
 import types
 
@@ -190,160 +176,104 @@ def cmd_verify_lemmas(args: types.SimpleNamespace) -> int:
 
 
 # Each command: the name of its cmd_* function, looked up when main calls
-# it, and its options, each with its metavar, the function that reads its
-# value and its help.  A metavar of None marks a flag, which is optional;
+# it, its help, and its options, each with the function that reads its
+# value and its help.  A reader of None marks a flag, which is optional;
 # every option with a value is required.
 _COMMANDS = {
-    "invariants": ("cmd_invariants", {"--a": ("A", _a_flag, "a-invariants a1,a2,a3,a4,a6 (integers)")}),
+    "invariants": (
+        "cmd_invariants",
+        "model invariants, 2-torsion roots, periods",
+        {"--a": (_a_flag, "a-invariants a1,a2,a3,a4,a6 (integers)")},
+    ),
     "bound": (
         "cmd_bound",
+        "degree-bound reports for a JSONL dataset",
         {
-            "--input": ("INPUT", str, "input JSONL path"),
-            "--output": ("OUTPUT", str, "output JSONL path (not the input), or - for stdout"),
+            "--input": (str, "input JSONL path"),
+            "--output": (str, "output JSONL path (not the input), or - for stdout"),
         },
     ),
-    "verify-lemmas": ("cmd_verify_lemmas", {"--json": (None, None, "machine-readable output")}),
+    "verify-lemmas": (
+        "cmd_verify_lemmas",
+        "run the constant-certification suite",
+        {"--json": (None, "machine-readable output")},
+    ),
 }
-_USAGE = "usage: moddeg [-h] [--version] {invariants,bound,verify-lemmas} ..."
-_HELP = (
-    f"{_USAGE}\n\n"
-    "Certified lower bounds on modular degrees of rational elliptic curves.\n\n"
-    "positional arguments:\n"
-    "  {invariants,bound,verify-lemmas}\n"
-    "    invariants          model invariants, 2-torsion roots, periods\n"
-    "    bound               degree-bound reports for a JSONL dataset\n"
-    "    verify-lemmas       run the constant-certification suite\n\n"
-    "options:\n"
-    "  -h, --help            show this help message and exit\n"
-    "  --version             show program's version number and exit\n"
-)
 
 
-def _write(stream, text: str) -> None:
-    """Write text; a missing or closed stream is passed over."""
-    try:
-        stream.write(text)
-    except (AttributeError, OSError):
-        pass
-
-
-def _usage_error(usage: str, prog: str, message: str):
-    _write(sys.stderr, f"{usage}\n{prog}: error: {message}\n")
-    raise SystemExit(EXIT_INPUT_ERROR)
-
-
-def _option(arg: str, names: tuple[str, ...]) -> tuple[str | None, str | None] | None:
-    """What arg is among the option names: None for a positional, else
-    (the option it names, or None for an unknown one; the text after its
-    "=", or after "-h" in "-hX", or None).  An ambiguous prefix is the top
-    level's usage error, wherever it stands."""
-    if not arg.startswith("-") or arg == "-":
+def _read(argv: list[str]) -> tuple[str, types.SimpleNamespace] | None:
+    """The command and its option values of a spelled-out call, or None
+    for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    if arg in names:
-        return arg, None
-    name, eq, value = arg.partition("=")
-    if eq and name in names:
-        return name, value
-    if arg.startswith("--"):
-        matches = [(option, value if eq else None) for option in names if option.startswith(name)]
-    else:
-        matches = [(option, arg[2:]) for option in names if option == arg[:2]]
-    if len(matches) > 1:
-        _usage_error(_USAGE, "moddeg", f"ambiguous option: {arg} could match {', '.join(m for m, _ in matches)}")
-    if matches:
-        return matches[0]
-    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
-        return None
-    return None, arg
-
-
-def _flag(option: str, value: str | None, usage: str, prog: str) -> None:
-    """Refuse a value given to a flag, as "--json=1" or "-hx"; "-hh" is "-h"."""
-    if value is not None and (option != "-h" or not value or value.lstrip("h")):
-        rest = value.lstrip("h") if option == "-h" and value else value
-        name = "-h/--help" if option in ("-h", "--help") else option
-        _usage_error(usage, prog, f"argument {name}: ignored explicit argument {rest!r}")
+    options = _COMMANDS[argv[0]][2]
+    values = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        option, eq, value = arg.partition("=")
+        if option not in options or option[2:] in values:
+            return None
+        read = options[option][0]
+        if read is None:  # a flag takes no value
+            if eq:
+                return None
+            values[option[2:]] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+        if value is None or (value.startswith("-") and value != "-"):
+            return None
+        try:
+            values[option[2:]] = read(value)
+        except ValueError:
+            return None
+    for option, (read, _) in options.items():
+        if option[2:] not in values:
+            if read is not None:  # a required option is missing
+                return None
+            values[option[2:]] = False
+    return argv[0], types.SimpleNamespace(**values)
 
 
 def _parse(argv: list[str]) -> tuple[str, types.SimpleNamespace]:
-    """The command and its option values, for main; a usage error or a
+    """The command and its option values by argparse; a usage error or a
     help or version request raises SystemExit."""
-    top = ("-h", "--help", "--version")
-    for arg in argv:  # an ambiguous option anywhere is refused first
-        if arg == "--":
-            break
-        _option(arg, top)
-    extras = []
-    command = None
-    for index, arg in enumerate(argv):
-        if arg == "--":  # taken for the command, unless nothing follows it
-            command = arg if argv[index + 1 :] else None
-            break
-        found = _option(arg, top)
-        if found is None:
-            command = arg
-            break
-        option, value = found
-        if option is None:
-            extras.append(arg)
-            continue
-        _flag(option, value, _USAGE, "moddeg")
-        _write(sys.stdout, f"moddeg {__version__}\n" if option == "--version" else _HELP)
-        raise SystemExit(EXIT_OK)
-    if command is None:
-        _usage_error(_USAGE, "moddeg", "the following arguments are required: command")
-    if command not in _COMMANDS:
-        choices = ", ".join(map(repr, _COMMANDS))
-        _usage_error(_USAGE, "moddeg", f"argument command: invalid choice: {command!r} (choose from {choices})")
-    _, options = _COMMANDS[command]
-    prog = f"moddeg {command}"
-    usage = " ".join([f"usage: {prog} [-h]"] + [f"{o} {m}" if m else f"[{o}]" for o, (m, _, _) in options.items()])
-    names = ("-h", "--help", *options)
-    values = {o[2:]: False for o, (m, _, _) in options.items() if m is None}
-    rest = argv[index + 1 :]
-    position = 0
-    while position < len(rest):
-        arg = rest[position]
-        position += 1
-        if arg == "--":  # no argument from here on is an option
-            extras += rest[position - 1 :]
-            break
-        found = _option(arg, names)
-        if found is None or found[0] is None:
-            extras.append(arg)
-            continue
-        option, value = found
-        if option in ("-h", "--help"):
-            _flag(option, value, usage, prog)
-            rows = [("-h, --help", "show this help message and exit")]
-            rows += [(f"{o} {m}" if m else o, text) for o, (m, _, text) in options.items()]
-            width = max(len(row) for row, _ in rows) + 2
-            _write(sys.stdout, f"{usage}\n\noptions:\n" + "".join(f"  {r:<{width}}{t}\n" for r, t in rows))
-            raise SystemExit(EXIT_OK)
-        metavar, read, _ = options[option]
-        if metavar is None:
-            _flag(option, value, usage, prog)
-            values[option[2:]] = True
-            continue
-        if value is None:
-            if position == len(rest) or rest[position] == "--" or _option(rest[position], names):
-                _usage_error(usage, prog, f"argument {option}: expected one argument")
-            value = rest[position]
-            position += 1
-        try:
-            values[option[2:]] = read(value)
-        except ValueError as exc:
-            _usage_error(usage, prog, f"argument {option}: {exc}")
-    missing = [o for o, (m, _, _) in options.items() if m and o[2:] not in values]
-    if missing:
-        _usage_error(usage, prog, f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _usage_error(_USAGE, "moddeg", f"unrecognized arguments: {' '.join(extras)}")
+    import argparse
+
+    def checked(read):  # argparse's error then gives the reader's message
+        def value(text: str):
+            try:
+                return read(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return value
+
+    parser = argparse.ArgumentParser(
+        prog="moddeg", description="Certified lower bounds on modular degrees of rational elliptic curves."
+    )
+    parser.add_argument("--version", action="version", version=f"moddeg {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, text, options) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=text)
+        for option, (read, help_text) in options.items():
+            if read is None:
+                sub.add_argument(option, action="store_true", help=help_text)
+            else:
+                sub.add_argument(option, type=checked(read), required=True, help=help_text)
+    values = vars(parser.parse_args(argv))
+    command = values.pop("command")
+    for option in _COMMANDS[command][2]:
+        # a "--" after "=", as in --output=--: argparse 3.11 stores [] and
+        # a later one may store the text; either is refused
+        if values[option[2:]] in ([], "--"):
+            commands.choices[command].error(f"argument {option}: expected one argument")
     return command, types.SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    command, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command, args = _read(argv) or _parse(argv)
     return globals()[_COMMANDS[command][0]](args)
 
 

@@ -1,5 +1,6 @@
-"""The command-line parser: the same behaviour as the argparse parser it
-replaced, and a start-up that loads neither argparse nor exact arithmetic.
+"""The command-line parser: the same behaviour as the argparse parser
+main once used alone, and a spelled-out call that loads no argparse, nor
+exact arithmetic outside verify-lemmas.
 
 This module imports only the standard library, pytest and moddeg, and
 no conftest, so it runs with none of the test extras installed.
@@ -8,6 +9,7 @@ no conftest, so it runs with none of the test extras installed.
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -150,8 +152,8 @@ def _run(entry, argv: list[str], capsys) -> tuple[object, str, str]:
 
 @pytest.mark.parametrize("case", CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
 def test_main_matches_the_argparse_oracle(case, tmp_path, capsys, monkeypatch):
-    # argparse wraps its help to the terminal; the help main prints is the
-    # one argparse prints 80 columns wide
+    # argparse wraps its help to the terminal: both helps are compared
+    # 80 columns wide
     monkeypatch.setenv("COLUMNS", "80")
     table = tmp_path / "one.jsonl"
     table.write_text('{"a": [0,0,1,-1,0], "conductor": 37}\n')
@@ -165,12 +167,145 @@ def test_main_matches_the_argparse_oracle(case, tmp_path, capsys, monkeypatch):
         assert err == want_err
 
 
+# The phrases random argv are drawn from: each option exact, abbreviated
+# and after "=", values the readers take and refuse, help and version in
+# their spellings, "--", and arguments that look like negative numbers.
+# None ends in "=--": argparse 3.11 keeps such a value as [], which main
+# refuses (test_a_double_dash_value_is_a_usage_error).
+PHRASES = [
+    ("invariants",),
+    ("bound",),
+    ("verify-lemmas",),
+    ("foo",),
+    ("x",),
+    ("--a", "0,0,1,-1,0"),
+    ("--a=0,0,1,-1,0",),
+    ("--a", "-1,0,1,-1,0"),
+    ("--a=-1,0,1,-1,0",),
+    ("--a", "1,2"),
+    ("--a=x",),
+    ("--a",),
+    ("0,0,1,-1,0",),
+    ("--input", "in.jsonl"),
+    ("--inp", "in.jsonl"),
+    ("--input=in.jsonl",),
+    ("--in=x",),
+    ("--input=",),
+    ("--input",),
+    ("--output", "-"),
+    ("--out", "out.jsonl"),
+    ("--output=-",),
+    ("--o=y",),
+    ("--output",),
+    ("-",),
+    ("--json",),
+    ("--js",),
+    ("--j",),
+    ("--json=1",),
+    ("-h",),
+    ("--help",),
+    ("-hh",),
+    ("-hx",),
+    ("--he=1",),
+    ("--h",),
+    ("--version",),
+    ("--ver",),
+    ("--version=1",),
+    ("--",),
+    ("--=x",),
+    ("-1",),
+    ("-5",),
+    ("-1 2",),
+    ("--bogus",),
+    ("--n2", "142"),
+]
+# Each random argv starts from one of these, and gets up to three phrases
+# put in anywhere, the front included.
+STARTS = [
+    (),
+    ("invariants",),
+    ("bound",),
+    ("verify-lemmas",),
+    ("invariants", "--a", "0,0,1,-1,0"),
+    ("invariants", "--a=0,0,1,-1,0"),
+    ("bound", "--input", "in.jsonl", "--output", "-"),
+    ("bound", "--output=-", "--input", "in.jsonl"),
+    ("verify-lemmas", "--json"),
+]
+
+
+def test_main_matches_the_argparse_oracle_on_random_argv(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in ("cmd_invariants", "cmd_bound", "cmd_verify_lemmas"):
+        # a stub that prints what it was given, less the oracle's own entries
+        def stub(args, name=name):
+            given = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
+            print(name, sorted(given.items()))
+            return 0
+
+        monkeypatch.setattr(cli, name, stub)
+    oracle = build_parser()
+
+    def oracle_main(argv):
+        args = oracle.parse_args(argv)
+        return args.func(args)
+
+    rng = random.Random(43)
+    differ, read, called = [], 0, 0
+    for _ in range(2000):
+        argv = list(rng.choice(STARTS))
+        for phrase in rng.choices(PHRASES, k=rng.randint(0, 3)):
+            at = rng.randint(0, len(argv))
+            argv[at:at] = phrase
+        got = _run(main, argv, capsys)
+        want = _run(oracle_main, argv, capsys)
+        if got != want:
+            differ.append((argv, got, want))
+        read += cli._read(argv) is not None
+        called += want[1].startswith("cmd_")
+    assert differ == []
+    # both routes are taken: main reads most of the calls that run a
+    # command itself, and leaves the rest, abbreviations among them, and
+    # every error, help and version to argparse
+    assert 250 < read < called
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["invariants", "--a", "0,0,1,-1,0"], ["bound", "--input", str(DATASET), "--output", os.devnull]],
-    ids=["invariants", "bound"],
+    "argv, option",
+    [
+        (["bound", "--inp", "in.jsonl", "--out=--"], "--output"),
+        (["bound", "--input", "in.jsonl", "--output=--", "--output=--"], "--output"),
+        (["bound", "--inp=--", "--output", "-"], "--input"),
+    ],
 )
-def test_start_up_loads_no_parser_or_exact_arithmetic(argv):
+def test_a_double_dash_value_is_a_usage_error(argv, option, tmp_path, capsys, monkeypatch):
+    # argparse 3.11 keeps "--" after "=" as [], which open() would refuse
+    # with a TypeError; main refuses it as a usage error naming the option
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.jsonl").write_text('{"a": [0,0,1,-1,0], "conductor": 37}\n')
+    with pytest.raises(SystemExit) as failure:
+        main(argv)
+    assert failure.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"moddeg bound: error: argument {option}: expected one argument"
+    assert [path.name for path in tmp_path.iterdir()] == ["in.jsonl"]
+
+
+PARSER = ("argparse", "gettext")
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["invariants", "--a", "0,0,1,-1,0"], (*PARSER, "fractions", "decimal")),
+        (["bound", "--input", str(DATASET), "--output", os.devnull], (*PARSER, "fractions", "decimal")),
+        # the certification of the Q(zeta_3) case builds exact fractions
+        (["verify-lemmas", "--json"], PARSER),
+    ],
+    ids=["invariants", "bound", "verify-lemmas"],
+)
+def test_start_up_loads_no_parser_or_exact_arithmetic(argv, unloaded):
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "moddeg", *argv], capture_output=True, text=True, env=child_env()
     )
@@ -186,7 +321,7 @@ def test_start_up_loads_no_parser_or_exact_arithmetic(argv):
         first -= 1
     loaded = names[first:]
     assert "moddeg.cli" in loaded
-    assert [name for name in loaded if name.split(".")[0] in ("argparse", "gettext", "fractions", "decimal")] == []
+    assert [name for name in loaded if name.split(".")[0] in unloaded] == []
 
 
 def test_each_command_is_looked_up_when_called(monkeypatch):

@@ -95,9 +95,11 @@ class TestGolden:
                 out.append(capsys.readouterr().out)
         assert "".join(out).encode() == (GOLDEN / "invariants_tables.golden.jsonl").read_bytes()
 
-    def test_help_text(self, capsys):
-        # main writes the help from its own table, not argparse's, so each
-        # page is pinned here, after the command line that prints it
+    def test_help_text(self, capsys, monkeypatch):
+        # argparse writes the help and wraps it to the terminal, so each
+        # page is pinned here 80 columns wide, after the command line that
+        # prints it
+        monkeypatch.setenv("COLUMNS", "80")
         pages = []
         for argv in (["--help"], ["invariants", "--help"], ["bound", "--help"], ["verify-lemmas", "--help"]):
             with pytest.raises(SystemExit) as done:
