@@ -8,11 +8,11 @@ bound.  This is the library view of what `moddeg verify-lemmas` prints.
 
 from fractions import Fraction
 
-from moddeg import (
+from moddeg.lvalue import lemma4_certify
+from moddeg.zerofree import (
     certify_cm_qi,
     certify_cm_zeta3,
     certify_noncm,
-    lemma4_certify,
     quintic_beta_optimum,
     trig_poly_expand,
 )

@@ -11,20 +11,17 @@ import json
 import math
 from importlib import resources
 
-from moddeg import (
-    CurveModel,
+from moddeg.agm import period_data
+from moddeg.bounds import (
     crossover_check,
     degree_formula_bound,
-    derive_invariants,
-    fudge_factor_for,
     linear_bounds,
-    period_data,
     theorem1,
     theorem2,
     theorem2_closed_form,
-    two_torsion_roots,
 )
-from moddeg.curves import squared_primes
+from moddeg.curves import CurveModel, derive_invariants, squared_primes, two_torsion_roots
+from moddeg.fudge import fudge_factor_for
 from moddeg.lvalue import L_VALUE_BOUND_NUMERATOR
 from moddeg.report import build_report, parse_record
 

@@ -7,15 +7,8 @@ the two extremal constants and where each case attains them.
 
 import math
 
-from moddeg import (
-    CurveModel,
-    derive_invariants,
-    lemma1_check,
-    lemma1_constants,
-    period_data,
-    two_torsion_roots,
-)
-from moddeg.agm import agm
+from moddeg.agm import agm, lemma1_check, lemma1_constants, period_data
+from moddeg.curves import CurveModel, derive_invariants, two_torsion_roots
 
 CURVES = [
     ("11a1", (0, -1, 1, -10, -20)),

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from moddeg import CurveModel, Invariants, derive_invariants, two_torsion_roots
+from moddeg.curves import CurveModel, Invariants, derive_invariants, two_torsion_roots
 
 
 def real_period_by_integration(inv: Invariants) -> tuple[float, float]:

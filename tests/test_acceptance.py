@@ -4,22 +4,12 @@ nowhere else."""
 
 import json
 import math
+from fractions import Fraction
 
-from moddeg import (
-    CurveModel,
-    crossover_check,
-    derive_invariants,
-    lemma1_check,
-    lemma1_constants,
-    lemma4_certify,
-    period_data,
-    symsq_lower_bound,
-    trace_of_frobenius,
-    trig_poly_expand,
-    two_torsion_roots,
-)
-from moddeg.bounds import CONDUCTOR_THRESHOLD
-from moddeg.curves import is_prime
+from moddeg.agm import lemma1_check, lemma1_constants, period_data
+from moddeg.bounds import CONDUCTOR_THRESHOLD, crossover_check
+from moddeg.curves import CurveModel, derive_invariants, is_prime, trace_of_frobenius, two_torsion_roots
+from moddeg.lvalue import lemma4_certify, symsq_lower_bound
 from moddeg.report import build_report, parse_record
 from moddeg.specfun import lemma4_error_integral
 from moddeg.zerofree import (
@@ -28,8 +18,8 @@ from moddeg.zerofree import (
     certify_cm_zeta3,
     certify_noncm,
     quintic_beta_optimum,
+    trig_poly_expand,
 )
-from fractions import Fraction
 
 from conftest import inv_omega_oracle, random_curves, real_period_by_integration
 from test_golden import dataset_records

@@ -7,17 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ellipk
 
-from moddeg import (
-    derive_invariants,
-    lemma1_check,
-    lemma1_constants,
-    period_data,
-    two_torsion_roots,
-    CurveModel,
-    Invariants,
-    RootData,
-)
-from moddeg.agm import AREA_BOUND_DENOMINATOR, agm
+from moddeg.agm import AREA_BOUND_DENOMINATOR, agm, lemma1_check, lemma1_constants, period_data
+from moddeg.curves import CurveModel, Invariants, RootData, derive_invariants, two_torsion_roots
 
 from conftest import inv_omega_oracle, random_curves, real_period_by_integration
 

@@ -170,6 +170,11 @@ class TestLinearBounds:
     def test_selberg_exact(self):
         assert linear_bounds(192 * 11)["abramovich_selberg"] == 11.0
 
+    @pytest.mark.parametrize("conductor", [0, -5])
+    def test_nonpositive_conductor_is_refused(self, conductor):
+        with pytest.raises(ValueError, match="^conductor must be positive$"):
+            linear_bounds(conductor)
+
 
 class TestCrossover:
     def test_bracket_evaluations(self):

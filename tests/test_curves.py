@@ -8,21 +8,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import moddeg.curves
-from moddeg import (
+from moddeg.agm import lemma1_check, period_data
+from moddeg.curves import (
     CM_J_INVARIANTS,
-    NONCM,
+    POINT_COUNT_CUTOFF,
     CurveModel,
-    QuadratureResult,
+    Invariants,
     SingularCurveError,
+    _count_naive,
     derive_invariants,
     is_cm,
-    lemma1_check,
-    parse_record,
-    period_data,
+    is_prime,
+    squared_primes,
     trace_of_frobenius,
     two_torsion_roots,
 )
-from moddeg.curves import POINT_COUNT_CUTOFF, Invariants, _count_naive, is_prime, squared_primes
+from moddeg.report import parse_record
+from moddeg.specfun import QuadratureResult
+from moddeg.zerofree import NONCM
 
 from conftest import EULER_CURVES, ap_by_euler_criterion, good_primes, inv_omega_oracle, random_curves
 

@@ -41,6 +41,12 @@ def assert_matches_trial_division(n: int) -> None:
     )
 
 
+@pytest.mark.parametrize("n", [0, -12])
+def test_nonpositive_n_is_refused(n):
+    with pytest.raises(ValueError, match="^can only factor positive integers$"):
+        squared_primes(n)
+
+
 def test_is_prime_against_a_sieve_below_2_to_the_20():
     primes = set(_primes_up_to(2**20))
     assert [n for n in range(-2, 2**20) if is_prime(n) != (n in primes)] == []

@@ -17,8 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from moddeg import CurveModel, symsq_value_estimate
 from moddeg.cli import main
+from moddeg.curves import CurveModel
+from moddeg.lvalue import symsq_value_estimate
 
 GOLDEN = Path(__file__).parent / "data"
 DATASET = resources.files("moddeg").joinpath("data/curves.jsonl")

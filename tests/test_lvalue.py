@@ -4,7 +4,8 @@ import pytest
 
 import moddeg.curves
 import moddeg.lvalue
-from moddeg import CurveModel, derive_invariants, period_data, trace_of_frobenius, two_torsion_roots
+from moddeg.agm import period_data
+from moddeg.curves import CurveModel, derive_invariants, trace_of_frobenius, two_torsion_roots
 from moddeg.lvalue import (
     lemma4_certify,
     symsq_lower_bound,

@@ -1,18 +1,22 @@
-"""Every name moddeg or one of its submodules exports has a reader outside
-the tests: a name that only tests call is test code living in the runtime."""
+"""Each public name has one import path, moddeg.<module>.<name>, and a
+reader outside the tests: a name that only tests call is test code living
+in the runtime."""
 
 import importlib
 import io
+import json
+import subprocess
+import sys
 import tokenize
-import types
 from pathlib import Path
 
 import pytest
 
 import moddeg
+from test_golden import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
-# The package itself (its __init__ only re-exports), the demos and the benchmark.
+# The package itself (its __init__ only imports the submodules), the demos and the benchmark.
 SOURCES = [
     path
     for folder in ("src/moddeg", "demos", "bench")
@@ -44,16 +48,31 @@ def _names_read() -> set[str]:
 READ = _names_read()
 
 
-def test_every_export_has_a_runtime_reader():
-    names = [name for name in moddeg.__all__ if not isinstance(getattr(moddeg, name), types.ModuleType)]
-    assert names
-    unread = [name for name in names if name not in READ]
-    assert unread == [], f"exported but read only by tests: {unread}"
-
-
 @pytest.mark.parametrize("module", SUBMODULES)
 def test_every_submodule_export_has_a_runtime_reader(module):
     names = importlib.import_module(f"moddeg.{module}").__all__
     assert names
     unread = [name for name in names if name not in READ]
     assert unread == [], f"moddeg.{module} exports names read only by tests: {unread}"
+
+
+# What ``import moddeg`` loads, which the benchmark's import probe times.
+LIBRARY = ["agm", "bounds", "curves", "fudge", "lvalue", "report", "specfun", "zerofree"]
+
+
+def test_import_moddeg_loads_its_modules_and_no_more():
+    """A fresh ``import moddeg`` loads the library modules and neither the
+    command line, argparse nor fractions; the package gives none of their
+    exports a second import path."""
+    probe = "import json, sys, moddeg; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(), check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert {name for name in loaded if name.split(".")[0] == "moddeg"} == {"moddeg", *(f"moddeg.{m}" for m in LIBRARY)}
+    assert sorted(loaded & {"argparse", "fractions"}) == []
+    second_paths = []
+    for module in LIBRARY:
+        submodule = importlib.import_module(f"moddeg.{module}")
+        second_paths += [
+            name for name in submodule.__all__ if getattr(moddeg, name, submodule) is getattr(submodule, name)
+        ]
+    assert second_paths == [], f"moddeg re-exports {second_paths}"

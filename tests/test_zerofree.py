@@ -293,6 +293,11 @@ class TestTrigPoly:
     def test_beta_zero(self):
         assert trig_poly_expand(0) == (1, 1, 0, 0)
 
+    @pytest.mark.parametrize("beta", [-1, Fraction(-1, 2)])
+    def test_negative_beta_is_refused(self, beta):
+        with pytest.raises(ValueError, match="^beta must be nonnegative$"):
+            trig_poly_expand(beta)
+
     def test_beta_one(self):
         # (1 + cos t)^3 = (10 + 15 cos t + 6 cos 2t + cos 3t)/4
         assert trig_poly_expand(1) == (
