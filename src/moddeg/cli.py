@@ -18,20 +18,24 @@ Exit codes: 0 success, 1 certification or consistency failure,
 2 input error or an output that cannot be written.
 
 main reads a spelled-out call itself: the command first, then each of
-its options spelled in full and given once, a value as ``--a 0,0,1,-1,0``
-or ``--a=0,0,1,-1,0`` that is "-" or does not start with "-" and that
-the option's reader accepts.  Every other argv (help, ``--version``, an
-abbreviated or repeated option, ``--``, a refused value or any other
+its options spelled in full and given once, with a value that the
+option's reader accepts, given as the next argument and "-" or not
+starting with "-" (``--a 0,0,1,-1,0``), or after "=" and not starting
+with "--" (``--a=-1,0,1,-1,0``).  Every other argv (help, ``--version``,
+an abbreviated or repeated option, ``--``, a refused value or any other
 usage error) goes to an argparse parser built from the same table,
 ``_COMMANDS``, and only such a call imports argparse.  main looks each
 cmd_* function up by its name when it calls it, so one replaced on the
 module is the one called.
+
+Only bound imports the json package, to read its records: ``--a`` is
+read without it, and every output is written by ``report``'s own
+writers.  No command imports ``fractions``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import sys
 import types
@@ -40,7 +44,7 @@ from . import __version__
 from .agm import lemma1_constants
 from .bounds import crossover_check
 from .lvalue import lemma4_certify
-from .report import _json_int, a_field, build_report, dumps_report, invariants_document, parse_record
+from .report import _json_int, build_report, dumps_report, invariants_document, parse_record
 from .zerofree import (
     MIN_CERTIFIED_N2,
     Waypoint,
@@ -66,6 +70,8 @@ def cmd_invariants(args: types.SimpleNamespace) -> int:
 
 def cmd_bound(args: types.SimpleNamespace) -> int:
     """Write one report or error object per input line, as soon as it is made."""
+    import json  # here, so that no other command loads the JSON parser
+
     any_inconsistent = False
     try:
         with contextlib.ExitStack() as stack:
@@ -106,14 +112,24 @@ def cmd_bound(args: types.SimpleNamespace) -> int:
 
 
 def _a_flag(text: str) -> tuple[int, int, int, int, int]:
-    """The value of --a: the record's rule for "a", applied to the text
-    read as the body of a JSON array."""
-    try:
-        return a_field(json.loads(f"[{text}]"))
-    except (ValueError, RecursionError):  # json.JSONDecodeError is a ValueError
-        raise ValueError(
-            f"expects 5 comma-separated JSON integers a1,a2,a3,a4,a6, got {text!r}"
-        ) from None
+    """The value of --a: five comma-separated JSON integers, each ASCII
+    digits with an optional "-" and no leading zero, with JSON white
+    space around it; the values ``a_field`` takes from the text read as
+    the body of a JSON array, read without the JSON parser."""
+    tokens = [token.strip(" \t\n\r") for token in text.split(",")]
+    if len(tokens) == 5 and all(map(_is_json_integer, tokens)):
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:  # past int()'s digit limit, as json.loads fails too
+            pass
+    raise ValueError(f"expects 5 comma-separated JSON integers a1,a2,a3,a4,a6, got {text!r}")
+
+
+def _is_json_integer(token: str) -> bool:
+    """Whether token is a JSON integer: "-"?, then "0" or ASCII digits
+    that do not start with "0"."""
+    digits = token[1:] if token.startswith("-") else token
+    return digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0")
 
 
 def _release_stdout() -> None:
@@ -221,7 +237,9 @@ def _read(argv: list[str]) -> tuple[str, types.SimpleNamespace] | None:
             continue
         if not eq:
             value = next(rest, None)
-        if value is None or (value.startswith("-") and value != "-"):
+            if value is None or (value.startswith("-") and value != "-"):
+                return None
+        elif value.startswith("--"):  # --output=-- is a usage error
             return None
         try:
             values[option[2:]] = read(value)

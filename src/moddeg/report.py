@@ -47,16 +47,23 @@ consistency_ok)``: the report's JSON text, written by one template in
 key order, and its verdict, which ``bound`` needs for its exit code; a
 library caller reads the document as ``json.loads(line)``.
 ``dumps_report`` writes any other document of raw values, such as
-``invariants_document``'s, by the template's own leaf writers.
+``invariants_document``'s, by the template's own leaf writers.  Strings
+are written by ``encode_basestring_ascii`` from ``_json``, the C writer
+that ``json.dumps`` uses, so writing a document loads neither the
+``json`` package nor its parser; only ``_shown`` and the rare fallback
+of ``_real_text`` import ``json``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii
+
+try:  # json.dumps's own string writer, without the json package
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from .agm import _model_values, lemma1_check, period_data
 from .bounds import CONDUCTOR_THRESHOLD, _bound_values
@@ -111,6 +118,8 @@ def _shown(value: object) -> str:
         n = abs(value)
         k = int((n.bit_length() - 1) * math.log10(2)) + 1
         return f"an integer of {k + (n >= 10**k)} digits"
+    import json
+
     text = json.dumps(value)
     if len(text) <= 64:
         return text
@@ -217,6 +226,8 @@ def _real_text(x: float) -> str:
         return text
     elif text[-1] not in "fn":  # not inf, -inf or nan
         return text + ".0"
+    import json
+
     return json.dumps(float(text))
 
 

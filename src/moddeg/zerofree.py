@@ -18,8 +18,10 @@ the certify_* operations recompute every waypoint of the chain and
 compare it against its certified bound.  Each returns its waypoints as a
 tuple, named "<case>.<step>" (noncm, cm_qi, cm_zeta3) as verify-lemmas
 prints them.  The cosine polynomials behind
-the chains are nonnegative by their factorisation; trig_poly_expand gives
-the exact Fourier weights of the Q(zeta_3) one.
+the chains are nonnegative by their factorisation.  certify_cm_zeta3
+checks the Fourier weights of the Q(zeta_3) one in integers, so no
+command loads ``fractions``; trig_poly_expand gives them as exact
+fractions for any weight beta, from the same integer kernel.
 
 Gamma-factor sums are the s-derivatives of the log of the relevant
 Gamma-product, so arguments of the form s/2 carry a chain factor 1/2;
@@ -217,7 +219,8 @@ def certify_cm_qi(n2: int) -> tuple[Waypoint, ...]:
 
 def certify_cm_zeta3(n2: int) -> tuple[Waypoint, ...]:
     """Certify the Q(zeta_3) chain (polynomial (1+cos t)(1+(5/2)cos t)^2,
-    scaled by 16 to the integer weights 106, 171, 90, 25).
+    scaled by 16 to the integer weights 106, 171, 90, 25).  The weights
+    are checked in integers, by the kernel behind trig_poly_expand.
 
     The fourth and sixth symmetric powers have conductors n4 = n6 = n2^2,
     except when 3^3 exactly divides the conductor, where n6 = 9 n4 = n2^2.
@@ -234,15 +237,7 @@ def certify_cm_zeta3(n2: int) -> tuple[Waypoint, ...]:
     middle = 106.0 / sigma - 171.0 / sigma_shift
     const_block = 339.0 * math.log(1.0 / math.pi) - (53.0 * math.log(3.0) + 286.0 * math.log(2.0))
     half_261_log64 = 130.5 * math.log(64.0)
-    from fractions import Fraction  # on first use, so bound and invariants never load it
-
-    coeffs = trig_poly_expand(Fraction(5, 2))
-    trig_exact = coeffs == (
-        Fraction(106, 16),
-        Fraction(171, 16),
-        Fraction(90, 16),
-        Fraction(25, 16),
-    )
+    trig_exact = _trig_poly_numerators(5, 2) == (_ZETA3_WEIGHTS, 16)
     total = -59.0 + const_block + half_261_log64 + 153.0
 
     return (
@@ -257,20 +252,31 @@ def certify_cm_zeta3(n2: int) -> tuple[Waypoint, ...]:
     )
 
 
+# The Fourier weights of (1 + cos t)(1 + (5/2) cos t)^2, times 16.
+_ZETA3_WEIGHTS = (106, 171, 90, 25)
+
+
+def _trig_poly_numerators(n: int, d: int) -> tuple[tuple[int, int, int, int], int]:
+    """The Fourier coefficients of (1 + cos t)(1 + beta cos t)^2 at
+    beta = n/d, in the basis {1, cos t, cos 2t, cos 3t}, as integer
+    numerators over their common denominator 4 d^2."""
+    nn, nd, dd = n * n, n * d, d * d
+    return (4 * dd + 4 * nd + 2 * nn, 4 * dd + 8 * nd + 3 * nn, 4 * nd + 2 * nn, nn), 4 * dd
+
+
 def trig_poly_expand(beta: Fraction | int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Exact Fourier coefficients (c0, c1, c2, c3) of
-    (1 + cos t)(1 + beta cos t)^2 in the basis {1, cos t, cos 2t, cos 3t}."""
+    (1 + cos t)(1 + beta cos t)^2 in the basis {1, cos t, cos 2t, cos 3t}.
+
+    ``fractions`` is imported on the first call; certify_cm_zeta3 runs
+    the same integer kernel without it."""
     from fractions import Fraction
 
     b = Fraction(beta)
     if b < 0:
         raise ValueError("beta must be nonnegative")
-    b2 = b * b
-    c0 = 1 + (b2 + 2 * b) / 2
-    c1 = 1 + 2 * b + 3 * b2 / 4
-    c2 = (b2 + 2 * b) / 2
-    c3 = b2 / 4
-    return (c0, c1, c2, c3)
+    numerators, denominator = _trig_poly_numerators(b.numerator, b.denominator)
+    return tuple(Fraction(c, denominator) for c in numerators)
 
 
 _QUINTIC = (1.0, -25.0, -4.0, 30.0, 19.0, 3.0)

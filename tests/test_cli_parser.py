@@ -1,6 +1,8 @@
 """The command-line parser: the same behaviour as the argparse parser
-main once used alone, and a spelled-out call that loads no argparse, nor
-exact arithmetic outside verify-lemmas.
+main once used alone, and a spelled-out call that loads no argparse and
+no exact arithmetic, and outside bound no JSON package.  The --a reader
+gives what the record rule for "a" gives the text read as the body of a
+JSON array.
 
 This module imports only the standard library, pytest and moddeg, and
 no conftest, so it runs with none of the test extras installed.
@@ -13,6 +15,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -182,6 +185,7 @@ PHRASES = [
     ("--a=0,0,1,-1,0",),
     ("--a", "-1,0,1,-1,0"),
     ("--a=-1,0,1,-1,0",),
+    ("--a=-5",),
     ("--a", "1,2"),
     ("--a=x",),
     ("--a",),
@@ -195,6 +199,7 @@ PHRASES = [
     ("--output", "-"),
     ("--out", "out.jsonl"),
     ("--output=-",),
+    ("--output=-x",),
     ("--o=y",),
     ("--output",),
     ("-",),
@@ -292,18 +297,88 @@ def test_a_double_dash_value_is_a_usage_error(argv, option, tmp_path, capsys, mo
     assert [path.name for path in tmp_path.iterdir()] == ["in.jsonl"]
 
 
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (["invariants", "--a=-1,0,1,-1,0"], {"a": (-1, 0, 1, -1, 0)}),
+        (["bound", "--input=-in.jsonl", "--output=-x"], {"input": "-in.jsonl", "output": "-x"}),
+    ],
+)
+def test_a_dash_value_after_equals_is_read_directly(argv, values):
+    assert cli._read(argv) == (argv[0], types.SimpleNamespace(**values))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--a", "-1,0,1,-1,0"],
+        ["invariants", "--a=-5"],
+        ["bound", "--input", "in.jsonl", "--output=--"],
+        ["bound", "--input", "in.jsonl", "--output=--x"],
+    ],
+)
+def test_other_dash_values_go_to_argparse(argv):
+    assert cli._read(argv) is None
+
+
+# Tokens of --a values: JSON integers, some with JSON white space around
+# them, and texts near one that json.loads or the record rule for "a"
+# refuses: a sign "+", a leading zero, a fraction or exponent, a literal,
+# an array, a non-ASCII digit or space, a BOM, an underscore, an empty
+# token, a run past int()'s 4300-digit limit and a nesting too deep to
+# decode.
+_INTEGER_TOKENS = ["0", "1", "-1", "7", "-42", "2" * 30, "-0", " 1", "\t2\n", "\r3 ", "9" * 4300]
+_OTHER_TOKENS = [
+    "01", "-01", "00", "+1", "--1", "-", "1.0", "1e3", "1E3", "true", "null", "[1]", '"1"',
+    "\u0661", "\u00b2", "\u00a01", "\ufeff1", "1_0", "", " ", "1 2", "0x1", "9" * 5000, "[" * 3000,
+]
+
+
+def _a_flag_outcome(read, text: str) -> object:
+    """The tuple read gives text, or its error's message."""
+    try:
+        return read(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        return str(exc)
+
+
+def test_a_flag_agrees_with_the_json_reader():
+    rng = random.Random(45)
+    accepted = 0
+    for _ in range(20_000):
+        tokens = [
+            rng.choice(_INTEGER_TOKENS if rng.random() < 0.8 else _OTHER_TOKENS) for _ in range(rng.randint(4, 6))
+        ]
+        text = ",".join(tokens)
+        want = _a_flag_outcome(_oracle_a_flag, text)
+        assert _a_flag_outcome(cli._a_flag, text) == want, text[:200]
+        accepted += isinstance(want, tuple)
+    # a third of the strings have five tokens, and a third of those are
+    # five integers
+    assert 1000 < accepted < 4000
+
+
+@pytest.mark.parametrize("text", ["01,0,0,0,0", "1,2", "\u0661,0,0,0,0", "1,1,1,1," + "9" * 5000, "1_0,0,0,0,0"])
+def test_a_refused_a_value_exits_as_the_json_reader_refuses_it(text, capsys):
+    assert _run(main, ["invariants", f"--a={text}"], capsys) == _run(
+        _oracle_main, ["invariants", f"--a={text}"], capsys
+    )
+
+
 PARSER = ("argparse", "gettext")
+EXACT = ("fractions", "decimal")
 
 
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
-        (["invariants", "--a", "0,0,1,-1,0"], (*PARSER, "fractions", "decimal")),
-        (["bound", "--input", str(DATASET), "--output", os.devnull], (*PARSER, "fractions", "decimal")),
-        # the certification of the Q(zeta_3) case builds exact fractions
-        (["verify-lemmas", "--json"], PARSER),
+        (["invariants", "--a", "0,0,1,-1,0"], (*PARSER, "json", "re", *EXACT)),
+        (["invariants", "--a=-1,0,1,-1,0"], (*PARSER, "json", "re", *EXACT)),
+        # bound reads its records with json.loads
+        (["bound", "--input", str(DATASET), "--output", os.devnull], (*PARSER, *EXACT)),
+        (["verify-lemmas", "--json"], (*PARSER, "json", "re", *EXACT)),
     ],
-    ids=["invariants", "bound", "verify-lemmas"],
+    ids=["invariants", "invariants-negative-a1", "bound", "verify-lemmas"],
 )
 def test_start_up_loads_no_parser_or_exact_arithmetic(argv, unloaded):
     proc = subprocess.run(
@@ -315,7 +390,9 @@ def test_start_up_loads_no_parser_or_exact_arithmetic(argv, unloaded):
     depth = [len(line) - len(name) for line, name in zip(lines, names)]
     # -X importtime writes a module's line when its import ends, after the
     # deeper-indented lines of the modules it imported: moddeg's own
-    # imports start at the first of those above the line of moddeg
+    # imports start at the first of those above the line of moddeg, so a
+    # module that site loaded before them, as it loads re on some hosts,
+    # is not counted
     package = first = names.index("moddeg")
     while first and depth[first - 1] > depth[package]:
         first -= 1

@@ -17,7 +17,9 @@ import math
 import random
 import re
 import struct
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +32,7 @@ from moddeg.fudge import fudge_factor_for
 from moddeg.lvalue import L_VALUE_BOUND_NUMERATOR
 from moddeg.report import _real_text, build_report, dumps_report, invariants_document, parse_record
 
-from test_golden import DATASET, GOLDEN
+from test_golden import DATASET, GOLDEN, child_env
 
 TWO_53 = 2**53
 
@@ -274,14 +276,50 @@ def _random_document(rng: random.Random, doubles: list[float], depth: int = 0) -
     return items if kind == 6 else tuple(items)
 
 
-def test_dumps_report_is_json_dumps_of_the_rounded_document():
+def _documents() -> list[dict[str, object]]:
+    """One document of every edge value and character, and 2000 seeded ones."""
     rng = random.Random(38)
     doubles = _seeded_doubles(2000) + _edge_doubles()
     documents = [{"doubles": doubles, "ints": _EDGE_INTS, "characters": list(_CHARACTERS), "empty": [{}, [], ()]}]
     documents += [{str(i): _random_document(rng, doubles) for i in range(rng.randrange(1, 6))} for _ in range(2000)]
-    for doc in documents:
+    return documents
+
+
+def test_dumps_report_is_json_dumps_of_the_rounded_document():
+    for doc in _documents():
         # nan != nan, so the text alone is compared
         assert dumps_report(doc) == json.dumps(frozen_wire(doc)), doc
+
+
+# Writes dumps_report of each document, one line each, where _json cannot
+# be imported, so moddeg.report writes strings by json.encoder's Python
+# writer.
+_WITHOUT_C_JSON = """
+import sys
+
+sys.modules["_json"] = None
+sys.path.insert(0, sys.argv[1])
+import json.encoder
+
+import moddeg.report
+from test_wire_format import _documents
+
+assert moddeg.report.encode_basestring_ascii is json.encoder.py_encode_basestring_ascii
+for doc in _documents():
+    print(moddeg.report.dumps_report(doc))
+"""
+
+
+def test_dumps_report_without_the_c_json_writer_writes_the_same_text():
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_C_JSON, str(Path(__file__).parent)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    # each line is ASCII: encode_basestring_ascii escapes every line break
+    assert proc.stdout.splitlines() == [dumps_report(doc) for doc in _documents()]
 
 
 def public_chain_document(obj: dict) -> dict[str, object]:
